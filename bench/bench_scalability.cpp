@@ -6,21 +6,23 @@
  *    (paper: ~15 ms on average, ~300 ms for a 1000+-microservice graph);
  *  - full multiplexing plans over many services;
  *  - one interference-aware placement decision across a host fleet
- *    (paper: resource provisioning ~200 ms).
+ *    (paper: resource provisioning ~200 ms);
+ *  - event-engine throughput, raw and under the simulator.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <functional>
 
 #include "common/rng.hpp"
-#include "event_engine_scenario.hpp"
 #include "graph/dependency_graph.hpp"
 #include "model/catalog.hpp"
 #include "provision/batch_placement.hpp"
 #include "provision/interference_aware.hpp"
 #include "runner/parallel_runner.hpp"
 #include "scaling/multiplexing.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/simulation.hpp"
 #include "workload/synth_trace.hpp"
 
@@ -223,53 +225,145 @@ BENCHMARK(BM_ParallelSimulationSweep)
 
 // ---------------------------------------------------------------------
 // Event-engine throughput (events/second in the items_per_second
-// column). Arg(0) = calendar engine, Arg(1) = legacy binary heap; the
-// ratio is the engine-refactor speedup. bench_event_engine writes the
-// same comparison as JSON (BENCH_event_engine.json).
+// column).
 // ---------------------------------------------------------------------
+
+/** Deterministic offset stream (splitmix64). */
+std::uint64_t
+mixOffset(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/** Raw queue: a self-perpetuating population of 4096 timers (every
+ *  dispatched event posts a successor at a pseudo-random offset), the
+ *  pure engine cost with no simulator logic on top. Stops after
+ *  exactly `total_events` dispatches. */
+std::uint64_t
+runRawQueue(std::uint64_t total_events)
+{
+    EventQueue q;
+    std::uint64_t state = 1;
+    for (std::uint64_t i = 0; i < 4096; ++i) {
+        state = mixOffset(state);
+        q.post(state % 1024, EventRecord{.a = i, .type = 1});
+    }
+    std::uint64_t dispatched = 0;
+    bool done = false;
+    q.drain(~static_cast<SimTime>(0), done, [&](const EventRecord &rec) {
+        state = mixOffset(state + rec.a);
+        q.postAfter(1 + state % 1024, EventRecord{.a = rec.a, .type = 1});
+        done = ++dispatched == total_events;
+    });
+    return dispatched;
+}
 
 void
 BM_EventEngineRawDispatch(benchmark::State &state)
 {
-    const bool legacy = state.range(0) != 0;
     constexpr std::uint64_t kEvents = 2'000'000;
     std::uint64_t total = 0;
     for (auto _ : state) {
-        const bench::EngineRun run = legacy
-                                         ? bench::runRawLegacy(kEvents)
-                                         : bench::runRawCalendar(kEvents);
-        total += run.events;
-        benchmark::DoNotOptimize(run);
+        const std::uint64_t events = runRawQueue(kEvents);
+        total += events;
+        benchmark::DoNotOptimize(events);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(total));
-    state.SetLabel(legacy ? "legacy heap" : "calendar queue");
 }
 BENCHMARK(BM_EventEngineRawDispatch)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+/** The suite's largest simulation configuration: 8 independent copies
+ *  of a two-service, 9-microservice fan-out workload at high load (16
+ *  services, 72 microservices), one simulated minute. Returns the
+ *  dispatched event count. */
+std::uint64_t
+runSimScenario()
+{
+    constexpr int kScale = 8;
+    MicroserviceCatalog catalog;
+    char name_buf[32];
+    auto add = [&](const char *name, int copy, double base_ms,
+                   int threads) {
+        MicroserviceProfile profile;
+        std::snprintf(name_buf, sizeof name_buf, "%s%d", name, copy);
+        profile.name = name_buf;
+        profile.baseServiceMs = base_ms;
+        profile.threadsPerContainer = threads;
+        profile.serviceCv = 0.6;
+        profile.networkMs = 0.2;
+        return catalog.add(profile);
+    };
+
+    std::vector<MicroserviceId> ids;
+    std::vector<DependencyGraph> graphs;
+    graphs.reserve(2 * kScale);
+    for (int s = 0; s < kScale; ++s) {
+        auto mk = [&](const char *n, double ms, int th) {
+            const MicroserviceId id = add(n, s, ms, th);
+            ids.push_back(id);
+            return id;
+        };
+        const MicroserviceId root = mk("root", 3.0, 8);
+        const MicroserviceId a = mk("a", 6.0, 4);
+        const MicroserviceId b = mk("b", 8.0, 4);
+        const MicroserviceId c = mk("c", 5.0, 4);
+        const MicroserviceId d = mk("d", 4.0, 4);
+        const MicroserviceId tail = mk("tail", 2.0, 8);
+        const MicroserviceId logg = mk("log", 1.5, 8);
+        const MicroserviceId cache = mk("cache", 1.0, 8);
+        const MicroserviceId db = mk("db", 1.0, 8);
+
+        DependencyGraph g0(2 * s, root);
+        g0.addCall(root, a, 0);
+        g0.addCall(root, b, 0);
+        g0.addCall(a, cache, 0);
+        g0.addCall(b, db, 0);
+        g0.addCall(root, tail, 1);
+        DependencyGraph g1(2 * s + 1, root);
+        g1.addCall(root, c, 0);
+        g1.addCall(root, d, 0);
+        g1.addCall(c, logg, 0);
+        g1.addCall(root, tail, 1);
+        graphs.push_back(g0);
+        graphs.push_back(g1);
+    }
+
+    SimConfig config;
+    config.horizonMinutes = 1;
+    config.warmupMinutes = 0;
+    config.seed = 17;
+    Simulation sim(catalog, config);
+    for (DependencyGraph &g : graphs) {
+        ServiceWorkload svc;
+        svc.id = g.service();
+        svc.graph = &g;
+        svc.rate = 60000.0;
+        sim.addService(svc);
+    }
+    for (MicroserviceId ms : ids)
+        sim.setContainerCount(ms, 6);
+    sim.run();
+    return sim.metrics().eventsDispatched;
+}
 
 void
 BM_EventEngineSimulation(benchmark::State &state)
 {
-    // The suite's largest simulation configuration, timed end to end;
-    // items/second counts dispatched simulator events.
-    const bool legacy = state.range(0) != 0;
+    // Timed end to end; items/second counts dispatched simulator events.
     std::uint64_t total = 0;
     for (auto _ : state) {
-        const bench::EngineRun run = bench::runSimScenario(
-            legacy ? EventEngine::LegacyHeap : EventEngine::Calendar,
-            /*minutes=*/1);
-        total += run.events;
-        benchmark::DoNotOptimize(run);
+        const std::uint64_t events = runSimScenario();
+        total += events;
+        benchmark::DoNotOptimize(events);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(total));
-    state.SetLabel(legacy ? "legacy heap" : "calendar queue");
 }
 BENCHMARK(BM_EventEngineSimulation)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

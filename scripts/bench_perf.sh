@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
-# Perf trajectories: rewrites BENCH_event_engine.json (legacy vs
-# calendar engine events/s; see docs/event_engine.md) and
-# BENCH_sharded_scale.json (events/s and resident memory vs shard count
-# on the 500-service / 1200-host catalog; see docs/sharding.md) at the
-# repo root. Run on a quiet machine — each cell is best-of-N, but
-# background load still skews the baselines.
+# Sharded-scale perf trajectory: rewrites BENCH_sharded_scale.json
+# (events/s and resident memory vs shard count on the 500-service /
+# 1200-host catalog; see docs/sharding.md) at the repo root. Run on a
+# quiet machine — each cell is best-of-N, but background load still
+# skews the numbers.
 #
 # Usage: scripts/bench_perf.sh [jobs]   (default: 2)
 
@@ -13,27 +12,11 @@ cd "$(dirname "$0")/.."
 JOBS="${1:-2}"
 
 cmake -B build -S .
-cmake --build build -j"$JOBS" --target bench_event_engine bench_sharded_scale
-# The benchmark itself exits nonzero when the two engines processed
-# different event sets; set -e stops the script right there.
-./build/bench/bench_event_engine BENCH_event_engine.json
+cmake --build build -j"$JOBS" --target bench_sharded_scale
 
-# Belt-and-braces fairness gate on the written JSON: a speedup over
-# unequal legacy/calendar event counts must never land in the repo.
-python3 - BENCH_event_engine.json <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-for section in ("raw_queue", "sim_largest"):
-    s = doc[section]
-    if s["legacy_events"] != s["calendar_events"]:
-        sys.exit(f"{section}: event counts diverge "
-                 f"(legacy {s['legacy_events']}, "
-                 f"calendar {s['calendar_events']})")
-EOF
-
-# Sharded-scale trajectory. The benchmark itself gates determinism
-# (per-K event counts across worker counts, K=1 == unsharded) and
-# exits nonzero on divergence; set -e stops the script right there.
+# The benchmark itself gates determinism (per-K event counts across
+# worker counts, K=1 == unsharded) and exits nonzero on divergence;
+# set -e stops the script right there.
 ./build/bench/bench_sharded_scale BENCH_sharded_scale.json
 
 # Belt-and-braces gate on the written JSON: numbers quoted over
@@ -55,7 +38,5 @@ if single["events"] != doc["unsharded"]["events"]:
              f"{doc['unsharded']['events']}")
 EOF
 
-echo "== BENCH_event_engine.json =="
-cat BENCH_event_engine.json
 echo "== BENCH_sharded_scale.json =="
 cat BENCH_sharded_scale.json

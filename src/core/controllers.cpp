@@ -9,17 +9,6 @@
 
 namespace erms {
 
-namespace {
-
-/** True when controller reads should go through the scraped view. */
-bool
-viewActive(const std::shared_ptr<const telemetry::TelemetryView> &view)
-{
-    return view != nullptr && !telemetry::oracleTelemetryRequested();
-}
-
-} // namespace
-
 std::function<void(Simulation &, int)>
 makeBaselineAutoscaler(std::shared_ptr<BaselineAllocator> allocator,
                        BaselineContext context,
@@ -29,8 +18,6 @@ makeBaselineAutoscaler(std::shared_ptr<BaselineAllocator> allocator,
 {
     ERMS_ASSERT(allocator != nullptr);
     ERMS_ASSERT(context.catalog != nullptr);
-    if (!viewActive(view))
-        view = nullptr;
     return [allocator, context, services = std::move(services),
             workload_headroom, view](Simulation &sim, int) mutable {
         for (ServiceSpec &svc : services) {
@@ -58,8 +45,6 @@ makeFirmReactiveController(const MicroserviceCatalog &catalog,
                            std::vector<ServiceSpec> services,
                            std::shared_ptr<const telemetry::TelemetryView> view)
 {
-    if (!viewActive(view))
-        view = nullptr;
     return [&catalog, services = std::move(services),
             view](Simulation &sim, int minute) {
         const auto &metrics = sim.metrics();
@@ -146,8 +131,6 @@ std::function<void(Simulation &, int)>
 makeCapacityRepairController(
     GlobalPlan plan, std::shared_ptr<const telemetry::TelemetryView> view)
 {
-    if (!viewActive(view))
-        view = nullptr;
     return [plan = std::move(plan), view](Simulation &sim, int) {
         if (plan.policy == SharingPolicy::NonSharing) {
             // Partitioned deployments: restore each service's dedicated

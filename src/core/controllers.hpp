@@ -23,9 +23,8 @@
 namespace erms {
 
 /**
- * Every controller takes an optional TelemetryView. When one is passed
- * (and ERMS_TELEMETRY_ORACLE does not force the escape hatch), all
- * observations — rates, interference, tail latencies, container
+ * Every controller takes an optional TelemetryView. When one is passed,
+ * all observations — rates, interference, tail latencies, container
  * counts — come from scraped snapshots: interval-sampled, span-sampled
  * and stale by up to one scrape interval. With no view the controller
  * reads the simulator's oracle state directly, byte-identical to the
@@ -223,7 +222,7 @@ makeGuardedController(
  * with an enabled tuner that never fires, e.g. over a clean stream —
  * the decorator is pure delegation and the run is byte-identical to
  * makeGuardedController with the same rails (pinned by the tuning test
- * suite on both event engines).
+ * suite).
  */
 std::function<void(Simulation &, int)>
 makeSelfTuningController(
@@ -268,7 +267,7 @@ struct MarketTenantServices
  * pure integer arithmetic — no RNG draws, no extra events — so with
  * caps that never bind (capacity >= every tenant's demand) the wrapped
  * run is byte-identical to the unwrapped controller (pinned by the
- * market byte-identity tests on both event engines).
+ * market byte-identity tests).
  */
 std::function<void(Simulation &, int)>
 makeMarketController(std::function<void(Simulation &, int)> inner,

@@ -26,8 +26,6 @@ ErmsController::makeAutoscaler(
     std::vector<ServiceSpec> services,
     std::shared_ptr<const telemetry::TelemetryView> view) const
 {
-    if (view != nullptr && telemetry::oracleTelemetryRequested())
-        view = nullptr; // escape hatch: force oracle observations
     // The closure owns its service list; observed rates overwrite the
     // workload field each minute. A service whose observed P95 exceeded
     // its SLA gets a recovery boost: matching capacity to arrivals alone

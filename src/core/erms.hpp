@@ -57,9 +57,8 @@ class ErmsController
      * bootstrap rate used until a full minute of observations exists.
      *
      * With a TelemetryView the rate/interference/P95 reads come from
-     * scraped snapshots instead of simulator oracle state (unless the
-     * ERMS_TELEMETRY_ORACLE escape hatch forces oracle reads); a null
-     * view keeps the original oracle observations byte-identical.
+     * scraped snapshots instead of simulator oracle state; a null view
+     * keeps the original oracle observations byte-identical.
      */
     std::function<void(Simulation &, int)>
     makeAutoscaler(std::vector<ServiceSpec> services,

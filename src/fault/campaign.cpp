@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "core/controllers.hpp"
 #include "core/erms.hpp"
@@ -307,7 +307,7 @@ makeCampaignArm(const std::string &intensity,
 namespace {
 
 /** Shortest-exact double formatting: %.17g round-trips every finite
- *  double through strtod bit-identically. */
+ *  double through the archive parser (parseNumber) bit-identically. */
 std::string
 fmtDouble(double v)
 {
@@ -418,23 +418,37 @@ rawField(const std::string &obj, const std::string &key)
     return obj.substr(at, end - at);
 }
 
+/** The field's whole token as a T; anything else (trailing bytes, a
+ *  fraction in an integer, a sign on an unsigned, out of range)
+ *  throws. */
+template <class T>
+T
+numberField(const std::string &obj, const std::string &key)
+{
+    const std::string raw = rawField(obj, key);
+    const std::optional<T> value = parseNumber<T>(raw);
+    if (!value)
+        throw ErmsError("campaign archive: bad number '" + raw +
+                        "' for '" + key + "'");
+    return *value;
+}
+
 double
 numField(const std::string &obj, const std::string &key)
 {
-    return std::strtod(rawField(obj, key).c_str(), nullptr);
+    return numberField<double>(obj, key);
 }
 
 std::uint64_t
 u64Field(const std::string &obj, const std::string &key)
 {
-    return std::strtoull(rawField(obj, key).c_str(), nullptr, 10);
+    return numberField<std::uint64_t>(obj, key);
 }
 
 int
 intField(const std::string &obj, const std::string &key)
 {
-    return static_cast<int>(
-        std::strtol(rawField(obj, key).c_str(), nullptr, 10));
+    return numberField<int>(obj, key);
 }
 
 bool

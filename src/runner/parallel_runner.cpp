@@ -1,11 +1,12 @@
 #include "parallel_runner.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <thread>
 
+#include "common/parse.hpp"
 #include "thread_pool.hpp"
 
 namespace erms {
@@ -15,11 +16,9 @@ resolveWorkerCount(int requested)
 {
     if (requested > 0)
         return requested;
-    if (const char *env = std::getenv("ERMS_RUNNER_THREADS")) {
-        const int parsed = std::atoi(env);
-        if (parsed > 0)
-            return parsed;
-    }
+    if (const std::optional<int> env = envInt(
+            "ERMS_RUNNER_THREADS", 1, std::numeric_limits<int>::max()))
+        return *env;
     const unsigned hardware = std::thread::hardware_concurrency();
     return hardware > 0 ? static_cast<int>(hardware) : 1;
 }

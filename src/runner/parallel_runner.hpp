@@ -13,7 +13,8 @@
  *
  * Worker count resolution, in order of precedence:
  *   1. RunnerOptions::workers when > 0;
- *   2. the ERMS_RUNNER_THREADS environment variable when set and > 0;
+ *   2. the ERMS_RUNNER_THREADS environment variable when set and not
+ *      empty (it must then be a positive decimal integer);
  *   3. std::thread::hardware_concurrency().
  */
 
@@ -68,7 +69,8 @@ class RunObserver
 /**
  * Resolve an effective worker count from a requested value, the
  * ERMS_RUNNER_THREADS environment variable and the hardware (see file
- * doc for precedence). Always >= 1.
+ * doc for precedence). Always >= 1. Throws ErmsError when the variable
+ * is set to anything but a positive decimal integer.
  */
 int resolveWorkerCount(int requested);
 

@@ -1,10 +1,11 @@
 #include "partition.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 
 namespace erms::shard {
@@ -218,11 +219,8 @@ planShards(const std::vector<ServiceWorkload> &services, int total_hosts,
 int
 shardsRequested()
 {
-    const char *raw = std::getenv("ERMS_SHARDS");
-    if (raw == nullptr || *raw == '\0')
-        return 0;
-    const int value = std::atoi(raw);
-    return value < 1 ? 0 : value;
+    return envInt("ERMS_SHARDS", 0, std::numeric_limits<int>::max())
+        .value_or(0);
 }
 
 } // namespace erms::shard

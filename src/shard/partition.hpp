@@ -80,10 +80,11 @@ ShardPlan planShards(const std::vector<ServiceWorkload> &services,
 
 /**
  * Shard count requested via the ERMS_SHARDS environment variable:
- * 0 when unset/empty/invalid (sharding off), otherwise the value
- * clamped to >= 1. ERMS_SHARDS=1 routes execution through the sharded
- * coordinator with one shard — the configuration the golden
- * differential pins byte-identical to the unsharded engine.
+ * 0 (sharding off) when unset, empty or "0", otherwise the value.
+ * Anything but a non-negative decimal integer throws ErmsError.
+ * ERMS_SHARDS=1 routes execution through the sharded coordinator with
+ * one shard — the configuration the golden differential pins
+ * byte-identical to the unsharded engine.
  */
 int shardsRequested();
 

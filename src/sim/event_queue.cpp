@@ -1,9 +1,5 @@
 #include "event_queue.hpp"
 
-#include <algorithm>
-#include <limits>
-#include <utility>
-
 #include "common/error.hpp"
 
 namespace erms {
@@ -30,30 +26,6 @@ EventQueue::EventQueue(std::size_t bucket_count, SimTime bucket_width)
 }
 
 void
-EventQueue::schedule(SimTime t, Callback cb)
-{
-    std::uint32_t slot;
-    if (!freeSlots_.empty()) {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
-        slots_[slot] = std::move(cb);
-    } else {
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.push_back(std::move(cb));
-    }
-    EventRecord rec;
-    rec.type = kCallbackEvent;
-    rec.a = slot;
-    post(t, rec);
-}
-
-void
-EventQueue::scheduleAfter(SimTime delay, Callback cb)
-{
-    schedule(now_ + delay, std::move(cb));
-}
-
-void
 EventQueue::pourFar()
 {
     std::size_t keep = 0;
@@ -75,54 +47,6 @@ EventQueue::pourFar()
     }
     far_.resize(keep);
     farMin_ = keep_min;
-}
-
-void
-EventQueue::runCallback(const EventRecord &rec)
-{
-    ERMS_ASSERT(rec.type == kCallbackEvent);
-    const std::uint32_t slot = static_cast<std::uint32_t>(rec.a);
-    ERMS_ASSERT(slot < slots_.size());
-    // Move the callable out and free the slot *before* invoking: the
-    // callback may schedule new callbacks, reuse this very slot, or
-    // even grow the pool — none of which may touch the running
-    // callable.
-    Callback cb = std::move(slots_[slot]);
-    slots_[slot] = nullptr;
-    freeSlots_.push_back(slot);
-    cb();
-}
-
-std::uint64_t
-EventQueue::runUntil(SimTime horizon)
-{
-    std::uint64_t dispatched = 0;
-    EventRecord rec;
-    while (next(horizon, rec)) {
-        ERMS_ASSERT_MSG(rec.type == kCallbackEvent,
-                        "typed event dispatched through runUntil; the "
-                        "owner must drive next() itself");
-        runCallback(rec);
-        ++dispatched;
-    }
-    return dispatched;
-}
-
-std::uint64_t
-EventQueue::runAll()
-{
-    std::uint64_t dispatched = 0;
-    SimTime t;
-    while (peekTime(t)) {
-        const EventRecord rec = popTop();
-        now_ = t;
-        ERMS_ASSERT_MSG(rec.type == kCallbackEvent,
-                        "typed event dispatched through runAll; the "
-                        "owner must drive next() itself");
-        runCallback(rec);
-        ++dispatched;
-    }
-    return dispatched;
 }
 
 } // namespace erms

@@ -1,8 +1,8 @@
 /**
  * @file
- * Discrete-event engine core: typed, pool-recycled event records in a
- * two-level calendar queue with deterministic (time, insertion-seq)
- * FIFO tie-breaking for simultaneous events.
+ * Discrete-event engine core: typed event records in a two-level
+ * calendar queue with deterministic (time, insertion-seq) FIFO
+ * tie-breaking for simultaneous events.
  *
  * Design (see docs/event_engine.md):
  *  - Events are plain-old-data EventRecord values: a type tag plus two
@@ -10,9 +10,6 @@
  *    bytes into a recycled bucket vector — no per-event heap
  *    allocation, no callable construction. The owner dispatches records
  *    through its own switch (Simulation::dispatchEvent).
- *  - std::function callbacks remain supported for cold paths and tests:
- *    schedule() parks the callable in a recycled slot pool and enqueues
- *    a kCallbackEvent record pointing at the slot.
  *  - Time ordering uses a calendar ("timing wheel") of power-of-two
  *    buckets over a sliding window, with a far list for events beyond
  *    the window and a tiny early heap for events scheduled behind an
@@ -22,18 +19,15 @@
  *    discarded with one clear() when it drains. Events posted into the
  *    already-sorted current bucket go to a small spill heap that
  *    interleaves by (time, seq). Dispatch order is exactly the strict
- *    total order (time, seq) the old binary-heap engine produced — the
- *    determinism contract every golden table pins — but the
- *    steady-state per-event cost is an index bump plus one comparison
- *    instead of a heap sift.
- *  - nextBatch() drains a maximal run of same-timestamp events in one
- *    call so the owner can dispatch the whole run in one switch pass
- *    without re-entering the queue's bookkeeping per event. Because
- *    consumed records stay in the bucket, the common-case batch is a
- *    zero-copy span over the sorted bucket itself.
- *
- * LegacyEventQueue (legacy_event_queue.hpp) is the pre-refactor binary
- * heap kept for differential tests and the perf trajectory.
+ *    total order (time, seq) — the determinism contract every golden
+ *    table pins — at a steady-state per-event cost of an index bump
+ *    plus one comparison.
+ *  - drain() is the only way events leave the queue. It takes runs of
+ *    ready events as batches — usually a zero-copy span over the
+ *    sorted bucket covering many timestamps — and hands each record to
+ *    the owner's dispatch functor, re-entering the bookkeeping only
+ *    when a freshly posted event must interleave or the owner asks to
+ *    stop.
  */
 
 #ifndef ERMS_SIM_EVENT_QUEUE_HPP
@@ -41,7 +35,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/error.hpp"
@@ -49,11 +42,8 @@
 
 namespace erms {
 
-/** Record type tag reserved for pooled std::function callbacks. */
-inline constexpr std::uint32_t kCallbackEvent = 0;
-
 /**
- * One scheduled event. POD: owners define their own type tags (> 0) and
+ * One scheduled event. POD: owners define their own type tags and
  * payload conventions; the queue only reads/stamps time and seq.
  *
  * Packed to 48 bytes (b narrowed to 32 bits, which covers every id the
@@ -68,33 +58,11 @@ struct EventRecord
     void *p1 = nullptr;     ///< payload pointer
     void *p2 = nullptr;     ///< payload pointer
     std::uint32_t b = 0;    ///< payload word (ids are 32-bit)
-    std::uint32_t type = kCallbackEvent;
+    std::uint32_t type = 0; ///< owner-defined type tag
 };
 
 static_assert(sizeof(EventRecord) == 48, "EventRecord is hot-loop "
                                          "memory traffic; keep it packed");
-
-/**
- * A run of ready events handed out by nextBatch(). Usually a zero-copy
- * window into the queue's sorted active bucket; the span is valid until
- * the next nextBatch()/next() call. Posting new events while a batch is
- * live is safe and does not invalidate it (same-bucket posts are
- * diverted to the spill heap, never appended to the sorted bucket).
- *
- * A batch may cover several timestamps, so the owner must call
- * advanceTo(record.time) before dispatching each record, and after each
- * dispatch ask interleavePending(next) whether a freshly posted event
- * must run before the batch's next record — if so, hand the unconsumed
- * tail back with returnTail() and re-enter nextBatch().
- */
-struct EventBatch
-{
-    const EventRecord *data = nullptr;
-    std::size_t count = 0;
-
-    const EventRecord *begin() const { return data; }
-    const EventRecord *end() const { return data + count; }
-};
 
 /**
  * Two-level calendar queue of EventRecords, dispatching in exactly
@@ -103,8 +71,6 @@ struct EventBatch
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
-
     /**
      * @param bucket_count  number of wheel buckets (power of two).
      * @param bucket_width  time span of one bucket in microseconds
@@ -121,102 +87,34 @@ class EventQueue
     /** Schedule a typed record delay microseconds from now. */
     void postAfter(SimTime delay, EventRecord rec);
 
-    /** Schedule a callback at absolute simulated time t (>= now). The
-     *  callable is parked in a recycled slot; the event itself is a
-     *  kCallbackEvent record. */
-    void schedule(SimTime t, Callback cb);
-
-    /** Schedule a callback delay microseconds from now. */
-    void scheduleAfter(SimTime delay, Callback cb);
-
-    /** Current simulated time (time of the last dispatched event). */
+    /** Current simulated time (time of the last dispatched event, or
+     *  the horizon a drain idled to). */
     SimTime now() const { return now_; }
 
     bool empty() const { return pending_ == 0; }
+
+    /** Records still queued. While drain() runs, the records already
+     *  handed out in its current batch are not counted, including the
+     *  ones not dispatched yet. */
     std::size_t pending() const { return pending_; }
 
     /**
-     * Pop the next event if its time is <= horizon (inclusive — an
-     * event posted exactly at the horizon during dispatch is still
-     * eligible). On success advances now() to the event time and
-     * returns true. Otherwise leaves the event queued, advances now()
-     * to the horizon, and returns false.
-     */
-    bool next(SimTime horizon, EventRecord &out);
-
-    /**
-     * Take a run of ready events with times <= horizon (inclusive) as
-     * a span in exact (time, seq) order. In the common case the span
-     * is a zero-copy window over the sorted active bucket's whole
-     * unconsumed suffix (possibly many timestamps); with a live spill
-     * heap or early-heap events the run is the single earliest
-     * timestamp, merged into an internal scratch buffer. Either way
-     * the span stays valid until the next nextBatch()/next() call —
-     * posting during dispatch cannot touch it. The owner drives
-     * per-record time with advanceTo() and must honour
-     * interleavePending()/returnTail() between records (see
-     * EventBatch). On success advances now() to the first record's
-     * time and returns true; otherwise leaves events queued, advances
-     * now() to the horizon, and returns false with `out` empty.
-     */
-    bool nextBatch(SimTime horizon, EventBatch &out);
-
-    /** Advance now() to t (the next batch record's time). Must be
-     *  monotone; only valid for times handed out by nextBatch(). */
-    void advanceTo(SimTime t) { now_ = t; }
-
-    /**
-     * After dispatching one batch record: must a freshly posted event
-     * run before `next` (the batch's next record)? Only the spill heap
-     * can hold such an event — dispatch-time posts have t >= now(), so
-     * they cannot reach the early heap or an earlier bucket — and it
-     * interleaves only with a strictly smaller time (an equal-time
-     * post carries a higher seq and runs after the whole batch run of
-     * that timestamp).
-     */
-    bool
-    interleavePending(const EventRecord &next) const
-    {
-        return !spill_.empty() && spill_.front().time < next.time;
-    }
-
-    /**
-     * Hand the unconsumed tail of the current zero-copy batch back to
-     * the queue (records stay in place in the sorted bucket; this just
-     * rewinds the consumption bookkeeping). Only meaningful after
-     * interleavePending() returned true; scratch-merged batches never
-     * trigger it (they are single-timestamp).
-     */
-    void
-    returnTail(std::size_t count)
-    {
-        activeHead_ -= count;
-        pending_ += count;
-        wheelCount_ += count;
-    }
-
-    /** Invoke and recycle a kCallbackEvent record returned by next().
-     *  The slot is released before the callable runs, so a callback may
-     *  schedule further callbacks (and reuse its own slot) safely. */
-    void runCallback(const EventRecord &rec);
-
-    /**
-     * Dispatch events in order until the queue drains or the next event
-     * is later than horizon. Events scheduled while running are
-     * dispatched too if they fall within the horizon (inclusive). Only
-     * valid for queues holding callback events; typed records trip an
-     * assertion (their owner must drive next() itself). On return
-     * now() == max(now, horizon).
+     * Dispatch events in (time, seq) order, calling dispatch(record)
+     * for each one with time <= horizon (inclusive — an event posted
+     * during dispatch at exactly the horizon runs in the same call).
+     * dispatch may post() further events; now() is the record's time
+     * while it runs.
+     *
+     * `stop` is read after every dispatched event. Once it is true,
+     * drain returns with now() at that event's time and every event
+     * not yet dispatched still queued, so the next drain resumes in
+     * exactly the order an uninterrupted one would have used.
+     * Otherwise drain returns when no event at or before the horizon
+     * is left, with now() == max(now(), horizon).
      * @return number of events dispatched.
      */
-    std::uint64_t runUntil(SimTime horizon);
-
-    /** Dispatch everything (no horizon; now() ends at the last event). */
-    std::uint64_t runAll();
-
-    /** Callback slots ever allocated (recycle observability: stays flat
-     *  when schedule/dispatch cycles reuse slots). */
-    std::size_t callbackPoolSize() const { return slots_.size(); }
+    template <class F>
+    std::uint64_t drain(SimTime horizon, const bool &stop, F &&dispatch);
 
   private:
     struct Later
@@ -241,14 +139,54 @@ class EventQueue
         }
     };
 
+    /**
+     * A run of ready events taken out of the queue by nextBatch(), in
+     * exact (time, seq) order. Either a zero-copy window over the
+     * sorted active bucket (possibly many timestamps) or, when spill or
+     * early-heap records take part, one timestamp merged into
+     * scratchBatch_ (`merged`). Posting while a batch is live never
+     * invalidates it: same-bucket posts go to the spill heap, never
+     * into the sorted bucket.
+     */
+    struct Batch
+    {
+        const EventRecord *data = nullptr;
+        std::size_t count = 0;
+        bool merged = false;
+    };
+
     /** Find the next event without popping: returns false when empty,
      *  else sets t to its time and leaves it at a known position
      *  (early_ front, the sorted cursor bucket's head, or the spill
      *  heap's front). */
     bool peekTime(SimTime &t);
 
-    /** Pop the event found by the immediately preceding peekTime(). */
-    EventRecord popTop();
+    /** Take the next run of ready events with times <= horizon. On
+     *  success advances now() to the first record's time; otherwise
+     *  leaves events queued, advances now() to the horizon and returns
+     *  false. */
+    bool nextBatch(SimTime horizon, Batch &out);
+
+    /**
+     * After dispatching one record of a zero-copy batch: must a freshly
+     * posted event run before `next` (the batch's next record)? Only
+     * the spill heap can hold such an event — dispatch-time posts have
+     * t >= now(), so they cannot reach the early heap or an earlier
+     * bucket — and it interleaves only with a strictly smaller time (an
+     * equal-time post carries a higher seq and runs after the whole
+     * batch run of that timestamp). Merged batches are single-timestamp,
+     * so nothing can interleave with them.
+     */
+    bool
+    interleavePending(const EventRecord &next) const
+    {
+        return !spill_.empty() && spill_.front().time < next.time;
+    }
+
+    /** Put the batch's records from index `consumed` on back into the
+     *  queue, each keeping its seq, so they are served again in the
+     *  same order. */
+    void returnTail(const Batch &batch, std::size_t consumed);
 
     /** Move far-list events that now fall inside the window into their
      *  buckets; recompute farMin_. */
@@ -275,11 +213,14 @@ class EventQueue
      *  records (the zero-copy bucket window doesn't apply there). */
     std::vector<EventRecord> scratchBatch_;
 
-    /** Events posted into the current bucket after it was sorted; a
-     *  min-heap on (time, seq) interleaved with the sorted bucket. Every
-     *  spill entry carries a higher seq than every sorted entry, so
-     *  equal-time ties always drain the sorted tail first — exactly
-     *  the order a single heap would produce. */
+    /** Events posted into the current bucket after it was sorted, plus
+     *  the unconsumed tail of a merged batch that a stop handed back; a
+     *  min-heap on (time, seq) interleaved with the sorted bucket by
+     *  full (time, seq) comparison. A zero-copy batch only starts with
+     *  an empty spill heap, so while one is live every spill entry was
+     *  posted after the sort and carries a higher seq than every sorted
+     *  entry — which is what lets interleavePending() compare times
+     *  alone. */
     std::vector<EventRecord> spill_;
 
     // overflow levels ---------------------------------------------------
@@ -287,21 +228,17 @@ class EventQueue
     SimTime farMin_ = 0;
     std::vector<EventRecord> early_; ///< heap; time < windowStart_
 
-    // callback slot pool ------------------------------------------------
-    std::vector<Callback> slots_;
-    std::vector<std::uint32_t> freeSlots_;
-
     std::size_t pending_ = 0;
     SimTime now_ = 0;
     std::uint64_t next_seq_ = 0;
 };
 
 // ---------------------------------------------------------------------
-// Hot path, defined inline: post/peek/pop run once (or more) per
-// simulated event, and the simulator's drain loop lives in another
-// translation unit — without these in the header every event pays
-// several opaque call boundaries. Cold paths (construction, callback
-// slots, pourFar) stay in event_queue.cpp.
+// Hot path, defined inline: post/peek/batch run once (or more) per
+// simulated event, and drain() is instantiated in the owner's
+// translation unit with its dispatch switch — without these in the
+// header every event pays several opaque call boundaries. Cold paths
+// (construction, pourFar) stay in event_queue.cpp.
 // ---------------------------------------------------------------------
 
 inline void
@@ -420,54 +357,14 @@ EventQueue::peekTime(SimTime &t)
     }
 }
 
-inline EventRecord
-EventQueue::popTop()
-{
-    --pending_;
-    if (!early_.empty()) {
-        std::pop_heap(early_.begin(), early_.end(), Later{});
-        const EventRecord rec = early_.back();
-        early_.pop_back();
-        return rec;
-    }
-    std::vector<EventRecord> &bucket = buckets_[cursor_];
-    --wheelCount_;
-    // Equal-time ties take the sorted bucket first: every spill entry
-    // was posted after the sort, so its seq is higher than any sorted
-    // entry's — exactly the single-heap order.
-    if (!spill_.empty() &&
-        (activeHead_ == bucket.size() ||
-         Later{}(bucket[activeHead_], spill_.front()))) {
-        std::pop_heap(spill_.begin(), spill_.end(), Later{});
-        const EventRecord rec = spill_.back();
-        spill_.pop_back();
-        return rec;
-    }
-    return bucket[activeHead_++];
-}
-
 inline bool
-EventQueue::next(SimTime horizon, EventRecord &out)
+EventQueue::nextBatch(SimTime horizon, Batch &out)
 {
     SimTime t;
     if (!peekTime(t) || t > horizon) {
         if (now_ < horizon)
             now_ = horizon;
-        return false;
-    }
-    out = popTop();
-    now_ = t;
-    return true;
-}
-
-inline bool
-EventQueue::nextBatch(SimTime horizon, EventBatch &out)
-{
-    SimTime t;
-    if (!peekTime(t) || t > horizon) {
-        if (now_ < horizon)
-            now_ = horizon;
-        out = EventBatch{};
+        out = Batch{};
         return false;
     }
     now_ = t;
@@ -486,8 +383,7 @@ EventQueue::nextBatch(SimTime horizon, EventBatch &out)
             scratchBatch_.push_back(early_.back());
             early_.pop_back();
         } while (!early_.empty() && early_.front().time == t);
-        out.data = scratchBatch_.data();
-        out.count = scratchBatch_.size();
+        out = Batch{scratchBatch_.data(), scratchBatch_.size(), true};
         return true;
     }
     // Wheel run: time t maps to exactly one bucket, so every same-time
@@ -498,7 +394,7 @@ EventQueue::nextBatch(SimTime horizon, EventBatch &out)
         // up to the horizon, zero-copy — multiple timestamps in one
         // span. Posts during dispatch go to the spill heap (the bucket
         // is sorted), so the span survives until the next nextBatch()
-        // call; the owner's interleavePending() check decides when a
+        // call; drain()'s interleavePending() check decides when a
         // spilled event forces an early re-entry.
         std::size_t end = activeHead_ + 1;
         while (end < bucket.size() && bucket[end].time <= horizon)
@@ -506,8 +402,7 @@ EventQueue::nextBatch(SimTime horizon, EventBatch &out)
         const std::size_t n = end - activeHead_;
         pending_ -= n;
         wheelCount_ -= n;
-        out.data = bucket.data() + activeHead_;
-        out.count = n;
+        out = Batch{bucket.data() + activeHead_, n, false};
         activeHead_ = end;
         return true;
     }
@@ -533,9 +428,72 @@ EventQueue::nextBatch(SimTime horizon, EventBatch &out)
         if (!more)
             break;
     }
-    out.data = scratchBatch_.data();
-    out.count = scratchBatch_.size();
+    out = Batch{scratchBatch_.data(), scratchBatch_.size(), true};
     return true;
+}
+
+inline void
+EventQueue::returnTail(const Batch &batch, std::size_t consumed)
+{
+    const std::size_t rest = batch.count - consumed;
+    pending_ += rest;
+    if (!batch.merged) {
+        // The records still sit in the sorted bucket: rewinding the
+        // head re-serves them in place.
+        activeHead_ -= rest;
+        wheelCount_ += rest;
+        return;
+    }
+    // A merged batch was popped into scratch from the early heap, or
+    // from the spill heap and the bucket head. Push each record into
+    // the heap its time belongs to; both order by (time, seq), and the
+    // seq is unchanged, so the next batch serves them in the same order
+    // (bucket-born records in the spill heap still merge correctly
+    // against the bucket by full comparison).
+    for (std::size_t i = consumed; i < batch.count; ++i) {
+        const EventRecord &rec = batch.data[i];
+        if (rec.time < windowStart_) {
+            early_.push_back(rec);
+            std::push_heap(early_.begin(), early_.end(), Later{});
+        } else {
+            spill_.push_back(rec);
+            std::push_heap(spill_.begin(), spill_.end(), Later{});
+            ++wheelCount_;
+        }
+    }
+}
+
+template <class F>
+std::uint64_t
+EventQueue::drain(SimTime horizon, const bool &stop, F &&dispatch)
+{
+    // The per-event cost inside a batch is the dispatch call plus one
+    // clock store, one stop test and one spill probe. When a spilled
+    // event must run before the batch's next record, the unconsumed
+    // tail goes back and the loop takes a fresh batch — the resulting
+    // order is exactly one-at-a-time (time, seq) extraction.
+    std::uint64_t dispatched = 0;
+    Batch batch;
+    while (nextBatch(horizon, batch)) {
+        std::size_t consumed = 0;
+        while (consumed < batch.count) {
+            const EventRecord &event = batch.data[consumed];
+            now_ = event.time;
+            dispatch(event);
+            ++consumed;
+            if (stop) {
+                returnTail(batch, consumed);
+                return dispatched + consumed;
+            }
+            if (consumed < batch.count &&
+                interleavePending(batch.data[consumed])) {
+                returnTail(batch, consumed);
+                break;
+            }
+        }
+        dispatched += consumed;
+    }
+    return dispatched;
 }
 
 } // namespace erms

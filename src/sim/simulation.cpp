@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/error.hpp"
-#include "sim/legacy_event_queue.hpp"
 #include "telemetry/monitor.hpp"
 
 namespace erms {
@@ -17,8 +14,7 @@ constexpr SimTime kMinute = 60ULL * 1000ULL * 1000ULL; // 60 s in usec
 
 /**
  * Typed event vocabulary of the simulator, dispatched through
- * Simulation::dispatchEvent. Payload conventions are noted per type;
- * kCallbackEvent (0) stays reserved for the queue's own callback slots.
+ * Simulation::dispatchEvent. Payload conventions are noted per type.
  */
 enum SimEvent : std::uint32_t
 {
@@ -328,50 +324,9 @@ Simulation::Simulation(const MicroserviceCatalog &catalog, SimConfig config)
         host.memCapacity = config.hostMemMb;
         refreshMemUtil(host);
     }
-    if (const char *env = std::getenv("ERMS_EVENT_ENGINE")) {
-        setEventEngine(std::strcmp(env, "legacy") == 0
-                           ? EventEngine::LegacyHeap
-                           : EventEngine::Calendar);
-    }
 }
 
 Simulation::~Simulation() = default;
-
-SimTime
-Simulation::now() const
-{
-    return engine_ == EventEngine::LegacyHeap ? legacy_->now()
-                                              : events_.now();
-}
-
-void
-Simulation::setEventEngine(EventEngine engine)
-{
-    ERMS_ASSERT_MSG(!ran_, "setEventEngine must precede run()");
-    engine_ = engine;
-    if (engine == EventEngine::LegacyHeap && legacy_ == nullptr)
-        legacy_ = std::make_unique<LegacyEventQueue>();
-}
-
-void
-Simulation::post(SimTime t, const EventRecord &event)
-{
-    if (engine_ == EventEngine::LegacyHeap) {
-        // Faithful pre-refactor cost model: a heap-allocating closure
-        // per event pushed through the binary heap. Dispatch order is
-        // identical (same (time, seq) assignment), so a legacy run is
-        // byte-identical to a calendar run.
-        legacy_->schedule(t, [this, event] { dispatchEvent(event); });
-        return;
-    }
-    events_.post(t, event);
-}
-
-void
-Simulation::postAfter(SimTime delay, const EventRecord &event)
-{
-    post(now() + delay, event);
-}
 
 void
 Simulation::setBackgroundLoad(HostId host, double cpu_util, double mem_util)
@@ -1012,14 +967,16 @@ Simulation::scheduleArrival(std::size_t service_index)
     if (rate <= 0.0) {
         // Re-check at the next minute boundary.
         const SimTime next_minute = (now() / kMinute + 1) * kMinute;
-        post(next_minute + 1,
-             EventRecord{.a = service_index, .type = kEvArrivalRecheck});
+        events_.post(next_minute + 1,
+                     EventRecord{.a = service_index,
+                                 .type = kEvArrivalRecheck});
         return;
     }
     const double mean_gap_us = static_cast<double>(kMinute) / rate;
     const SimTime gap =
         static_cast<SimTime>(std::max(1.0, rng_.exponential(mean_gap_us)));
-    postAfter(gap, EventRecord{.a = service_index, .type = kEvArrival});
+    events_.postAfter(gap,
+                      EventRecord{.a = service_index, .type = kEvArrival});
 }
 
 void
@@ -1070,18 +1027,19 @@ Simulation::launchAttempt(CallContext *ctx, int slot)
     const std::uint64_t id = attempt.id;
 
     if (resilience_.timeoutMs > 0.0) {
-        postAfter(toSimTime(resilience_.timeoutMs),
-                  EventRecord{.a = id, .p1 = ctx,
-                              .type = kEvAttemptTimeout});
+        events_.postAfter(toSimTime(resilience_.timeoutMs),
+                          EventRecord{.a = id, .p1 = ctx,
+                                      .type = kEvAttemptTimeout});
     }
     if (slot == 0 && resilience_.hedgeDelayMs > 0.0) {
-        postAfter(toSimTime(resilience_.hedgeDelayMs),
-                  EventRecord{.a = id, .p1 = ctx, .type = kEvHedgeTimer});
+        events_.postAfter(toSimTime(resilience_.hedgeDelayMs),
+                          EventRecord{.a = id, .p1 = ctx,
+                                      .type = kEvHedgeTimer});
     }
 
     const SimTime network = toSimTime(catalog_.profile(ctx->ms).networkMs);
-    postAfter(network,
-              EventRecord{.a = id, .p1 = ctx, .type = kEvAttemptNetwork});
+    events_.postAfter(network, EventRecord{.a = id, .p1 = ctx,
+                                           .type = kEvAttemptNetwork});
 }
 
 void
@@ -1129,9 +1087,9 @@ Simulation::routeAttempt(CallContext *ctx, std::uint64_t attempt,
         // id when it fires: scale-in may have erased it (its queue gets
         // reassigned on drain).
         enqueueAttempt(*container, ctx, attempt);
-        post(container->readyAt,
-             EventRecord{.a = ctx->ms, .b = container->id,
-                         .type = kEvContainerReady});
+        events_.post(container->readyAt,
+                     EventRecord{.a = ctx->ms, .b = container->id,
+                                 .type = kEvContainerReady});
         return;
     }
 
@@ -1200,8 +1158,9 @@ Simulation::startJob(ContainerState &container, CallContext *ctx,
     // Carry the container: ctx's attempt slots may be retargeted
     // before the job completes (timeout, hedge win), but the thread and
     // host bookkeeping always belongs to this container.
-    postAfter(proc, EventRecord{.a = attempt, .p1 = ctx, .p2 = &container,
-                                .type = kEvJobFinish});
+    events_.postAfter(proc,
+                      EventRecord{.a = attempt, .p1 = ctx, .p2 = &container,
+                                  .type = kEvJobFinish});
 }
 
 Simulation::QueuedJob
@@ -1400,9 +1359,11 @@ Simulation::propagateCompletion(CallContext *parent, RequestState *req,
                                 SimTime network)
 {
     if (parent != nullptr) {
-        postAfter(network, EventRecord{.p1 = parent, .type = kEvChildDone});
+        events_.postAfter(network,
+                          EventRecord{.p1 = parent, .type = kEvChildDone});
     } else {
-        postAfter(network, EventRecord{.p1 = req, .type = kEvRequestDone});
+        events_.postAfter(network,
+                          EventRecord{.p1 = req, .type = kEvRequestDone});
     }
 }
 
@@ -1578,8 +1539,8 @@ Simulation::failAttempt(CallContext *ctx, std::uint64_t attempt,
                 1.0 + resilience_.retryJitter * resilienceRng_.uniform();
         // Both slots are now empty: the call is quiescent until the
         // retry fires, so carrying ctx without a guard is safe.
-        postAfter(std::max<SimTime>(1, toSimTime(backoff_ms)),
-                  EventRecord{.p1 = ctx, .type = kEvRetryLaunch});
+        events_.postAfter(std::max<SimTime>(1, toSimTime(backoff_ms)),
+                          EventRecord{.p1 = ctx, .type = kEvRetryLaunch});
         return;
     }
     failCall(ctx);
@@ -1640,7 +1601,7 @@ Simulation::crashContainer(ContainerState &victim)
     // Model the kubelet restarting the pod after a delay; the restart
     // then pays the usual containerStartupMs before accepting work.
     if (faultConfig_.restartDelayMs >= 0.0) {
-        postAfter(
+        events_.postAfter(
             std::max<SimTime>(1, toSimTime(faultConfig_.restartDelayMs)),
             EventRecord{.a = victim.ms, .b = victim.dedicatedService,
                         .type = kEvContainerRestart});
@@ -1663,14 +1624,14 @@ Simulation::installFaultSchedule(SimTime horizon)
         monitor_->recordFaultSchedule(schedule.crashes.size(),
                                       schedule.slowdowns.size());
     for (const CrashEvent &crash : schedule.crashes) {
-        post(crash.at,
-             EventRecord{.a = crash.victimDraw, .type = kEvCrash});
+        events_.post(crash.at,
+                     EventRecord{.a = crash.victimDraw, .type = kEvCrash});
     }
     for (const SlowdownWindow &window : schedule.slowdowns) {
-        post(window.start,
-             EventRecord{.a = window.host, .type = kEvSlowdownStart});
-        post(window.end,
-             EventRecord{.a = window.host, .type = kEvSlowdownEnd});
+        events_.post(window.start,
+                     EventRecord{.a = window.host, .type = kEvSlowdownStart});
+        events_.post(window.end,
+                     EventRecord{.a = window.host, .type = kEvSlowdownEnd});
     }
 }
 
@@ -1746,7 +1707,7 @@ Simulation::scheduleScrape(SimTime at, SimTime horizon)
 {
     if (at > horizon)
         return;
-    post(at, EventRecord{.a = horizon, .type = kEvScrape});
+    events_.post(at, EventRecord{.a = horizon, .type = kEvScrape});
 }
 
 // ---------------------------------------------------------------------
@@ -1848,8 +1809,8 @@ void
 Simulation::postNextMinuteBoundary()
 {
     if (currentMinute_ < config_.horizonMinutes) {
-        post(static_cast<SimTime>(currentMinute_ + 1) * kMinute,
-             EventRecord{.type = kEvMinuteBoundary});
+        events_.post(static_cast<SimTime>(currentMinute_ + 1) * kMinute,
+                     EventRecord{.type = kEvMinuteBoundary});
     }
 }
 
@@ -1972,12 +1933,6 @@ Simulation::dispatchEvent(const EventRecord &event)
         scheduleScrape(now() + interval, /*horizon=*/event.a);
         break;
       }
-      default:
-        // kCallbackEvent or a foreign record: hand back to the queue
-        // (only reachable on the calendar engine; the legacy engine
-        // wraps every typed record in its own closure).
-        events_.runCallback(event);
-        break;
     }
 }
 
@@ -2000,7 +1955,7 @@ Simulation::beginRun()
     installFaultSchedule(runHorizon_);
     for (std::size_t i = 0; i < services_.size(); ++i)
         scheduleArrival(i);
-    post(kMinute, EventRecord{.type = kEvMinuteBoundary});
+    events_.post(kMinute, EventRecord{.type = kEvMinuteBoundary});
 
     if (monitor_ != nullptr) {
         // Baseline scrape at t=0 (all counters zero) so the first
@@ -2015,59 +1970,14 @@ Simulation::beginRun()
 }
 
 void
-Simulation::drainCalendar()
-{
-    // Drain bucket-sized runs in one pass: the queue hands back a span
-    // (usually zero-copy into its sorted bucket, covering many
-    // timestamps), so the per-event cost inside a run is the dispatch
-    // switch plus one clock store and one spill probe. Dispatch may
-    // post freely — same-bucket posts divert to the spill heap, so the
-    // span stays valid; when a spilled event must run before the
-    // span's next record, the unconsumed tail goes back to the queue
-    // and the loop re-enters. The resulting order is exactly what
-    // one-at-a-time next() would produce — the determinism contract
-    // the goldens pin.
-    std::uint64_t dispatched = 0;
-    EventBatch batch;
-    while (events_.nextBatch(runHorizon_, batch)) {
-        std::size_t consumed = 0;
-        while (consumed < batch.count) {
-            const EventRecord &event = batch.data[consumed];
-            events_.advanceTo(event.time);
-            dispatchEvent(event);
-            ++consumed;
-            if (pauseRequested_) {
-                // A minute boundary paused the run: hand the untouched
-                // tail back so resume re-enters at the exact next
-                // record — identical order to an uninterrupted drain.
-                if (consumed < batch.count)
-                    events_.returnTail(batch.count - consumed);
-                metrics_.eventsDispatched += dispatched + consumed;
-                return;
-            }
-            if (consumed < batch.count &&
-                events_.interleavePending(batch.data[consumed])) {
-                events_.returnTail(batch.count - consumed);
-                break;
-            }
-        }
-        dispatched += consumed;
-    }
-    metrics_.eventsDispatched += dispatched;
-}
-
-void
 Simulation::run()
 {
     ERMS_ASSERT_MSG(!coordinatedPause_,
                     "coordinated simulations step via advanceToMinuteBoundary");
     beginRun();
-
-    if (engine_ == EventEngine::LegacyHeap) {
-        metrics_.eventsDispatched = legacy_->runUntil(runHorizon_);
-        return;
-    }
-    drainCalendar();
+    metrics_.eventsDispatched += events_.drain(
+        runHorizon_, pauseRequested_,
+        [this](const EventRecord &event) { dispatchEvent(event); });
 }
 
 int
@@ -2089,12 +1999,11 @@ Simulation::advanceToMinuteBoundary()
         postNextMinuteBoundary();
     }
 
-    if (engine_ == EventEngine::LegacyHeap) {
-        metrics_.eventsDispatched +=
-            legacy_->runUntil(runHorizon_, &pauseRequested_);
-    } else {
-        drainCalendar();
-    }
+    // Dispatch to the next pause: the queue hands back the tail of a
+    // paused batch, so the resume re-enters at the exact next record.
+    metrics_.eventsDispatched += events_.drain(
+        runHorizon_, pauseRequested_,
+        [this](const EventRecord &event) { dispatchEvent(event); });
     return pausedMinute_;
 }
 

@@ -8,11 +8,9 @@
  * §5's monitoring loop decides scaling from scraped Prometheus/Jaeger
  * state, not from ground truth.
  *
- * Controllers accept an optional TelemetryView; passing none — or
- * setting the ERMS_TELEMETRY_ORACLE environment variable to a truthy
- * value — keeps the original oracle reads (Simulation::observedRate,
- * clusterInterference, per-minute metrics), byte-identical to the
- * pre-telemetry code path.
+ * Controllers accept an optional TelemetryView; passing none keeps the
+ * original oracle reads (Simulation::observedRate, clusterInterference,
+ * per-minute metrics), byte-identical to the pre-telemetry code path.
  *
  * The query math lives in SnapshotTelemetryView, which answers every
  * TelemetryView question from an abstract snapshot stream. Decorators
@@ -63,10 +61,6 @@ class TelemetryView
      *  value when no scrape happened yet. */
     virtual double stalenessMs(SimTime now) const = 0;
 };
-
-/** True when ERMS_TELEMETRY_ORACLE requests the oracle escape hatch
- *  (set and not "0"/"false"/""). */
-bool oracleTelemetryRequested();
 
 /**
  * TelemetryView answered from a time-ascending snapshot stream. Rates

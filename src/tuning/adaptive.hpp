@@ -64,7 +64,7 @@
  *
  * Determinism contract: observe() is a pure function of the signal
  * sequence — no clocks, no RNG — so a self-tuned run replays
- * byte-identically on any worker count and either event engine.
+ * byte-identically on any worker count.
  */
 
 #ifndef ERMS_TUNING_ADAPTIVE_HPP

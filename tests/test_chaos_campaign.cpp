@@ -5,20 +5,20 @@
  * correlation contract between the data and telemetry fault planes,
  * per-series corruption semantics (only the targeted service's counter
  * series lie), the FaultyTelemetryView cache-idempotence regression,
- * campaign run determinism, archive -> replay byte-identity, and the
- * clean-stream equivalence of guarded baseline controllers on both
- * event engines.
+ * campaign run determinism, archive -> replay byte-identity, strict
+ * archive parsing, and the clean-stream equivalence of guarded
+ * baseline controllers.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "apps/applications.hpp"
@@ -424,10 +424,61 @@ TEST(CampaignArchive, ReplayCoversHighIntensityNaiveBaselines)
     EXPECT_TRUE(replay.identical());
 }
 
+/** `archive` with the value token of the first `key` replaced. */
+std::string
+withValue(std::string archive, const std::string &key,
+          const std::string &value)
+{
+    const std::string needle = "\"" + key + "\": ";
+    const std::size_t at = archive.find(needle);
+    if (at == std::string::npos) {
+        ADD_FAILURE() << "no key " << key;
+        return archive;
+    }
+    const std::size_t start = at + needle.size();
+    const std::size_t end = archive.find_first_of(",}\n]", start);
+    return archive.replace(start, end - start, value);
+}
+
 TEST(CampaignArchive, MalformedDocumentThrows)
 {
     EXPECT_THROW(replayCampaign("not json at all"), ErmsError);
     EXPECT_THROW(replayCampaign("{\"campaign\": {}}"), ErmsError);
+
+    // Number mutants of a real archive: each must throw naming its
+    // field before anything runs, instead of quietly replaying a
+    // different (or, when truncated to the original value, the same)
+    // experiment.
+    const CampaignConfig config = quickArm("med", "erms", true);
+    CampaignResult result;
+    result.minutes.push_back(CampaignMinute{.minute = 0,
+                                            .containers = 12,
+                                            .violationPct = 1.5,
+                                            .worstP95Ms = 80.25,
+                                            .guardMode = 0});
+    const std::string archive = archiveCampaign(config, result);
+    EXPECT_NO_THROW(campaignConfigFromArchive(archive));
+
+    const std::pair<const char *, const char *> mutants[] = {
+        {"clock_skew_ms", "0garbage"},      // trailing bytes
+        {"az_count", "4.9"},                // fraction in an integer
+        {"seed", "-7"},                     // sign on an unsigned
+        {"seed", "+7"},
+        {"horizon_minutes", "99999999999"}, // beyond int
+        {"trough_fraction", "1e999"},       // beyond double
+        {"trough_fraction", ""},            // empty token
+        {"warmup_minutes", "0x1"},          // not decimal
+        {"violation_pct", "1.5x"},          // in a minute row
+    };
+    for (const auto &[key, value] : mutants) {
+        try {
+            replayCampaign(withValue(archive, key, value));
+            ADD_FAILURE() << key << ": " << value << " replayed";
+        } catch (const ErmsError &e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -512,8 +563,7 @@ runBaselineDynamic(const MicroserviceCatalog &catalog,
     return result;
 }
 
-void
-expectBaselineEquivalence(const char *engine)
+TEST(CampaignBaselineTransparency, GuardedMatchesNaiveOnCalendarEngine)
 {
     MicroserviceCatalog catalog;
     const Application app = makeMotivationShared(catalog, 0);
@@ -523,28 +573,15 @@ expectBaselineEquivalence(const char *engine)
         const BaselineRunResult guarded =
             runBaselineDynamic(catalog, app, name, true, 4242);
         EXPECT_EQ(naive.requestsCompleted, guarded.requestsCompleted)
-            << name << " on " << engine;
+            << name;
         EXPECT_EQ(naive.containerTrajectory, guarded.containerTrajectory)
-            << name << " on " << engine;
+            << name;
         ASSERT_EQ(naive.latencies.size(), guarded.latencies.size())
-            << name << " on " << engine;
+            << name;
         for (std::size_t i = 0; i < naive.latencies.size(); ++i)
             ASSERT_TRUE(sameBits(naive.latencies[i], guarded.latencies[i]))
-                << name << " on " << engine << " sample " << i;
+                << name << " sample " << i;
     }
-}
-
-TEST(CampaignBaselineTransparency, GuardedMatchesNaiveOnCalendarEngine)
-{
-    unsetenv("ERMS_EVENT_ENGINE");
-    expectBaselineEquivalence("calendar");
-}
-
-TEST(CampaignBaselineTransparency, GuardedMatchesNaiveOnLegacyEngine)
-{
-    setenv("ERMS_EVENT_ENGINE", "legacy", 1);
-    expectBaselineEquivalence("legacy");
-    unsetenv("ERMS_EVENT_ENGINE");
 }
 
 } // namespace

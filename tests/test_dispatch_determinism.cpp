@@ -5,11 +5,12 @@
  *
  *  - a 20-seed differential fuzz pass drives randomized workloads
  *    (random tree graphs, rates, priorities, container counts) with
- *    mid-run scale events, faults, and resilience policies through both
- *    the calendar engine and the legacy binary-heap reference, and
- *    byte-compares a hexfloat metrics digest — any unordered-map
- *    iteration leaking into dispatch order, any divergence in the
- *    slot-map scale-in path, and any RNG-stream split fails loudly;
+ *    mid-run scale events, faults, and resilience policies through a
+ *    plain run() and through coordinated minute stepping (pause at
+ *    every boundary, resume from the caller), and byte-compares a
+ *    hexfloat metrics digest — a stop that loses or repeats a record,
+ *    a deferred controller call landing at the wrong sequence
+ *    position, or any RNG-stream split fails loudly;
  *  - repeat-run determinism pins the same digest across back-to-back
  *    runs of one configuration;
  *  - a pool-lifetime churn test floods the stale-queue-entry path
@@ -189,9 +190,10 @@ metricsDigest(const SimMetrics &metrics,
  *  faults, and resilience are all on, so the run exercises swap-and-pop
  *  scale-in, draining containers with queued work, abandoned attempts,
  *  and the crash/restart path — the exact surfaces the dispatch
- *  refactor touched. */
+ *  refactor touched. `stepped` runs it by coordinated minute stepping
+ *  instead of one run() call. */
 std::string
-runDigest(std::uint64_t seed, EventEngine engine)
+runDigest(std::uint64_t seed, bool stepped)
 {
     const FuzzWorkload w = buildWorkload(seed);
 
@@ -202,7 +204,6 @@ runDigest(std::uint64_t seed, EventEngine engine)
     config.containerStartupMs = 400.0;
     config.seed = seed;
     Simulation sim(w.catalog, config);
-    sim.setEventEngine(engine);
 
     FaultConfig faults;
     faults.seed = seed ^ 0xfa17ULL;
@@ -230,7 +231,7 @@ runDigest(std::uint64_t seed, EventEngine engine)
 
     // Seeded scale events at every minute boundary: the callback's RNG
     // stream depends only on the call sequence (one call per minute),
-    // so both engines see identical scale decisions.
+    // so plain and stepped runs see identical scale decisions.
     auto churn = std::make_shared<Rng>(seed + 0x5ca1eULL);
     const std::vector<MicroserviceId> ids = w.microservices;
     sim.setMinuteCallback([churn, ids](Simulation &s, int) {
@@ -241,25 +242,32 @@ runDigest(std::uint64_t seed, EventEngine engine)
         }
     });
 
-    sim.run();
+    if (stepped) {
+        sim.setCoordinatedPause(true);
+        sim.beginRun();
+        while (sim.advanceToMinuteBoundary() >= 0) {
+        }
+    } else {
+        sim.run();
+    }
     return metricsDigest(sim.metrics(), w.serviceIds, w.microservices);
 }
 
 /**
- * 20-seed differential fuzz (the determinism regression the refactor
- * audit calls for): calendar and legacy engines must agree byte-for-
- * byte on every randomized workload. The two engines share the same
- * (time, seq) dispatch contract but wildly different data layouts, so
- * agreement across 20 random configurations pins both the batched
- * drain loop and the slot-map scale-in against the reference.
+ * 20-seed differential fuzz: a plain run() and the same run stepped
+ * minute by minute must agree byte-for-byte on every randomized
+ * workload. Every pause stops the queue's drain at a minute boundary
+ * and resumes it later, and every controller call is deferred to the
+ * resume, so agreement pins the stop/resume path and the deferred
+ * callback's sequence position against the uninterrupted run.
  */
-TEST(DispatchDeterminism, TwentySeedFuzzLegacyMatchesCalendar)
+TEST(DispatchDeterminism, TwentySeedFuzzSteppedMatchesPlain)
 {
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-        const std::string calendar = runDigest(seed, EventEngine::Calendar);
-        const std::string legacy = runDigest(seed, EventEngine::LegacyHeap);
-        ASSERT_EQ(calendar, legacy) << "engines diverged at seed " << seed;
-        ASSERT_FALSE(calendar.empty());
+        const std::string plain = runDigest(seed, /*stepped=*/false);
+        const std::string stepped = runDigest(seed, /*stepped=*/true);
+        ASSERT_EQ(plain, stepped) << "stepping diverged at seed " << seed;
+        ASSERT_FALSE(plain.empty());
     }
 }
 
@@ -268,8 +276,8 @@ TEST(DispatchDeterminism, TwentySeedFuzzLegacyMatchesCalendar)
  *  order or reused-allocation addresses. */
 TEST(DispatchDeterminism, RepeatRunsAreByteIdentical)
 {
-    const std::string first = runDigest(7, EventEngine::Calendar);
-    const std::string second = runDigest(7, EventEngine::Calendar);
+    const std::string first = runDigest(7, /*stepped=*/false);
+    const std::string second = runDigest(7, /*stepped=*/false);
     EXPECT_EQ(first, second);
 }
 

@@ -1,14 +1,15 @@
 /**
  * @file
- * Property/fuzz tests for the event engine. Random schedule/run
- * interleavings — same-timestamp bursts, cascades scheduled during
- * dispatch, horizon-segmented draining — are checked against a naive
- * reference model (linear scan for the (time, seq) minimum), on both
- * the calendar engine and the legacy binary heap and across degenerate
- * bucket geometries. Also covers callback-pool slot reuse while the
- * recycled callback is still executing (an AddressSanitizer target) and
- * cross-thread isolation of independent queues (a ThreadSanitizer
- * target, driven through ParallelRunner).
+ * Property/fuzz tests for the event engine. Random post/drain
+ * interleavings — same-timestamp bursts, cascades posted during
+ * dispatch, horizon-segmented draining, stop-and-resume draining — are
+ * checked against a naive reference model (linear scan for the
+ * (time, seq) minimum) across bucket geometries from the production
+ * wheel down to 1 x 1 and a single 2^40 us bucket (in effect a sorted
+ * list). Geometry cannot change the (time, seq) order, so every
+ * geometry must match the reference exactly. Also covers cross-thread
+ * isolation of independent queues (a ThreadSanitizer target, driven
+ * through ParallelRunner).
  */
 
 #include <gtest/gtest.h>
@@ -17,16 +18,24 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "runner/parallel_runner.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/legacy_event_queue.hpp"
 
 namespace erms {
 namespace {
+
+constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
+
+/** Wheel geometries (bucket count, bucket width in us): the production
+ *  default; degenerate tiny wheels, where window rotation, far-list
+ *  pours and cursor rewinds happen constantly; and one bucket spanning
+ *  2^40 us — a sorted list whose dispatch-time posts all go through
+ *  the spill heap. */
+const std::pair<std::size_t, SimTime> kGeometries[] = {
+    {2048, 32}, {1, 1}, {2, 1}, {4, 2}, {8, 16}, {1024, 1}, {1, 1ull << 40}};
 
 /** splitmix64: all workload randomness is derived from event ids with
  *  this, so the reference model and the engine generate identical
@@ -128,32 +137,70 @@ class ReferenceModel
     std::uint64_t seq_ = 0;
 };
 
-/** Drives the same cascade through a real engine via the callback API. */
-template <typename Queue>
+/**
+ * Drives the same cascade through an EventQueue: a record carries its
+ * fuzz id in `a`, and dispatching it posts the children. With
+ * stop_every > 0, dispatch also raises drain()'s stop flag on about
+ * one event in stop_every (picked by a hash of the dispatch count, so
+ * a wrongly repeated record cannot stop forever); drainUntil() then
+ * resumes after each stop, checking that the stop left now() at the
+ * stopping event's time.
+ */
 class EngineDriver
 {
   public:
-    explicit EngineDriver(Queue &q) : q_(q) {}
+    explicit EngineDriver(EventQueue &q, std::uint64_t stop_every = 0)
+        : q_(q), stopEvery_(stop_every)
+    {
+    }
 
     void
     seed(SimTime t, std::uint64_t id)
     {
-        q_.schedule(t, [this, id] { fire(id); });
+        q_.post(t, EventRecord{.a = id});
+    }
+
+    void
+    drainUntil(SimTime horizon)
+    {
+        for (;;) {
+            stop_ = false;
+            dispatched_ += q_.drain(horizon, stop_,
+                                    [this](const EventRecord &rec) {
+                                        fire(rec);
+                                    });
+            if (!stop_)
+                break;
+            ++stops_;
+            EXPECT_EQ(q_.now(), stoppedAt_);
+        }
+        EXPECT_EQ(dispatched_, order_.size());
     }
 
     const std::vector<std::uint64_t> &order() const { return order_; }
+    std::size_t stops() const { return stops_; }
 
   private:
     void
-    fire(std::uint64_t id)
+    fire(const EventRecord &rec)
     {
-        order_.push_back(id);
-        forEachChild(id, [&](SimTime d, std::uint64_t cid) {
-            q_.scheduleAfter(d, [this, cid] { fire(cid); });
+        order_.push_back(rec.a);
+        forEachChild(rec.a, [&](SimTime d, std::uint64_t cid) {
+            q_.postAfter(d, EventRecord{.a = cid});
         });
+        if (stopEvery_ != 0 &&
+            mix(order_.size() ^ 0x5709ull) % stopEvery_ == 0) {
+            stop_ = true;
+            stoppedAt_ = rec.time;
+        }
     }
 
-    Queue &q_;
+    EventQueue &q_;
+    std::uint64_t stopEvery_;
+    bool stop_ = false;
+    SimTime stoppedAt_ = 0;
+    std::size_t stops_ = 0;
+    std::uint64_t dispatched_ = 0;
     std::vector<std::uint64_t> order_;
 };
 
@@ -176,14 +223,18 @@ makeBatch(std::uint64_t seed, std::size_t count, SimTime base,
     return batch;
 }
 
-template <typename Queue>
 std::vector<std::uint64_t>
-engineFullDrain(Queue &q, std::uint64_t seed)
+engineFullDrain(EventQueue &q, std::uint64_t seed,
+                std::uint64_t stop_every = 0)
 {
-    EngineDriver<Queue> driver(q);
+    EngineDriver driver(q, stop_every);
     for (const auto &[t, id] : makeBatch(seed, 300, 0, 256))
         driver.seed(t, id);
-    q.runAll();
+    driver.drainUntil(kForever);
+    EXPECT_TRUE(q.empty());
+    if (stop_every != 0) {
+        EXPECT_GT(driver.stops(), 0u);
+    }
     return driver.order();
 }
 
@@ -209,23 +260,19 @@ TEST(EventEngineFuzz, FullDrainMatchesReference)
                 << "seed " << seed << " (default geometry)";
         }
         {
-            LegacyEventQueue q;
+            EventQueue q(1, 1ull << 40);
             EXPECT_EQ(engineFullDrain(q, seed), expected)
-                << "seed " << seed << " (legacy heap)";
+                << "seed " << seed << " (sorted list)";
         }
     }
 }
 
 TEST(EventEngineFuzz, TinyBucketGeometriesMatchReference)
 {
-    // Degenerate wheels: window rotation, far-list pours and cursor
-    // rewinds happen constantly when the span is tiny.
-    const std::pair<std::size_t, SimTime> geometries[] = {
-        {1, 1}, {2, 1}, {4, 2}, {8, 16}, {1024, 1}};
     for (std::uint64_t seed = 0; seed < 5; ++seed) {
         const std::vector<std::uint64_t> expected =
             referenceFullDrain(seed);
-        for (const auto &[buckets, width] : geometries) {
+        for (const auto &[buckets, width] : kGeometries) {
             EventQueue q(buckets, width);
             EXPECT_EQ(engineFullDrain(q, seed), expected)
                 << "seed " << seed << " buckets=" << buckets
@@ -234,66 +281,90 @@ TEST(EventEngineFuzz, TinyBucketGeometriesMatchReference)
     }
 }
 
-TEST(EventEngineFuzz, HorizonSegmentedDrainMatchesReference)
+TEST(EventEngineFuzz, StopAndResumeMatchesReference)
 {
-    // Interleave runUntil() segments with fresh batches scheduled from
-    // the advanced clock — exercising schedule-at-now, schedule-at-
-    // horizon and schedule-behind-the-advanced-window paths.
-    for (std::uint64_t seed = 0; seed < 10; ++seed) {
-        ReferenceModel ref;
-        EventQueue q(4, 2); // small span: the window rotates every 8 ticks
-        EngineDriver<EventQueue> driver(q);
-
-        SimTime horizon = 0;
-        for (int segment = 0; segment < 8; ++segment) {
-            const std::uint64_t sseed = mix(seed * 131 + segment);
-            // Batch anchored at the current clock; range crosses the
-            // next horizon so some events land beyond it.
-            for (const auto &[t, id] : makeBatch(sseed, 40, q.now(), 200)) {
-                ref.seed(t, id);
-                driver.seed(t, id);
-            }
-            horizon += 1 + mix(sseed) % 150;
-            ref.drainUntil(horizon);
-            q.runUntil(horizon);
-            ASSERT_EQ(driver.order(), ref.order())
-                << "seed " << seed << " segment " << segment;
-            ASSERT_EQ(q.pending(), ref.pending());
-            ASSERT_EQ(q.now(), horizon);
+    // A stop may land anywhere in a batch: in a zero-copy bucket span
+    // or in a run merged from the spill or early heap. Resuming must
+    // continue the exact reference order — no record dispatched twice,
+    // none lost.
+    for (std::uint64_t seed = 0; seed < 5; ++seed) {
+        const std::vector<std::uint64_t> expected =
+            referenceFullDrain(seed);
+        for (const auto &[buckets, width] : kGeometries) {
+            EventQueue q(buckets, width);
+            EXPECT_EQ(engineFullDrain(q, seed, /*stop_every=*/7), expected)
+                << "seed " << seed << " buckets=" << buckets
+                << " width=" << width;
         }
-        ref.drainUntil(std::numeric_limits<SimTime>::max());
-        q.runAll();
-        EXPECT_EQ(driver.order(), ref.order()) << "seed " << seed;
-        EXPECT_EQ(q.pending(), 0u);
     }
 }
 
-TEST(EventEngineFuzz, LongSameTimestampBurstIsFifoAcrossEngines)
+TEST(EventEngineFuzz, HorizonSegmentedDrainMatchesReference)
+{
+    // Interleave horizon-bounded drains with fresh batches posted from
+    // the advanced clock — exercising post-at-now, post-at-horizon and
+    // post-behind-the-advanced-window (early heap) paths, with and
+    // without stops.
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+        for (const std::uint64_t stop_every : {0u, 7u}) {
+            ReferenceModel ref;
+            EventQueue q(4, 2); // small span: the window rotates every 8
+            EngineDriver driver(q, stop_every);
+
+            SimTime horizon = 0;
+            for (int segment = 0; segment < 8; ++segment) {
+                const std::uint64_t sseed = mix(seed * 131 + segment);
+                // Batch anchored at the current clock; range crosses
+                // the next horizon so some events land beyond it.
+                for (const auto &[t, id] :
+                     makeBatch(sseed, 40, q.now(), 200)) {
+                    ref.seed(t, id);
+                    driver.seed(t, id);
+                }
+                horizon += 1 + mix(sseed) % 150;
+                ref.drainUntil(horizon);
+                driver.drainUntil(horizon);
+                ASSERT_EQ(driver.order(), ref.order())
+                    << "seed " << seed << " stop_every " << stop_every
+                    << " segment " << segment;
+                ASSERT_EQ(q.pending(), ref.pending());
+                ASSERT_EQ(q.now(), horizon);
+            }
+            ref.drainUntil(kForever);
+            driver.drainUntil(kForever);
+            EXPECT_EQ(driver.order(), ref.order())
+                << "seed " << seed << " stop_every " << stop_every;
+            EXPECT_EQ(q.pending(), 0u);
+        }
+    }
+}
+
+TEST(EventEngineFuzz, LongSameTimestampBurstIsFifoAcrossGeometries)
 {
     // A burst far larger than any bucket, with neighbours on both
     // sides; insertion order must be preserved exactly.
-    auto run = [](auto &q) {
-        std::vector<int> order;
-        q.schedule(99, [&] { order.push_back(-1); });
-        for (int i = 0; i < 1000; ++i)
-            q.schedule(100, [&, i] { order.push_back(i); });
-        q.schedule(101, [&] { order.push_back(-2); });
-        q.runAll();
-        return order;
-    };
-    std::vector<int> expected;
-    expected.push_back(-1);
-    for (int i = 0; i < 1000; ++i)
+    std::vector<std::uint64_t> expected;
+    expected.push_back(1000);
+    for (std::uint64_t i = 0; i < 1000; ++i)
         expected.push_back(i);
-    expected.push_back(-2);
+    expected.push_back(1001);
 
-    EventQueue calendar(4, 2);
-    LegacyEventQueue legacy;
-    EXPECT_EQ(run(calendar), expected);
-    EXPECT_EQ(run(legacy), expected);
+    const bool no_stop = false;
+    for (const auto &[buckets, width] : kGeometries) {
+        EventQueue q(buckets, width);
+        q.post(99, EventRecord{.a = 1000});
+        for (std::uint64_t i = 0; i < 1000; ++i)
+            q.post(100, EventRecord{.a = i});
+        q.post(101, EventRecord{.a = 1001});
+        std::vector<std::uint64_t> order;
+        q.drain(kForever, no_stop,
+                [&](const EventRecord &rec) { order.push_back(rec.a); });
+        EXPECT_EQ(order, expected)
+            << "buckets=" << buckets << " width=" << width;
+    }
 }
 
-TEST(EventEngineTyped, RecordsRoundTripThroughNext)
+TEST(EventEngineTyped, RecordsRoundTripThroughDrain)
 {
     EventQueue q;
     int anchor = 0;
@@ -301,75 +372,22 @@ TEST(EventEngineTyped, RecordsRoundTripThroughNext)
     q.post(3, EventRecord{.a = 1, .type = 9});
     q.post(3, EventRecord{.a = 2, .type = 9}); // same time: FIFO
 
-    EventRecord rec;
-    ASSERT_TRUE(q.next(10, rec));
-    EXPECT_EQ(rec.type, 9u);
-    EXPECT_EQ(rec.a, 1u);
-    EXPECT_EQ(rec.time, 3u);
-    ASSERT_TRUE(q.next(10, rec));
-    EXPECT_EQ(rec.a, 2u);
-    ASSERT_TRUE(q.next(10, rec));
-    EXPECT_EQ(rec.type, 7u);
-    EXPECT_EQ(rec.a, 11u);
-    EXPECT_EQ(rec.b, 22u);
-    EXPECT_EQ(rec.p1, &anchor);
-    EXPECT_FALSE(q.next(10, rec));
+    std::vector<EventRecord> seen;
+    const bool no_stop = false;
+    EXPECT_EQ(q.drain(10, no_stop,
+                      [&](const EventRecord &rec) { seen.push_back(rec); }),
+              3u);
+    ASSERT_EQ(seen.size(), 3u);
+    EXPECT_EQ(seen[0].type, 9u);
+    EXPECT_EQ(seen[0].a, 1u);
+    EXPECT_EQ(seen[0].time, 3u);
+    EXPECT_EQ(seen[1].a, 2u);
+    EXPECT_EQ(seen[2].type, 7u);
+    EXPECT_EQ(seen[2].a, 11u);
+    EXPECT_EQ(seen[2].b, 22u);
+    EXPECT_EQ(seen[2].p1, &anchor);
+    EXPECT_EQ(seen[2].time, 5u);
     EXPECT_EQ(q.now(), 10u);
-}
-
-TEST(EventEngineTyped, MixesWithPooledCallbacks)
-{
-    // The simulator's dispatch loop: typed records and callback records
-    // share one queue; kCallbackEvent routes through runCallback().
-    EventQueue q;
-    std::vector<int> order;
-    q.post(2, EventRecord{.a = 42, .type = 5});
-    q.schedule(1, [&] { order.push_back(1); });
-    q.schedule(3, [&] { order.push_back(3); });
-
-    EventRecord rec;
-    while (q.next(10, rec)) {
-        if (rec.type == kCallbackEvent)
-            q.runCallback(rec);
-        else
-            order.push_back(static_cast<int>(rec.a));
-    }
-    EXPECT_EQ(order, (std::vector<int>{1, 42, 3}));
-}
-
-TEST(EventEnginePool, SlotReuseDuringDispatchIsSafe)
-{
-    // runCallback() releases the slot before invoking, so a nested
-    // schedule may claim the running callback's own slot. The running
-    // callable must stay alive regardless (ASan verifies the capture).
-    EventQueue q;
-    auto value = std::make_shared<int>(7);
-    int observed = 0;
-    q.schedule(1, [&q, value, &observed] {
-        q.scheduleAfter(1, [&observed] { observed += 10; });
-        observed += *value; // touch captured heap state after the reuse
-    });
-    q.runAll();
-    EXPECT_EQ(observed, 17);
-    EXPECT_EQ(q.callbackPoolSize(), 1u); // one slot served both events
-}
-
-TEST(EventEnginePool, SelfReschedulingChainStaysInOneSlot)
-{
-    EventQueue q;
-    int chain = 0;
-    std::vector<std::shared_ptr<int>> alive;
-    std::function<void()> step = [&] {
-        auto payload = std::make_shared<int>(chain);
-        alive.push_back(payload);
-        if (++chain < 1000)
-            q.scheduleAfter(1, step);
-        EXPECT_EQ(*payload, chain - 1);
-    };
-    q.schedule(0, step);
-    q.runAll();
-    EXPECT_EQ(chain, 1000);
-    EXPECT_LE(q.callbackPoolSize(), 2u);
 }
 
 TEST(EventEngineThreads, IndependentQueuesAreIsolated)
@@ -386,7 +404,7 @@ TEST(EventEngineThreads, IndependentQueuesAreIsolated)
     for (std::uint64_t seed = 0; seed < 8; ++seed) {
         tasks.emplace_back([seed] {
             EventQueue q(8, 16);
-            return engineFullDrain(q, seed);
+            return engineFullDrain(q, seed, /*stop_every=*/7);
         });
     }
     const auto results = runner.runAll(std::move(tasks));

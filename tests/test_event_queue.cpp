@@ -1,59 +1,72 @@
 /**
  * @file
  * Tests for the discrete-event engine: ordering, FIFO tie-breaking,
- * horizon semantics, and scheduling from within callbacks. The horizon
- * boundary contract is checked against both engines (calendar and
- * legacy binary heap) so they can never silently diverge.
+ * horizon semantics, and posting from within dispatch. Every test
+ * drives the queue through drain(), the only way events leave it.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/legacy_event_queue.hpp"
 
 namespace erms {
 namespace {
 
+/** Never set: drains that run to their horizon. */
+const bool kNoStop = false;
+
+/** Records the payload word of every dispatched event. */
+struct Recorder
+{
+    std::vector<std::uint64_t> order;
+    void operator()(const EventRecord &rec) { order.push_back(rec.a); }
+};
+
+constexpr SimTime kForever = ~static_cast<SimTime>(0);
+
 TEST(EventQueue, DispatchesInTimeOrder)
 {
     EventQueue q;
-    std::vector<int> order;
-    q.schedule(30, [&] { order.push_back(3); });
-    q.schedule(10, [&] { order.push_back(1); });
-    q.schedule(20, [&] { order.push_back(2); });
-    EXPECT_EQ(q.runAll(), 3u);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    q.post(30, EventRecord{.a = 3});
+    q.post(10, EventRecord{.a = 1});
+    q.post(20, EventRecord{.a = 2});
+    Recorder rec;
+    EXPECT_EQ(q.drain(kForever, kNoStop, rec), 3u);
+    EXPECT_EQ(rec.order, (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
 TEST(EventQueue, SimultaneousEventsAreFifo)
 {
     EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(100, [&, i] { order.push_back(i); });
-    q.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    for (std::uint64_t i = 0; i < 5; ++i)
+        q.post(100, EventRecord{.a = i});
+    Recorder rec;
+    q.drain(kForever, kNoStop, rec);
+    EXPECT_EQ(rec.order, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueue, NowTracksDispatchedEvent)
 {
     EventQueue q;
     SimTime seen = 0;
-    q.schedule(42, [&] { seen = q.now(); });
-    q.runAll();
+    q.post(42, EventRecord{});
+    q.drain(100, kNoStop, [&](const EventRecord &) { seen = q.now(); });
     EXPECT_EQ(seen, 42u);
-    EXPECT_EQ(q.now(), 42u);
+    EXPECT_EQ(q.now(), 100u); // idled on to the horizon
 }
 
 TEST(EventQueue, RunUntilStopsAtHorizon)
 {
     EventQueue q;
+    q.post(10, EventRecord{});
+    q.post(20, EventRecord{});
+    q.post(30, EventRecord{});
     int fired = 0;
-    q.schedule(10, [&] { ++fired; });
-    q.schedule(20, [&] { ++fired; });
-    q.schedule(30, [&] { ++fired; });
-    EXPECT_EQ(q.runUntil(20), 2u);
+    EXPECT_EQ(q.drain(20, kNoStop, [&](const EventRecord &) { ++fired; }),
+              2u);
     EXPECT_EQ(fired, 2);
     EXPECT_EQ(q.now(), 20u); // advanced to the horizon
     EXPECT_EQ(q.pending(), 1u);
@@ -62,142 +75,132 @@ TEST(EventQueue, RunUntilStopsAtHorizon)
 TEST(EventQueue, HorizonInclusive)
 {
     EventQueue q;
-    int fired = 0;
-    q.schedule(20, [&] { ++fired; });
-    q.runUntil(20);
-    EXPECT_EQ(fired, 1);
+    q.post(20, EventRecord{});
+    EXPECT_EQ(q.drain(20, kNoStop, [](const EventRecord &) {}), 1u);
 }
 
 TEST(EventQueue, CallbacksMayScheduleMoreEvents)
 {
     EventQueue q;
     int chain = 0;
-    std::function<void()> step = [&] {
+    SimTime last = 0;
+    q.post(0, EventRecord{});
+    q.drain(kForever, kNoStop, [&](const EventRecord &) {
+        last = q.now();
         if (++chain < 5)
-            q.scheduleAfter(10, step);
-    };
-    q.schedule(0, step);
-    q.runAll();
+            q.postAfter(10, EventRecord{});
+    });
     EXPECT_EQ(chain, 5);
-    EXPECT_EQ(q.now(), 40u);
+    EXPECT_EQ(last, 40u);
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, EventsBeyondHorizonScheduledDuringRunStay)
 {
     EventQueue q;
-    int late = 0;
-    q.schedule(5, [&] { q.schedule(100, [&] { ++late; }); });
-    q.runUntil(50);
-    EXPECT_EQ(late, 0);
+    q.post(5, EventRecord{.a = 1});
+    Recorder rec;
+    q.drain(50, kNoStop, [&](const EventRecord &event) {
+        rec(event);
+        if (event.a == 1)
+            q.post(100, EventRecord{.a = 2});
+    });
+    EXPECT_EQ(rec.order, (std::vector<std::uint64_t>{1}));
     EXPECT_EQ(q.pending(), 1u);
-    q.runAll();
-    EXPECT_EQ(late, 1);
+    q.drain(kForever, kNoStop, rec);
+    EXPECT_EQ(rec.order, (std::vector<std::uint64_t>{1, 2}));
 }
 
 TEST(EventQueue, SchedulingInThePastIsInternalError)
 {
     EventQueue q;
-    q.schedule(100, [] {});
-    q.runAll();
-    EXPECT_THROW(q.schedule(50, [] {}), std::logic_error);
+    q.post(100, EventRecord{});
+    q.drain(100, kNoStop, [](const EventRecord &) {});
+    EXPECT_THROW(q.post(50, EventRecord{}), std::logic_error);
+}
+
+TEST(EventQueue, StopInsideMergedBatchResumesInOrder)
+{
+    // A posts X@110 and Y@105. Y must run before S, so S and X then
+    // leave as one batch merged from the bucket and the spill heap.
+    // Stopping after S must keep X queued, and S must not run again.
+    EventQueue q;
+    q.post(100, EventRecord{.a = 'A'});
+    q.post(110, EventRecord{.a = 'S'});
+    bool stop = false;
+    Recorder rec;
+    const auto dispatch = [&](const EventRecord &event) {
+        rec(event);
+        if (event.a == 'A') {
+            q.post(110, EventRecord{.a = 'X'});
+            q.post(105, EventRecord{.a = 'Y'});
+        }
+        stop = event.a == 'S';
+    };
+    EXPECT_EQ(q.drain(kForever, stop, dispatch), 3u);
+    EXPECT_EQ(q.now(), 110u);
+    EXPECT_EQ(q.pending(), 1u);
+    stop = false;
+    EXPECT_EQ(q.drain(kForever, stop, dispatch), 1u);
+    EXPECT_EQ(rec.order, (std::vector<std::uint64_t>{'A', 'Y', 'S', 'X'}));
 }
 
 // ---------------------------------------------------------------------
-// runUntil horizon boundary: the documented contract is that the
-// horizon is INCLUSIVE, also for events scheduled during dispatch — an
-// event scheduled exactly at the horizon while runUntil is draining
-// fires in the same call. Checked on both engines so neither can
-// drift from the contract unnoticed (regression for the previously
-// untested boundary).
+// Horizon boundary: the documented contract is that the horizon is
+// INCLUSIVE, also for events posted during dispatch — an event posted
+// exactly at the horizon while drain() runs fires in the same call.
 // ---------------------------------------------------------------------
 
-template <typename Queue>
-void
-expectHorizonScheduledDuringDispatchFires()
+TEST(EventQueueHorizon, ScheduledAtHorizonDuringDispatchFires)
 {
-    Queue q;
-    std::vector<int> order;
-    q.schedule(10, [&] {
-        order.push_back(1);
-        q.schedule(50, [&] { order.push_back(3); });   // == horizon
-        q.schedule(51, [&] { order.push_back(99); });  // > horizon
-        q.schedule(20, [&] { order.push_back(2); });
-    });
-    EXPECT_EQ(q.runUntil(50), 3u);
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EventQueue q;
+    q.post(10, EventRecord{.a = 1});
+    Recorder rec;
+    EXPECT_EQ(q.drain(50, kNoStop,
+                      [&](const EventRecord &event) {
+                          rec(event);
+                          if (event.a != 1)
+                              return;
+                          q.post(50, EventRecord{.a = 3});  // == horizon
+                          q.post(51, EventRecord{.a = 99}); // > horizon
+                          q.post(20, EventRecord{.a = 2});
+                      }),
+              3u);
+    EXPECT_EQ(rec.order, (std::vector<std::uint64_t>{1, 2, 3}));
     EXPECT_EQ(q.now(), 50u);
     EXPECT_EQ(q.pending(), 1u); // the 51 event stays queued
 }
 
-TEST(EventQueueHorizon, ScheduledAtHorizonDuringDispatchFires)
-{
-    expectHorizonScheduledDuringDispatchFires<EventQueue>();
-}
-
-TEST(LegacyEventQueueHorizon, ScheduledAtHorizonDuringDispatchFires)
-{
-    expectHorizonScheduledDuringDispatchFires<LegacyEventQueue>();
-}
-
-template <typename Queue>
-void
-expectRepeatedRunUntilSameHorizonConsistent()
-{
-    Queue q;
-    int fired = 0;
-    q.runUntil(100); // idle to the horizon; now() == 100
-    EXPECT_EQ(q.now(), 100u);
-    // Scheduling exactly at now()/horizon afterwards is legal and a
-    // second runUntil at the same horizon still dispatches it.
-    q.schedule(100, [&] { ++fired; });
-    EXPECT_EQ(q.runUntil(100), 1u);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.now(), 100u);
-    EXPECT_EQ(q.runUntil(100), 0u); // idempotent once drained
-}
-
 TEST(EventQueueHorizon, RepeatedRunUntilSameHorizonConsistent)
 {
-    expectRepeatedRunUntilSameHorizonConsistent<EventQueue>();
-}
-
-TEST(LegacyEventQueueHorizon, RepeatedRunUntilSameHorizonConsistent)
-{
-    expectRepeatedRunUntilSameHorizonConsistent<LegacyEventQueue>();
+    EventQueue q;
+    int fired = 0;
+    const auto count = [&](const EventRecord &) { ++fired; };
+    q.drain(100, kNoStop, count); // idle to the horizon
+    EXPECT_EQ(q.now(), 100u);
+    // Posting exactly at now()/horizon afterwards is legal and a second
+    // drain to the same horizon still dispatches it.
+    q.post(100, EventRecord{});
+    EXPECT_EQ(q.drain(100, kNoStop, count), 1u);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(q.now(), 100u);
+    EXPECT_EQ(q.drain(100, kNoStop, count), 0u); // idempotent once drained
 }
 
 TEST(EventQueueHorizon, SchedulingBehindAnAdvancedWindowStaysOrdered)
 {
     // Idling far ahead advances the calendar window past now(); a
-    // subsequent schedule between now() and the window start must still
+    // subsequent post between now() and the window start must still
     // dispatch, in order, before later events (early-heap path).
     EventQueue q(/*bucket_count=*/4, /*bucket_width=*/4);
-    q.schedule(1'000'000, [] {}); // park one event far out
-    q.runUntil(500'000);          // hunt advances the window, finds 1e6
-    std::vector<int> order;
-    q.schedule(500'001, [&] { order.push_back(1); });
-    q.schedule(600'000, [&] { order.push_back(2); });
-    q.runAll();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_EQ(q.now(), 1'000'000u);
-}
-
-TEST(EventQueue, CallbackPoolSlotsAreRecycled)
-{
-    EventQueue q;
-    for (int i = 0; i < 1000; ++i)
-        q.schedule(static_cast<SimTime>(i), [] {});
-    q.runAll();
-    // Burst of 1000 pending callbacks -> 1000 slots; afterwards the
-    // free list serves sequential schedule/dispatch cycles without
-    // growing the pool.
-    const std::size_t after_burst = q.callbackPoolSize();
-    EXPECT_LE(after_burst, 1000u);
-    for (int i = 0; i < 10000; ++i) {
-        q.schedule(q.now() + 1, [] {});
-        q.runUntil(q.now() + 1);
-    }
-    EXPECT_EQ(q.callbackPoolSize(), after_burst);
+    q.post(1'000'000, EventRecord{.a = 3}); // park one event far out
+    Recorder rec;
+    q.drain(500'000, kNoStop, rec); // hunt advances the window, finds 1e6
+    q.post(500'001, EventRecord{.a = 1});
+    q.post(600'000, EventRecord{.a = 2});
+    EXPECT_EQ(q.drain(1'000'000, kNoStop, rec), 3u);
+    EXPECT_EQ(rec.order, (std::vector<std::uint64_t>{1, 2, 3}));
+    EXPECT_TRUE(q.empty());
 }
 
 } // namespace

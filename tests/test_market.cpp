@@ -7,7 +7,7 @@
  * strategy-proofness differential (overclaiming pays under naive
  * max-min, is neutralized under Karma), and the makeMarketController
  * integration (caps bind deployed containers; an unlimited market is
- * byte-identical to the unwrapped controller on both event engines).
+ * byte-identical to the unwrapped controller).
  */
 
 #include <gtest/gtest.h>
@@ -728,7 +728,6 @@ class MarketControllerTest : public ::testing::Test
 
     RunResult
     run(const std::function<void(Simulation &, int)> &controller,
-        EventEngine engine = EventEngine::Calendar,
         const std::function<void(Simulation &, int)> &after = {})
     {
         SimConfig config;
@@ -736,7 +735,6 @@ class MarketControllerTest : public ::testing::Test
         config.warmupMinutes = 1;
         config.seed = 7;
         Simulation sim(catalog, config);
-        sim.setEventEngine(engine);
         sim.setBackgroundLoadAll(0.2, 0.2);
         int svc_index = 0;
         for (const ServiceSpec &svc : services) {
@@ -801,7 +799,7 @@ TEST_F(MarketControllerTest, CapsBindDeployedContainers)
 
     bool saw_binding_cap = false;
     const auto result =
-        run(wrapped, EventEngine::Calendar,
+        run(wrapped,
             [&](Simulation &s, int) {
                 const MarketEpoch &epoch = market->lastEpoch();
                 for (std::size_t a = 0; a < tenants.size(); ++a) {
@@ -842,7 +840,7 @@ TEST_F(MarketControllerTest, WrapperNeverScalesUpAndKeepsFloor)
     };
     auto wrapped = makeMarketController(recorder, market, tenants);
 
-    run(wrapped, EventEngine::Calendar, [&](Simulation &s, int) {
+    run(wrapped, [&](Simulation &s, int) {
         std::size_t k = 0;
         for (const auto &t : tenants) {
             for (MicroserviceId id : t.microservices) {
@@ -874,25 +872,6 @@ TEST_F(MarketControllerTest, UnlimitedMarketIsByteIdenticalCalendar)
     EXPECT_EQ(raw.requestsCompleted, wrapped.requestsCompleted);
 }
 
-TEST_F(MarketControllerTest, UnlimitedMarketIsByteIdenticalLegacyEngine)
-{
-    ErmsController controller(catalog, {});
-    const auto raw =
-        run(controller.makeAutoscaler(services), EventEngine::LegacyHeap);
-
-    auto market = std::make_shared<TenantMarket>(
-        1'000'000, std::make_unique<MaxMinAllocator>(),
-        honestPolicies(2));
-    const auto wrapped =
-        run(makeMarketController(controller.makeAutoscaler(services),
-                                 market, tenantServices()),
-            EventEngine::LegacyHeap);
-
-    EXPECT_EQ(raw.tenantContainers, wrapped.tenantContainers);
-    EXPECT_EQ(raw.worstP95, wrapped.worstP95);
-    EXPECT_EQ(raw.requestsCompleted, wrapped.requestsCompleted);
-}
-
 TEST_F(MarketControllerTest, ComposesWithBaselineAutoscaler)
 {
     // The decorator wraps any controller shape, not just Erms.
@@ -908,7 +887,7 @@ TEST_F(MarketControllerTest, ComposesWithBaselineAutoscaler)
         market, tenants);
 
     const auto result =
-        run(wrapped, EventEngine::Calendar, [&](Simulation &s, int) {
+        run(wrapped, [&](Simulation &s, int) {
             const MarketEpoch &epoch = market->lastEpoch();
             for (std::size_t a = 0; a < tenants.size(); ++a) {
                 int deployed = 0;

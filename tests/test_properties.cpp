@@ -171,6 +171,16 @@ struct SimSetting
     double bg;
 };
 
+/** Readable, stable parameter text. gtest's default byte dump includes
+ *  the struct's uninitialised padding, and gtest_discover_tests builds
+ *  the CTest name from it, so the name changed from run to run. */
+void
+PrintTo(const SimSetting &s, std::ostream *os)
+{
+    *os << "rate" << s.rate << "_containers" << s.containers << "_bg"
+        << s.bg;
+}
+
 class SimProperty : public ::testing::TestWithParam<SimSetting>
 {
 };

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "fault/fault.hpp"
 #include "graph/dependency_graph.hpp"
@@ -154,7 +155,16 @@ TEST(ParallelRunner, WorkerCountResolution)
     ASSERT_EQ(setenv("ERMS_RUNNER_THREADS", "2", 1), 0);
     EXPECT_EQ(resolveWorkerCount(0), 2);
     EXPECT_EQ(resolveWorkerCount(5), 5);
-    ASSERT_EQ(setenv("ERMS_RUNNER_THREADS", "not-a-number", 1), 0);
+    // Anything but a whole positive decimal integer is an error, never
+    // a silent fallback to the hardware count.
+    for (const char *bad : {"not-a-number", "abc", "2x", "0", "-3", "+2",
+                            " 2", "1.5", "99999999999"}) {
+        ASSERT_EQ(setenv("ERMS_RUNNER_THREADS", bad, 1), 0);
+        EXPECT_THROW(resolveWorkerCount(0), ErmsError) << bad;
+        EXPECT_EQ(resolveWorkerCount(4), 4) << bad; // explicit request
+    }
+    // Unset or empty keeps the hardware default.
+    ASSERT_EQ(setenv("ERMS_RUNNER_THREADS", "", 1), 0);
     EXPECT_GE(resolveWorkerCount(0), 1);
     ASSERT_EQ(unsetenv("ERMS_RUNNER_THREADS"), 0);
     EXPECT_GE(resolveWorkerCount(0), 1);

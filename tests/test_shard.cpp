@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "apps/applications.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "model/catalog.hpp"
 #include "shard/merge.hpp"
@@ -162,12 +163,19 @@ TEST(ShardPartition, ShardsRequestedReadsEnvironment)
 {
     unsetenv("ERMS_SHARDS");
     EXPECT_EQ(shard::shardsRequested(), 0);
+    setenv("ERMS_SHARDS", "", 1);
+    EXPECT_EQ(shard::shardsRequested(), 0);
     setenv("ERMS_SHARDS", "4", 1);
     EXPECT_EQ(shard::shardsRequested(), 4);
     setenv("ERMS_SHARDS", "0", 1);
-    EXPECT_EQ(shard::shardsRequested(), 0);
-    setenv("ERMS_SHARDS", "garbage", 1);
-    EXPECT_EQ(shard::shardsRequested(), 0);
+    EXPECT_EQ(shard::shardsRequested(), 0); // explicit off
+    // Anything but a whole non-negative decimal integer is an error,
+    // never a silent fallback to unsharded execution.
+    for (const char *bad : {"garbage", "x", "2x", "-1", "+2", " 2", "2 ",
+                            "1.5", "99999999999"}) {
+        setenv("ERMS_SHARDS", bad, 1);
+        EXPECT_THROW(shard::shardsRequested(), ErmsError) << bad;
+    }
     unsetenv("ERMS_SHARDS");
 }
 
@@ -448,30 +456,6 @@ TEST(CoordinatedStepping, DeferredCallbackLandsAtInlinePosition)
               stepped.metrics().eventsDispatched);
     EXPECT_EQ(plain.metrics().p95(0), stepped.metrics().p95(0));
     EXPECT_EQ(plain.containerCount(ms), stepped.containerCount(ms));
-}
-
-TEST(CoordinatedStepping, LegacyEngineSupportsStepping)
-{
-    SoloScenario scenario;
-    Simulation plain(scenario.catalog, soloConfig());
-    plain.setEventEngine(EventEngine::LegacyHeap);
-    scenario.attach(plain);
-    plain.run();
-
-    Simulation stepped(scenario.catalog, soloConfig());
-    stepped.setEventEngine(EventEngine::LegacyHeap);
-    scenario.attach(stepped);
-    stepped.setCoordinatedPause(true);
-    stepped.beginRun();
-    int pauses = 0;
-    while (stepped.advanceToMinuteBoundary() >= 0)
-        ++pauses;
-    EXPECT_EQ(pauses, 4);
-    EXPECT_EQ(plain.metrics().requestsCompleted,
-              stepped.metrics().requestsCompleted);
-    EXPECT_EQ(plain.metrics().eventsDispatched,
-              stepped.metrics().eventsDispatched);
-    EXPECT_EQ(plain.metrics().p95(0), stepped.metrics().p95(0));
 }
 
 // --------------------------------------------------------------------

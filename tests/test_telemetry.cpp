@@ -4,14 +4,13 @@
  * gauges, histograms, deterministic snapshot ordering), quantile
  * estimation against exact sorted samples, scraped-view staleness and
  * rate computation, exporter round-trips, deterministic span sampling,
- * and the ERMS_TELEMETRY_ORACLE escape hatch reproducing the oracle
- * controller observations exactly.
+ * and the null-view escape hatch reproducing the oracle controller run
+ * exactly with a monitor attached.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <thread>
 
@@ -412,8 +411,9 @@ TEST(TelemetryView, ContainerGaugeWithAbsenceSentinel)
 }
 
 // ---------------------------------------------------------------------
-// Oracle escape hatch: with ERMS_TELEMETRY_ORACLE set, a controller
-// built WITH a view must behave exactly like one built without.
+// Oracle escape hatch: a controller given a null view reads oracle
+// state, so a run with a SimMonitor attached (scrapes and all) must
+// behave exactly like one without.
 // ---------------------------------------------------------------------
 
 struct DynamicRunResult
@@ -424,7 +424,7 @@ struct DynamicRunResult
 
 DynamicRunResult
 runSeededDynamic(const MicroserviceCatalog &catalog, const Application &app,
-                 const ErmsController &controller, bool with_view,
+                 const ErmsController &controller, bool with_monitor,
                  std::uint64_t seed)
 {
     SimConfig config;
@@ -432,12 +432,9 @@ runSeededDynamic(const MicroserviceCatalog &catalog, const Application &app,
     config.warmupMinutes = 1;
     config.seed = seed;
     Simulation sim(catalog, config);
-    auto monitor = std::make_shared<telemetry::SimMonitor>();
-    std::shared_ptr<const telemetry::TelemetryView> view;
-    if (with_view) {
-        sim.setMonitor(monitor.get());
-        view = std::make_shared<telemetry::ScrapedTelemetryView>(*monitor);
-    }
+    telemetry::SimMonitor monitor;
+    if (with_monitor)
+        sim.setMonitor(&monitor);
     std::vector<ServiceSpec> services;
     for (const auto &graph : app.graphs) {
         ServiceWorkload svc;
@@ -456,7 +453,8 @@ runSeededDynamic(const MicroserviceCatalog &catalog, const Application &app,
     const GlobalPlan initial =
         controller.plan(services, Interference{0.2, 0.2});
     sim.applyPlan(initial);
-    sim.setMinuteCallback(makeDynamicController(controller, services, view));
+    sim.setMinuteCallback(
+        makeDynamicController(controller, services, /*view=*/nullptr));
     sim.run();
 
     DynamicRunResult result;
@@ -483,11 +481,8 @@ TEST(TelemetryOracleMode, EscapeHatchReproducesOracleRunExactly)
     for (std::uint64_t seed : {3u, 19u}) {
         const DynamicRunResult oracle =
             runSeededDynamic(catalog, app, controller, false, seed);
-
-        ::setenv("ERMS_TELEMETRY_ORACLE", "1", 1);
         const DynamicRunResult hatch =
             runSeededDynamic(catalog, app, controller, true, seed);
-        ::unsetenv("ERMS_TELEMETRY_ORACLE");
 
         EXPECT_EQ(oracle.requestsCompleted, hatch.requestsCompleted)
             << "seed " << seed;

@@ -48,6 +48,7 @@
 
 #include "bench_util.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "fault/campaign.hpp"
 #include "tuning/sweep.hpp"
@@ -90,14 +91,6 @@ applyKnobs(CampaignConfig &config, const TunedKnobs &knobs)
         knobs.suspectBadCyclesToFallback;
     config.fallbackOverProvisionFactor = knobs.fallbackOverProvisionFactor;
     config.fallbackEscalationPerCycle = knobs.fallbackEscalationPerCycle;
-}
-
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
 }
 
 // ---------------------------------------------------------------------
@@ -249,78 +242,45 @@ writeBatteryJson(const std::string &path, const GuardSweepConfig &sweep,
                  const GuardSweepResult &sweep_result,
                  const std::vector<BatteryArm> &arms)
 {
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
+    std::vector<json::Value> rows;
+    for (const BatteryArm &arm : arms) {
+        const auto &g = arm.result.guard;
+        std::vector<json::Value> adjustments;
+        for (const TunerAdjustment &adj : arm.result.tunerAdjustments) {
+            json::Writer entry;
+            entry.field("cycle", adj.cycle);
+            entry.field("rule", adj.rule);
+            TunedKnobs knobs = adj.knobs;
+            describe(entry, knobs);
+            adjustments.push_back(entry.take());
+        }
+        json::Writer row;
+        row.field("intensity", arm.intensity);
+        row.field("controller", arm.controller);
+        row.field("arm", arm.arm);
+        row.field("violation_pct", arm.result.violationPct);
+        row.field("worst_p95_ms", arm.result.worstP95Ms);
+        row.field("container_minutes", arm.result.containerMinutes);
+        row.field("fallback_cycles", g.fallbackCycles);
+        row.field("rejections", g.rejectedBounds + g.rejectedOutliers +
+                                    g.clampedOutliers);
+        row.field("transitions", g.transitions);
+        row.field("final_knobs", arm.result.finalKnobs);
+        row.field("adjustments", adjustments);
+        row.field("minutes", arm.result.minutes);
+        rows.push_back(row.take());
+    }
+    json::Writer doc;
+    doc.field("benchmark", "guard_tuning");
+    doc.field("sweep", json::parse(sweepToJson(sweep, sweep_result)));
+    doc.field("arms", rows);
+
+    std::ofstream out(path);
+    if (!out) {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
         return;
     }
-    std::fprintf(out, "{\n");
-    std::fprintf(out, "\"benchmark\": \"guard_tuning\",\n");
-    std::fprintf(out, "\"sweep\": %s,\n",
-                 sweepToJson(sweep, sweep_result).c_str());
-    std::fprintf(out, "\"arms\": [\n");
-    for (std::size_t i = 0; i < arms.size(); ++i) {
-        const BatteryArm &arm = arms[i];
-        std::fprintf(out,
-                     "  {\"intensity\": \"%s\", \"controller\": \"%s\", "
-                     "\"arm\": \"%s\",\n",
-                     arm.intensity.c_str(), arm.controller.c_str(),
-                     arm.arm.c_str());
-        std::fprintf(out,
-                     "   \"violation_pct\": %.17g, \"worst_p95_ms\": "
-                     "%.17g, \"container_minutes\": %.17g,\n",
-                     arm.result.violationPct, arm.result.worstP95Ms,
-                     arm.result.containerMinutes);
-        const auto &g = arm.result.guard;
-        std::fprintf(out,
-                     "   \"fallback_cycles\": %llu, \"rejections\": %llu, "
-                     "\"transitions\": %llu,\n",
-                     (unsigned long long)g.fallbackCycles,
-                     (unsigned long long)(g.rejectedBounds +
-                                          g.rejectedOutliers +
-                                          g.clampedOutliers),
-                     (unsigned long long)g.transitions);
-        const TunedKnobs &k = arm.result.finalKnobs;
-        std::fprintf(out,
-                     "   \"final_knobs\": {\"mad_gate_multiplier\": %.17g, "
-                     "\"max_staleness_ms\": %.17g, "
-                     "\"suspect_bad_cycles_to_fallback\": %d, "
-                     "\"fallback_over_provision_factor\": %.17g, "
-                     "\"fallback_escalation_per_cycle\": %.17g},\n",
-                     k.madGateMultiplier, k.maxStalenessMs,
-                     k.suspectBadCyclesToFallback,
-                     k.fallbackOverProvisionFactor,
-                     k.fallbackEscalationPerCycle);
-        std::fprintf(out, "   \"adjustments\": [");
-        for (std::size_t a = 0; a < arm.result.tunerAdjustments.size();
-             ++a) {
-            const auto &adj = arm.result.tunerAdjustments[a];
-            std::fprintf(
-                out,
-                "%s{\"cycle\": %llu, \"rule\": \"%s\", "
-                "\"mad_gate_multiplier\": %.17g, "
-                "\"fallback_over_provision_factor\": %.17g}",
-                a > 0 ? ", " : "", (unsigned long long)adj.cycle,
-                adj.rule.c_str(), adj.knobs.madGateMultiplier,
-                adj.knobs.fallbackOverProvisionFactor);
-        }
-        std::fprintf(out, "],\n");
-        std::fprintf(out, "   \"minutes\": [\n");
-        for (std::size_t m = 0; m < arm.result.minutes.size(); ++m) {
-            const CampaignMinute &row = arm.result.minutes[m];
-            std::fprintf(out,
-                         "     {\"minute\": %d, \"containers\": %d, "
-                         "\"violation_pct\": %.17g, \"worst_p95_ms\": "
-                         "%.17g, \"guard_mode\": %d}%s\n",
-                         row.minute, row.containers, row.violationPct,
-                         row.worstP95Ms, row.guardMode,
-                         m + 1 < arm.result.minutes.size() ? "," : "");
-        }
-        std::fprintf(out, "   ]}%s\n", i + 1 < arms.size() ? "," : "");
-    }
-    std::fprintf(out, "]\n");
-    std::fprintf(out, "}\n");
-    std::fclose(out);
+    out << json::write(doc.take());
     std::printf("\nwrote %s (%zu arms)\n", path.c_str(), arms.size());
 }
 
@@ -406,7 +366,7 @@ sweepLiteMode(const std::string &out_path, const char *archive_path)
     out << sweepToJson(sweep, result);
     std::printf("wrote sweep-lite %s (%zu cells, knee mad_gate=%s)\n",
                 out_path.c_str(), result.cells.size(),
-                fmtDouble(result.tunedKnobs.madGateMultiplier).c_str());
+                json::numberText(result.tunedKnobs.madGateMultiplier).c_str());
     return 0;
 }
 

@@ -31,10 +31,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "model/catalog.hpp"
 #include "model/latency_model.hpp"
 #include "shard/sharded_sim.hpp"
@@ -281,51 +283,45 @@ main(int argc, char **argv)
     }
     const double single = cells.front().best.eventsPerSec();
 
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
+    json::Writer unsharded;
+    unsharded.field("events", reference.events);
+    unsharded.field("seconds", reference.seconds);
+    unsharded.field("events_per_sec", reference.eventsPerSec());
+    unsharded.field("vm_rss_kb", reference.rssKb);
+    std::vector<json::Value> configs;
+    for (const Cell &cell : cells) {
+        json::Writer config;
+        config.field("shards", cell.shards);
+        config.field("events", cell.best.events);
+        config.field("best_seconds", cell.best.seconds);
+        config.field("events_per_sec", cell.best.eventsPerSec());
+        config.field("rep_events", cell.repEvents);
+        config.field("vm_rss_kb", cell.best.rssKb);
+        config.field("vm_hwm_kb", cell.hwmKb);
+        configs.push_back(config.take());
+    }
+    json::Writer doc;
+    doc.field("benchmark", "sharded_scale");
+    doc.field("services", fx.services.size());
+    doc.field("microservices", fx.catalog.size());
+    doc.field("hosts", kHosts);
+    doc.field("minutes", kMinutes);
+    doc.field("rate_per_service_per_minute", kRatePerMinute);
+    doc.field("worker_reps", worker_reps);
+    doc.field("unsharded", unsharded.take());
+    doc.field("shard_configs", configs);
+    doc.field("single_shard_events_per_sec", single);
+    doc.field("best_multi_shard_events_per_sec", best_multi);
+    doc.field("multi_vs_single_speedup",
+              single > 0.0 ? best_multi / single : 0.0);
+
+    std::ofstream out(path);
+    if (!out) {
         std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
         return 1;
     }
-    std::fprintf(out, "{\n");
-    std::fprintf(out, "  \"benchmark\": \"sharded_scale\",\n");
-    std::fprintf(out, "  \"services\": %zu,\n", fx.services.size());
-    std::fprintf(out, "  \"microservices\": %zu,\n", fx.catalog.size());
-    std::fprintf(out, "  \"hosts\": %d,\n", kHosts);
-    std::fprintf(out, "  \"minutes\": %d,\n", kMinutes);
-    std::fprintf(out, "  \"rate_per_service_per_minute\": %.0f,\n",
-                 kRatePerMinute);
-    std::fprintf(out, "  \"worker_reps\": [1, 3],\n");
-    std::fprintf(out,
-                 "  \"unsharded\": {\"events\": %llu, \"seconds\": %.6f, "
-                 "\"events_per_sec\": %.0f, \"vm_rss_kb\": %ld},\n",
-                 static_cast<unsigned long long>(reference.events),
-                 reference.seconds, reference.eventsPerSec(),
-                 reference.rssKb);
-    std::fprintf(out, "  \"shard_configs\": [\n");
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const Cell &cell = cells[i];
-        std::fprintf(out,
-                     "    {\"shards\": %d, \"events\": %llu, "
-                     "\"best_seconds\": %.6f, \"events_per_sec\": %.0f, "
-                     "\"rep_events\": [",
-                     cell.shards,
-                     static_cast<unsigned long long>(cell.best.events),
-                     cell.best.seconds, cell.best.eventsPerSec());
-        for (std::size_t r = 0; r < cell.repEvents.size(); ++r)
-            std::fprintf(out, "%s%llu", r == 0 ? "" : ", ",
-                         static_cast<unsigned long long>(cell.repEvents[r]));
-        std::fprintf(out, "], \"vm_rss_kb\": %ld, \"vm_hwm_kb\": %ld}%s\n",
-                     cell.best.rssKb, cell.hwmKb,
-                     i + 1 == cells.size() ? "" : ",");
-    }
-    std::fprintf(out, "  ],\n");
-    std::fprintf(out, "  \"single_shard_events_per_sec\": %.0f,\n", single);
-    std::fprintf(out, "  \"best_multi_shard_events_per_sec\": %.0f,\n",
-                 best_multi);
-    std::fprintf(out, "  \"multi_vs_single_speedup\": %.3f\n",
-                 single > 0.0 ? best_multi / single : 0.0);
-    std::fprintf(out, "}\n");
-    std::fclose(out);
+    out << json::write(doc.take());
+    out.close();
 
     std::fprintf(stderr,
                  "single shard: %.2fM ev/s; best multi-shard: %.2fM ev/s "

@@ -34,11 +34,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <iostream>
 
 #include "bench_util.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/controllers.hpp"
@@ -172,23 +173,8 @@ runArm(const MicroserviceCatalog &catalog, const Application &app,
     double container_minutes = 0.0;
     sim.setMinuteCallback([&](Simulation &s, int minute) {
         scaling(s, minute);
-        int total = 0;
-        for (MicroserviceId id : managed) {
+        for (MicroserviceId id : managed)
             container_minutes += s.containerCount(id);
-            total += s.containerCount(id);
-        }
-        if (std::getenv("ERMS_CHAOS_DEBUG") != nullptr) {
-            // Probe the RAW view only: guard queries feed its
-            // per-series history, so probing it would change behavior.
-            std::fprintf(stderr,
-                         "[dbg] %s m=%d total=%d rate=%.0f p95=%.1f "
-                         "stale=%.0f mode=%d\n",
-                         guarded ? "guarded" : "naive", minute, total,
-                         view->observedRate(services.front().id),
-                         view->serviceP95Ms(services.front().id),
-                         view->stalenessMs(s.now()),
-                         guard != nullptr ? (int)guard->mode() : -1);
-        }
     });
     sim.run();
 
@@ -200,12 +186,6 @@ runArm(const MicroserviceCatalog &catalog, const Application &app,
         violations += sim.metrics().violationRate(spec.id, kSla);
         result.worstP95 =
             std::max(result.worstP95, sim.metrics().p95(spec.id));
-        if (std::getenv("ERMS_CHAOS_DEBUG") != nullptr)
-            std::fprintf(stderr, "[svc] %s svc=%llu viol=%.2f p95=%.1f\n",
-                         guarded ? "guarded" : "naive",
-                         (unsigned long long)spec.id,
-                         100.0 * sim.metrics().violationRate(spec.id, kSla),
-                         sim.metrics().p95(spec.id));
     }
     result.violationPct =
         100.0 * violations / static_cast<double>(services.size());
@@ -229,57 +209,37 @@ constexpr const char *kCampaignControllers[] = {"erms", "grandslam",
                                                 "rhythm", "firm"};
 
 /** Write the battery's full trajectories as a machine-readable JSON
- *  artifact (doubles as %.17g so rows round-trip exactly). */
+ *  artifact (common/json.hpp; rows through CampaignMinute's table). */
 void
 writeCampaignJson(const std::string &path,
                   const std::vector<CampaignArm> &arms)
 {
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
+    std::vector<json::Value> rows;
+    for (std::size_t i = 0; i < arms.size(); ++i) {
+        const CampaignArm &arm = arms[i];
+        json::Writer row;
+        row.field("intensity", kCampaignIntensities[i / 8]);
+        row.field("controller", arm.config.controller);
+        row.field("guarded", arm.config.guarded);
+        row.field("violation_pct", arm.result.violationPct);
+        row.field("worst_p95_ms", arm.result.worstP95Ms);
+        row.field("container_minutes", arm.result.containerMinutes);
+        row.field("fallback_cycles", arm.result.guard.fallbackCycles);
+        row.field("substituted_last_good",
+                  arm.result.guard.substitutedLastGood);
+        row.field("minutes", arm.result.minutes);
+        rows.push_back(row.take());
+    }
+    json::Writer doc;
+    doc.field("benchmark", "chaos_campaign");
+    doc.field("arms", rows);
+
+    std::ofstream out(path);
+    if (!out) {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
         return;
     }
-    std::fprintf(out, "{\n");
-    std::fprintf(out, "  \"benchmark\": \"chaos_campaign\",\n");
-    std::fprintf(out, "  \"arms\": [\n");
-    for (std::size_t i = 0; i < arms.size(); ++i) {
-        const CampaignArm &arm = arms[i];
-        std::fprintf(out,
-                     "    {\"intensity\": \"%s\", \"controller\": \"%s\", "
-                     "\"guarded\": %s,\n",
-                     kCampaignIntensities[i / 8],
-                     arm.config.controller.c_str(),
-                     arm.config.guarded ? "true" : "false");
-        std::fprintf(out,
-                     "     \"violation_pct\": %.17g, "
-                     "\"worst_p95_ms\": %.17g, "
-                     "\"container_minutes\": %.17g,\n",
-                     arm.result.violationPct, arm.result.worstP95Ms,
-                     arm.result.containerMinutes);
-        std::fprintf(out,
-                     "     \"fallback_cycles\": %llu, "
-                     "\"substituted_last_good\": %llu,\n",
-                     (unsigned long long)arm.result.guard.fallbackCycles,
-                     (unsigned long long)
-                         arm.result.guard.substitutedLastGood);
-        std::fprintf(out, "     \"minutes\": [\n");
-        for (std::size_t m = 0; m < arm.result.minutes.size(); ++m) {
-            const CampaignMinute &row = arm.result.minutes[m];
-            std::fprintf(out,
-                         "       {\"minute\": %d, \"containers\": %d, "
-                         "\"violation_pct\": %.17g, "
-                         "\"worst_p95_ms\": %.17g, "
-                         "\"guard_mode\": %d}%s\n",
-                         row.minute, row.containers, row.violationPct,
-                         row.worstP95Ms, row.guardMode,
-                         m + 1 < arm.result.minutes.size() ? "," : "");
-        }
-        std::fprintf(out, "     ]}%s\n",
-                     i + 1 < arms.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n");
-    std::fprintf(out, "}\n");
-    std::fclose(out);
+    out << json::write(doc.take());
     std::printf("\nwrote %s (%zu arms)\n", path.c_str(), arms.size());
 }
 

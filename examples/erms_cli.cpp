@@ -15,11 +15,14 @@
  * <app> is one of: hotel, social, media.
  */
 
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "apps/applications.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "core/erms.hpp"
 #include "core/profiling_pipeline.hpp"
@@ -198,6 +201,18 @@ cmdValidate(const std::string &app_name, const std::string &models_path,
     return ok ? 0 : 2;
 }
 
+/** Argument `name` of the usage line: the whole text must be one finite
+ *  number above zero. @throws ErmsError naming the argument. */
+double
+positiveNumber(const char *name, const std::string &text)
+{
+    const std::optional<double> value = parseNumber<double>(text);
+    if (!value || !std::isfinite(*value) || *value <= 0.0)
+        throw ErmsError(std::string(name) + "='" + text +
+                        "': expected a number > 0");
+    return *value;
+}
+
 int
 usage()
 {
@@ -224,14 +239,15 @@ main(int argc, char **argv)
         if (command == "profile" && argc == 4)
             return cmdProfile(argv[2], argv[3]);
         if (command == "plan" && (argc == 6 || argc == 7 || argc == 8)) {
-            return cmdPlan(argv[2], argv[3], std::stod(argv[4]),
-                           std::stod(argv[5]),
+            return cmdPlan(argv[2], argv[3], positiveNumber("sla-ms", argv[4]),
+                           positiveNumber("req-per-min", argv[5]),
                            argc > 6 ? argv[6] : "priority",
                            argc > 7 ? argv[7] : "");
         }
         if (command == "validate" && argc == 7) {
             return cmdValidate(argv[2], argv[3], argv[4],
-                               std::stod(argv[5]), std::stod(argv[6]));
+                               positiveNumber("sla-ms", argv[5]),
+                               positiveNumber("req-per-min", argv[6]));
         }
         if (command == "demo" && argc == 3) {
             // profile -> plan -> validate in one go, via temp files.

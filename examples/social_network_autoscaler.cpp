@@ -9,10 +9,11 @@
  * Run: ./social_network_autoscaler [minutes=18]
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "apps/applications.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "core/erms.hpp"
 #include "core/profiling_pipeline.hpp"
@@ -23,7 +24,14 @@ using namespace erms;
 int
 main(int argc, char **argv)
 {
-    const int minutes = argc > 1 ? std::atoi(argv[1]) : 18;
+    const std::optional<int> parsed =
+        argc > 1 ? parseNumber<int>(argv[1]) : std::optional<int>(18);
+    if (!parsed || *parsed <= 0) {
+        std::cerr << "error: minutes='" << argv[1]
+                  << "': expected an integer > 0\n";
+        return 64;
+    }
+    const int minutes = *parsed;
 
     printBanner(std::cout, "Erms closed-loop autoscaler on Social Network");
 

@@ -11,9 +11,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "core/erms.hpp"
 #include "workload/synth_trace.hpp"
@@ -23,7 +24,14 @@ using namespace erms;
 int
 main(int argc, char **argv)
 {
-    const int service_count = argc > 1 ? std::atoi(argv[1]) : 300;
+    const std::optional<int> parsed =
+        argc > 1 ? parseNumber<int>(argv[1]) : std::optional<int>(300);
+    if (!parsed || *parsed <= 0) {
+        std::cerr << "error: services='" << argv[1]
+                  << "': expected an integer > 0\n";
+        return 64;
+    }
+    const int service_count = *parsed;
 
     printBanner(std::cout, "Taobao-scale planning on synthetic traces");
 

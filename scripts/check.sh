@@ -18,7 +18,11 @@
 # worker count must replay byte-identically in a fresh serial process;
 # a sweep-lite knob sweep over an archived campaign must export
 # byte-identical operating-curve JSON with one worker vs the default),
-# and the documentation link-and-symbol checker.
+# a model/plan-file smoke (erms_cli demo: profile -> JSON model file ->
+# plan -> JSON plan file -> validate), and the documentation
+# link-and-symbol checker. The sanitizer passes also cover the strict
+# JSON module: its grammar and round-trip tests, the archive round-trip
+# property, mutation fuzz and parser regressions, and the io tests.
 #
 # Usage: scripts/check.sh [jobs]   (default: 2)
 
@@ -31,19 +35,20 @@ cmake -B build -S .
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure
 
-echo "== asan: fault + chaos + campaign + tuning + runner + golden + market + property tests (build-asan/) =="
+echo "== asan: fault + chaos + campaign + tuning + runner + golden + market + property + json tests (build-asan/) =="
 cmake -B build-asan -S . -DERMS_SANITIZE=address
 cmake --build build-asan -j"$JOBS" \
-    --target erms_tests_sim erms_tests_runner erms_tests_golden \
-             erms_tests_system erms_tests_telemetry erms_tests_chaos \
-             erms_tests_campaign erms_tests_event_engine \
+    --target erms_tests_foundation erms_tests_sim erms_tests_runner \
+             erms_tests_golden erms_tests_system erms_tests_telemetry \
+             erms_tests_chaos erms_tests_campaign erms_tests_event_engine \
              erms_tests_queueing erms_tests_market erms_tests_tuning
+./build-asan/tests/erms_tests_foundation --gtest_filter='Json*'
 ./build-asan/tests/erms_tests_sim \
     --gtest_filter='Fault*:Resilience*'
 ./build-asan/tests/erms_tests_runner
 ./build-asan/tests/erms_tests_golden
 ./build-asan/tests/erms_tests_system \
-    --gtest_filter='*Property*:*StatsMerge*:*HistogramMerge*:*TelemetryTransparency*'
+    --gtest_filter='*Property*:*StatsMerge*:*HistogramMerge*:*TelemetryTransparency*:*Serialization*'
 ./build-asan/tests/erms_tests_telemetry
 ./build-asan/tests/erms_tests_chaos
 # The campaign suite's full-size runs are slow under ASan; the archive/
@@ -51,7 +56,7 @@ cmake --build build-asan -j"$JOBS" \
 # pass below, so the sanitizer focuses on the schedule/corruption/cache
 # layers and the guarded-baseline transparency runs.
 ./build-asan/tests/erms_tests_campaign \
-    --gtest_filter='CampaignAzSchedule.*:CampaignCorruption.*:CampaignFaultyViewCache.*:CampaignArms.*:CampaignArchive.MalformedDocumentThrows:CampaignBaselineTransparency.*'
+    --gtest_filter='CampaignAzSchedule.*:CampaignCorruption.*:CampaignFaultyViewCache.*:CampaignArms.*:CampaignArchive.MalformedDocumentThrows:CampaignArchive.RandomArchivesRoundTripBitExact:CampaignArchive.LegacyArchiveParsesToTheSameConfig:CampaignArchiveFuzz.*:CampaignArchiveRegression.*:CampaignBaselineTransparency.*'
 ./build-asan/tests/erms_tests_event_engine
 ./build-asan/tests/erms_tests_queueing \
     --gtest_filter='QueueingValidation.MM1*:QueueingValidation.ErlangC*'
@@ -64,15 +69,20 @@ cmake --build build-asan -j"$JOBS" \
 ./build-asan/tests/erms_tests_tuning \
     --gtest_filter='AdaptiveTuner.*:TunerConfigValidation.*:GuardrailConfigValidation.*:SweepReduction.*:SweepConfigValidation.*:GuardMetrics.*:GuardRetune.*:SelfTuningDeterminism.SelfTunedCampaignReplaysExactly'
 
-echo "== ubsan: telemetry + guard + chaos + campaign + tuning numeric paths (build-ubsan/) =="
+echo "== ubsan: json + io + telemetry + guard + chaos + campaign + tuning numeric paths (build-ubsan/) =="
 cmake -B build-ubsan -S . -DERMS_SANITIZE=undefined
 cmake --build build-ubsan -j"$JOBS" \
-    --target erms_tests_telemetry erms_tests_chaos erms_tests_campaign \
-             erms_tests_sim erms_tests_tuning
+    --target erms_tests_foundation erms_tests_system erms_tests_telemetry \
+             erms_tests_chaos erms_tests_campaign erms_tests_sim \
+             erms_tests_tuning
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_foundation \
+    --gtest_filter='Json*'
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_system \
+    --gtest_filter='*Serialization*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_telemetry
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_chaos
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_campaign \
-    --gtest_filter='CampaignAzSchedule.*:CampaignCorruption.*:CampaignFaultyViewCache.*:CampaignArms.*:CampaignArchive.MalformedDocumentThrows:CampaignBaselineTransparency.*'
+    --gtest_filter='CampaignAzSchedule.*:CampaignCorruption.*:CampaignFaultyViewCache.*:CampaignArms.*:CampaignArchive.MalformedDocumentThrows:CampaignArchive.RandomArchivesRoundTripBitExact:CampaignArchive.LegacyArchiveParsesToTheSameConfig:CampaignArchiveFuzz.*:CampaignArchiveRegression.*:CampaignBaselineTransparency.*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_sim \
     --gtest_filter='Fault*:Resilience*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_tuning \
@@ -132,6 +142,12 @@ cmake --build build -j"$JOBS" --target bench_guard_tuning
 ERMS_RUNNER_THREADS=1 ./build/bench/bench_guard_tuning sweep-lite \
     /tmp/erms_sweep_serial.json /tmp/erms_tuning_scenario.json
 cmp /tmp/erms_sweep_default.json /tmp/erms_sweep_serial.json
+
+echo "== model and plan files: erms_cli demo (profile -> plan -> validate) =="
+cmake --build build -j"$JOBS" --target erms_cli
+# The only consumer of the JSON model and plan files: it writes both,
+# reads them back, and validates the plan in the simulator.
+./build/examples/erms_cli demo hotel > /tmp/erms_cli_demo.txt
 
 echo "== docs: link and symbol check =="
 scripts/check_docs.sh

@@ -1,11 +1,11 @@
 /**
  * @file
- * Strict number parsing for every text input the library reads:
- * archives and environment knobs. A value is accepted only when the
- * whole text is one number that fits the target type — no leading
- * whitespace or '+', no trailing bytes, no silent clamping — so a
- * malformed input throws instead of quietly becoming a different
- * experiment.
+ * Strict number parsing for every text input the library reads: JSON
+ * documents (common/json.hpp) and environment knobs. A value is
+ * accepted only when the whole text is one number that fits the target
+ * type — no leading whitespace or '+', no trailing bytes, no silent
+ * clamping — so a malformed input throws instead of quietly becoming a
+ * different experiment.
  */
 
 #ifndef ERMS_COMMON_PARSE_HPP
@@ -25,7 +25,8 @@ namespace erms {
 /**
  * Parse all of `text` as a T (an integer type, or double), or nullopt.
  * Integers are decimal; unsigned types take no sign. Doubles accept
- * what %.17g prints, including inf and nan.
+ * decimal and exponent forms, inf/infinity and nan in any case, and
+ * reject values beyond double range.
  */
 template <class T>
 std::optional<T>

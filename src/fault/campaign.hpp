@@ -38,9 +38,11 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/controllers.hpp"
 #include "fault/fault.hpp"
 #include "fault/telemetry_fault.hpp"
+#include "telemetry/exporters.hpp"
 #include "telemetry/guarded_view.hpp"
 #include "tuning/adaptive.hpp"
 #include "workload/synth_trace.hpp"
@@ -148,7 +150,9 @@ struct CampaignResult
     std::vector<telemetry::TelemetrySnapshot> perturbedHistory;
 };
 
-/** Run one campaign. Pure function of the config (see file doc). */
+/** Run one campaign. Pure function of the config (see file doc).
+ *  @throws ErmsError on a config it cannot run (horizon_minutes <= 0,
+ *  warmup_minutes < 0, host_count <= 0, self-tuned without guarded). */
 CampaignResult runCampaign(const CampaignConfig &config);
 
 /**
@@ -176,10 +180,204 @@ CampaignConfig makeCampaignArm(const std::string &intensity,
 /**
  * Serialize a campaign to its replayable JSON artifact: the full
  * config, the per-minute rows, the summary, and the perturbed scrape
- * history (via telemetry::toJson, which round-trips doubles exactly).
+ * history. Every archived struct has one field table (common/json.hpp)
+ * that both this writer and parseCampaignArchive() run, so doubles and
+ * u64 seeds round-trip exactly (grammar: docs/chaos_campaigns.md).
  */
 std::string archiveCampaign(const CampaignConfig &config,
                             const CampaignResult &result);
+
+/** An archive read back without rerunning it. */
+struct CampaignArchive
+{
+    CampaignConfig config;
+    /** Only what the archive stores: the per-minute rows, the summary
+     *  (violationPct, worstP95Ms, containerMinutes) and the perturbed
+     *  scrape history; every other field keeps its default. */
+    CampaignResult result;
+};
+
+// ---------------------------------------------------------------------
+// Archive field tables (common/json.hpp)
+// ---------------------------------------------------------------------
+//
+// One table per archived struct drives both archiveCampaign() and
+// parseCampaignArchive(); the bench artifacts reuse CampaignMinute's.
+// Each table sits in its struct's namespace so the JSON visitors find
+// it by argument-dependent lookup; GuardConfig's, AdaptiveTunerConfig's
+// and the scrape history's sit with their structs (guarded_view.hpp,
+// adaptive.hpp, exporters.hpp). Keys and nesting are the archive schema
+// (docs/chaos_campaigns.md): renaming one breaks old archives.
+
+template <class V>
+void
+describe(V &v, CampaignMinute &m)
+{
+    v.field("minute", m.minute);
+    v.field("containers", m.containers);
+    v.field("violation_pct", m.violationPct);
+    v.field("worst_p95_ms", m.worstP95Ms);
+    v.field("guard_mode", m.guardMode);
+}
+
+template <class V>
+void
+describe(V &v, SynthTraceConfig &t)
+{
+    v.field("microservice_count", t.microserviceCount);
+    v.field("service_count", t.serviceCount);
+    v.field("min_graph_size", t.minGraphSize);
+    v.field("max_graph_size", t.maxGraphSize);
+    v.field("popularity_skew", t.popularitySkew);
+    v.field("parallel_probability", t.parallelProbability);
+    v.field("sla_low_ms", t.slaLowMs);
+    v.field("sla_high_ms", t.slaHighMs);
+    v.field("sla_relative_to_knee", t.slaRelativeToKnee);
+    v.field("sla_knee_low", t.slaKneeLow);
+    v.field("sla_knee_high", t.slaKneeHigh);
+    v.field("workload_low", t.workloadLow);
+    v.field("workload_high", t.workloadHigh);
+    v.field("seed", t.seed);
+}
+
+template <class V>
+void
+describe(V &v, AzEventConfig &az)
+{
+    v.field("seed", az.seed);
+    v.field("events_per_minute", az.eventsPerMinute);
+    v.field("event_duration_ms", az.eventDurationMs);
+    v.field("az_count", az.azCount);
+    v.field("scrape_drop_probability", az.scrapeDropProbability);
+    v.field("scrape_delay_probability", az.scrapeDelayProbability);
+    v.field("scrape_delay_ms", az.scrapeDelayMs);
+}
+
+template <class V>
+void
+describe(V &v, FaultConfig &f)
+{
+    v.field("seed", f.seed);
+    v.field("crashes_per_minute", f.crashesPerMinute);
+    v.field("restart_delay_ms", f.restartDelayMs);
+    v.field("slowdowns_per_minute", f.slowdownsPerMinute);
+    v.field("slowdown_duration_ms", f.slowdownDurationMs);
+    v.field("slowdown_factor", f.slowdownFactor);
+    v.field("slowdown_cpu_inflate", f.slowdownCpuInflate);
+    v.field("call_failure_probability", f.callFailureProbability);
+    v.field("az_events", f.azEvents);
+}
+
+template <class V>
+void
+describe(V &v, TelemetryFaultConfig &tf)
+{
+    v.field("seed", tf.seed);
+    v.field("scrape_drop_probability", tf.scrapeDropProbability);
+    v.field("scrape_delay_probability", tf.scrapeDelayProbability);
+    v.field("scrape_delay_ms", tf.scrapeDelayMs);
+    v.field("blackouts_per_minute", tf.blackoutsPerMinute);
+    v.field("blackout_duration_ms", tf.blackoutDurationMs);
+    v.field("span_loss_probability", tf.spanLossProbability);
+    v.field("outlier_probability", tf.outlierProbability);
+    v.field("outlier_fraction", tf.outlierFraction);
+    v.field("counter_drop_probability", tf.counterDropProbability);
+    v.field("counter_drop_floor", tf.counterDropFloor);
+    v.field("clock_skew_ms", tf.clockSkewMs);
+    v.field("clock_jitter_ms", tf.clockJitterMs);
+    v.field("az_events", tf.azEvents);
+}
+
+inline constexpr json::Name<SeriesCorruptionConfig::Mode>
+    kCorruptionModeNames[] = {
+        {SeriesCorruptionConfig::Mode::None, "none"},
+        {SeriesCorruptionConfig::Mode::Scaled, "scaled"},
+        {SeriesCorruptionConfig::Mode::Frozen, "frozen"},
+        {SeriesCorruptionConfig::Mode::Negated, "negated"},
+};
+
+template <class V>
+void
+describe(V &v, SeriesCorruptionConfig &c)
+{
+    v.field("mode", c.mode, kCorruptionModeNames);
+    v.field("service", c.service);
+    v.field("scale", c.scale);
+}
+
+/** The archive's "rails" group: CampaignConfig keeps its two fallback
+ *  overrides flat, the archive nests them. */
+struct RailOverrides
+{
+    double &overProvisionFactor;
+    double &escalationPerCycle;
+};
+
+template <class V>
+void
+describe(V &v, RailOverrides &r)
+{
+    v.field("fallback_over_provision_factor", r.overProvisionFactor);
+    v.field("fallback_escalation_per_cycle", r.escalationPerCycle);
+}
+
+template <class V>
+void
+describe(V &v, CampaignConfig &c)
+{
+    v.field("seed", c.seed);
+    v.field("horizon_minutes", c.horizonMinutes);
+    v.field("warmup_minutes", c.warmupMinutes);
+    v.field("host_count", c.hostCount);
+    v.field("trough_fraction", c.troughFraction);
+    v.field("burst_probability", c.burstProbability);
+    v.field("controller", c.controller);
+    v.field("guarded", c.guarded);
+    v.field("trace", c.trace);
+    v.field("faults", c.faults);
+    v.field("telemetry_faults", c.telemetryFaults);
+    v.field("corruption", c.corruption);
+    v.field("guard", c.guard);
+    RailOverrides rails{c.fallbackOverProvisionFactor,
+                        c.fallbackEscalationPerCycle};
+    v.field("rails", rails);
+    v.field("self_tuned", c.selfTuned);
+    v.field("tuner", c.tuner);
+}
+
+/** The archive's "summary" group of a result. */
+struct CampaignSummary
+{
+    CampaignResult &result;
+};
+
+template <class V>
+void
+describe(V &v, CampaignSummary &s)
+{
+    v.field("violation_pct", s.result.violationPct);
+    v.field("worst_p95_ms", s.result.worstP95Ms);
+    v.field("container_minutes", s.result.containerMinutes);
+}
+
+template <class V>
+void
+describe(V &v, CampaignArchive &a)
+{
+    v.field("campaign", a.config);
+    v.field("minutes", a.result.minutes);
+    CampaignSummary summary{a.result};
+    v.field("summary", summary);
+    v.field("scrapes", a.result.perturbedHistory);
+}
+
+/**
+ * The parse step of replayCampaign(): read an archive produced by
+ * archiveCampaign(). Strict: a missing, unknown or duplicate key, a
+ * value that does not fit its field, or trailing bytes throw.
+ * @throws ErmsError naming the key path of the first problem.
+ */
+CampaignArchive parseCampaignArchive(const std::string &archive_json);
 
 /** Outcome of replaying an archived campaign offline. */
 struct CampaignReplay
@@ -203,17 +401,16 @@ struct CampaignReplay
 /**
  * Parse an archive produced by archiveCampaign(), rerun the campaign
  * from the archived config, and byte-compare rows and scrape history.
- * @throws ErmsError on a malformed document.
+ * @throws ErmsError on a malformed document or an archived config
+ * runCampaign() rejects.
  */
 CampaignReplay replayCampaign(const std::string &archive_json);
 
 /**
- * Parse just the config out of an archive produced by
- * archiveCampaign() — the sweep entry point for reusing archived
- * campaigns: the knob-sweep harness (tuning/sweep.hpp) builds its
- * scenarios from archived configs so operating curves are measured on
- * the exact fault schedule an incident was captured under.
- * @throws ErmsError on a malformed document.
+ * The config of an archive (parseCampaignArchive().config) — the entry
+ * point of the knob-sweep harness (tuning/sweep.hpp), which measures
+ * operating curves on the exact fault schedule an incident was captured
+ * under. @throws ErmsError on a malformed document.
  */
 CampaignConfig campaignConfigFromArchive(const std::string &archive_json);
 

@@ -1,61 +1,94 @@
 #include "serialization.hpp"
 
-#include <iomanip>
 #include <istream>
-#include <limits>
+#include <iterator>
 #include <memory>
 #include <ostream>
-#include <sstream>
 
-#include "common/error.hpp"
+#include "common/json.hpp"
 #include "profiling/decision_tree.hpp"
 
 namespace erms {
 
 namespace {
 
-constexpr const char *kModelHeader = "erms-models v1";
-constexpr const char *kPlanHeader = "erms-plan v1";
+constexpr json::Name<SharingPolicy> kPolicyNames[] = {
+    {SharingPolicy::Priority, "priority"},
+    {SharingPolicy::FcfsSharing, "fcfs"},
+    {SharingPolicy::NonSharing, "non-sharing"},
+};
 
-/** Next non-comment, non-blank line; false at EOF. */
-bool
-nextLine(std::istream &is, std::string &line)
+struct ModelFile
 {
-    while (std::getline(is, line)) {
-        const auto first = line.find_first_not_of(" \t\r");
-        if (first == std::string::npos || line[first] == '#')
-            continue;
-        return true;
-    }
-    return false;
+    std::unordered_map<MicroserviceId, StoredModel> models;
+};
+
+template <class V>
+void
+describe(V &v, ModelFile &file)
+{
+    v.constant("format", "erms-models");
+    v.field("models", file.models);
 }
 
-[[noreturn]] void
-malformed(const std::string &context, const std::string &line)
+std::string
+slurp(std::istream &is)
 {
-    throw ErmsError("malformed " + context + " record: '" + line + "'");
+    return std::string(std::istreambuf_iterator<char>(is),
+                       std::istreambuf_iterator<char>());
 }
 
 } // namespace
+
+template <class V>
+void
+describe(V &v, IntervalParams &p)
+{
+    v.field("alpha", p.alpha);
+    v.field("beta", p.beta);
+    v.field("c", p.c);
+    v.field("b", p.b);
+}
+
+template <class V>
+void
+describe(V &v, DecisionTreeRegressor::Node &node)
+{
+    v.field("feature_index", node.featureIndex);
+    v.field("threshold", node.threshold);
+    v.field("value", node.value);
+    v.field("left", node.left);
+    v.field("right", node.right);
+}
+
+template <class V>
+void
+describe(V &v, StoredModel &model)
+{
+    v.field("below", model.below);
+    v.field("above", model.above);
+    v.field("cutoff_fallback", model.cutoffFallback);
+    v.field("cutoff_tree", model.cutoffTree);
+}
+
+/** A plan file: the deployment-facing fields of a plan. */
+template <class V>
+void
+describe(V &v, GlobalPlan &plan)
+{
+    v.constant("format", "erms-plan");
+    v.field("policy", plan.policy, kPolicyNames);
+    v.field("feasible", plan.feasible);
+    v.field("containers", plan.containers);
+    v.field("priority_order", plan.priorityOrder);
+}
 
 PiecewiseLatencyModel
 StoredModel::toModel() const
 {
     auto tree = std::make_shared<DecisionTreeRegressor>();
-    if (!cutoffTree.empty()) {
-        std::vector<DecisionTreeRegressor::Node> nodes;
-        nodes.reserve(cutoffTree.size());
-        for (const TreeNode &stored : cutoffTree) {
-            DecisionTreeRegressor::Node node;
-            node.featureIndex = stored.featureIndex;
-            node.threshold = stored.threshold;
-            node.value = stored.value;
-            node.left = stored.left;
-            node.right = stored.right;
-            nodes.push_back(node);
-        }
-        tree->restore(std::move(nodes));
-    }
+    if (!cutoffTree.empty())
+        tree->restore(cutoffTree);
     const double fallback = cutoffFallback;
     return PiecewiseLatencyModel(
         below, above, [tree, fallback](const Interference &itf) {
@@ -80,120 +113,22 @@ storedFromFit(const PiecewiseFitResult &fit)
     stored.below = fit.below;
     stored.above = fit.above;
     stored.cutoffFallback = fit.cutoffFallback;
-    if (fit.cutoffTree && fit.cutoffTree->trained()) {
-        for (const auto &node : fit.cutoffTree->nodes()) {
-            StoredModel::TreeNode out;
-            out.featureIndex = node.featureIndex;
-            out.threshold = node.threshold;
-            out.value = node.value;
-            out.left = node.left;
-            out.right = node.right;
-            stored.cutoffTree.push_back(out);
-        }
-    }
+    if (fit.cutoffTree && fit.cutoffTree->trained())
+        stored.cutoffTree = fit.cutoffTree->nodes();
     return stored;
-}
-
-void
-writeModel(std::ostream &os, MicroserviceId id, const StoredModel &model)
-{
-    // Full round-trip precision for all doubles.
-    os << std::setprecision(std::numeric_limits<double>::max_digits10);
-    os << "model " << id << '\n';
-    const auto write_interval = [&](const char *tag,
-                                    const IntervalParams &p) {
-        os << tag << ' ' << p.alpha << ' ' << p.beta << ' ' << p.c << ' '
-           << p.b << '\n';
-    };
-    write_interval("below", model.below);
-    write_interval("above", model.above);
-    os << "cutoff-fallback " << model.cutoffFallback << '\n';
-    os << "cutoff-tree " << model.cutoffTree.size() << '\n';
-    for (const StoredModel::TreeNode &node : model.cutoffTree) {
-        os << "node " << node.featureIndex << ' ' << node.threshold << ' '
-           << node.value << ' ' << node.left << ' ' << node.right << '\n';
-    }
-    os << "end\n";
 }
 
 void
 writeModels(std::ostream &os,
             const std::unordered_map<MicroserviceId, StoredModel> &models)
 {
-    os << kModelHeader << '\n';
-    os << "# fitted Eq.(15) models: two intervals (alpha beta c b) plus a"
-          " cutoff decision tree\n";
-    for (const auto &[id, model] : models)
-        writeModel(os, id, model);
+    os << json::write(json::encode(ModelFile{models}));
 }
 
 std::unordered_map<MicroserviceId, StoredModel>
 readModels(std::istream &is)
 {
-    std::string line;
-    if (!nextLine(is, line) || line != kModelHeader)
-        throw ErmsError("model file: missing or unsupported header");
-
-    std::unordered_map<MicroserviceId, StoredModel> models;
-    while (nextLine(is, line)) {
-        std::istringstream header(line);
-        std::string tag;
-        MicroserviceId id = kInvalidMicroservice;
-        header >> tag >> id;
-        if (tag != "model" || header.fail())
-            malformed("model header", line);
-
-        StoredModel model;
-        const auto read_interval = [&](const char *expected,
-                                       IntervalParams &p) {
-            if (!nextLine(is, line))
-                malformed("interval", "<eof>");
-            std::istringstream in(line);
-            std::string t;
-            in >> t >> p.alpha >> p.beta >> p.c >> p.b;
-            if (t != expected || in.fail())
-                malformed("interval", line);
-        };
-        read_interval("below", model.below);
-        read_interval("above", model.above);
-
-        if (!nextLine(is, line))
-            malformed("cutoff-fallback", "<eof>");
-        {
-            std::istringstream in(line);
-            std::string t;
-            in >> t >> model.cutoffFallback;
-            if (t != "cutoff-fallback" || in.fail())
-                malformed("cutoff-fallback", line);
-        }
-
-        if (!nextLine(is, line))
-            malformed("cutoff-tree", "<eof>");
-        std::size_t node_count = 0;
-        {
-            std::istringstream in(line);
-            std::string t;
-            in >> t >> node_count;
-            if (t != "cutoff-tree" || in.fail())
-                malformed("cutoff-tree", line);
-        }
-        for (std::size_t n = 0; n < node_count; ++n) {
-            if (!nextLine(is, line))
-                malformed("tree node", "<eof>");
-            std::istringstream in(line);
-            std::string t;
-            StoredModel::TreeNode node;
-            in >> t >> node.featureIndex >> node.threshold >> node.value >>
-                node.left >> node.right;
-            if (t != "node" || in.fail())
-                malformed("tree node", line);
-            model.cutoffTree.push_back(node);
-        }
-        if (!nextLine(is, line) || line != "end")
-            malformed("model terminator", line);
-        models.emplace(id, std::move(model));
-    }
-    return models;
+    return json::read<ModelFile>(slurp(is)).models;
 }
 
 void
@@ -207,82 +142,19 @@ attachModels(MicroserviceCatalog &catalog,
 void
 writePlan(std::ostream &os, const GlobalPlan &plan)
 {
-    os << kPlanHeader << '\n';
-    os << "policy "
-       << (plan.policy == SharingPolicy::Priority
-               ? "priority"
-               : plan.policy == SharingPolicy::FcfsSharing ? "fcfs"
-                                                           : "non-sharing")
-       << '\n';
-    os << "feasible " << (plan.feasible ? 1 : 0) << '\n';
-    for (const auto &[id, count] : plan.containers)
-        os << "containers " << id << ' ' << count << '\n';
-    for (const auto &[id, order] : plan.priorityOrder) {
-        os << "priority " << id;
-        for (ServiceId svc : order)
-            os << ' ' << svc;
-        os << '\n';
-    }
-    os << "end\n";
+    os << json::write(json::encode(plan));
 }
 
 GlobalPlan
 readPlan(std::istream &is)
 {
-    std::string line;
-    if (!nextLine(is, line) || line != kPlanHeader)
-        throw ErmsError("plan file: missing or unsupported header");
-
-    GlobalPlan plan;
-    bool terminated = false;
-    while (nextLine(is, line)) {
-        std::istringstream in(line);
-        std::string tag;
-        in >> tag;
-        if (tag == "end") {
-            terminated = true;
-            break;
-        } else if (tag == "policy") {
-            std::string policy;
-            in >> policy;
-            if (policy == "priority")
-                plan.policy = SharingPolicy::Priority;
-            else if (policy == "fcfs")
-                plan.policy = SharingPolicy::FcfsSharing;
-            else if (policy == "non-sharing")
-                plan.policy = SharingPolicy::NonSharing;
-            else
-                malformed("policy", line);
-        } else if (tag == "feasible") {
-            int flag = 0;
-            in >> flag;
-            if (in.fail())
-                malformed("feasible", line);
-            plan.feasible = flag != 0;
-        } else if (tag == "containers") {
-            MicroserviceId id = kInvalidMicroservice;
-            int count = 0;
-            in >> id >> count;
-            if (in.fail() || count < 0)
-                malformed("containers", line);
-            plan.containers[id] = count;
-            plan.totalContainers += count;
-        } else if (tag == "priority") {
-            MicroserviceId id = kInvalidMicroservice;
-            in >> id;
-            if (in.fail())
-                malformed("priority", line);
-            std::vector<ServiceId> order;
-            ServiceId svc;
-            while (in >> svc)
-                order.push_back(svc);
-            plan.priorityOrder[id] = std::move(order);
-        } else {
-            malformed("plan", line);
-        }
+    GlobalPlan plan = json::read<GlobalPlan>(slurp(is));
+    for (const auto &[id, count] : plan.containers) {
+        if (count < 0)
+            json::fail("containers." + std::to_string(id),
+                       "negative container count");
+        plan.totalContainers += count;
     }
-    if (!terminated)
-        throw ErmsError("plan file: missing 'end' terminator");
     return plan;
 }
 

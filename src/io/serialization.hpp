@@ -4,11 +4,14 @@
  * artifact stores days of offline-profiling output on disk and feeds it
  * to the online modules; this module provides the equivalent: fitted
  * piecewise models (including their decision-tree cutoffs) and global
- * plans round-trip through a line-oriented text format.
+ * plans round-trip through JSON documents (common/json.hpp).
  *
- * Format: one record per line, whitespace-separated tokens, `#` comments
- * and blank lines ignored. Documented per record type below; versioned
- * with a header line so future changes stay detectable.
+ * Format: one object per file whose "format" member names the kind
+ * ("erms-models" or "erms-plan"), so a plan fed to readModels() throws.
+ * Per-microservice maps are keyed by the decimal id, written in
+ * ascending order. Reading is strict: a missing, unknown or duplicate
+ * key, a number that does not fit its field, or trailing bytes throw an
+ * ErmsError naming the key path.
  */
 
 #ifndef ERMS_IO_SERIALIZATION_HPP
@@ -34,14 +37,7 @@ struct StoredModel
     IntervalParams below{};
     IntervalParams above{};
     /** Flattened cutoff tree nodes; empty = constant cutoff. */
-    struct TreeNode
-    {
-        int featureIndex = -1; ///< -1 for a leaf
-        double threshold = 0.0;
-        double value = 0.0;
-        int left = -1;
-        int right = -1;
-    };
+    using TreeNode = DecisionTreeRegressor::Node;
     std::vector<TreeNode> cutoffTree;
     double cutoffFallback = 1.0;
 
@@ -55,21 +51,14 @@ struct StoredModel
 /** Capture a fit into its storable form. */
 StoredModel storedFromFit(const PiecewiseFitResult &fit);
 
-/** Write one microservice's stored model. */
-void writeModel(std::ostream &os, MicroserviceId id,
-                const StoredModel &model);
-
-/**
- * Write every fitted model in `fits` keyed by microservice id, with a
- * format header.
- */
+/** Write every stored model, keyed by microservice id. */
 void writeModels(
     std::ostream &os,
     const std::unordered_map<MicroserviceId, StoredModel> &models);
 
 /**
  * Parse a model file previously produced by writeModels.
- * @throws ErmsError on malformed input or version mismatch.
+ * @throws ErmsError on malformed input or another format.
  */
 std::unordered_map<MicroserviceId, StoredModel>
 readModels(std::istream &is);
@@ -84,8 +73,10 @@ void writePlan(std::ostream &os, const GlobalPlan &plan);
 
 /**
  * Parse a plan previously produced by writePlan. Only deployment-facing
- * fields (policy, containers, priorityOrder, totals) round-trip;
- * per-service diagnostics are not persisted.
+ * fields (policy, feasible, containers, priorityOrder, and the
+ * totalContainers they sum to) round-trip; per-service diagnostics are
+ * not persisted. @throws ErmsError on malformed input, another format,
+ * or a negative container count.
  */
 GlobalPlan readPlan(std::istream &is);
 

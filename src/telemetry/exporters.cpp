@@ -1,79 +1,8 @@
 #include "exporters.hpp"
 
-#include <charconv>
-#include <cinttypes>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <limits>
-#include <sstream>
-
 #include "common/error.hpp"
 
 namespace erms::telemetry {
-
-namespace {
-
-/** Shortest exactly-round-tripping decimal form of a double.
- *  Non-finite values use the explicit spellings NaN / Infinity /
- *  -Infinity (parsed back by strtod): strict JSON has no non-finite
- *  literals, so like Python's json module we deviate loudly rather
- *  than silently emitting an unreadable document. */
-std::string
-formatDouble(double v)
-{
-    if (std::isnan(v))
-        return "NaN";
-    if (std::isinf(v))
-        return v > 0.0 ? "Infinity" : "-Infinity";
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.*g",
-                  std::numeric_limits<double>::max_digits10, v);
-    return buf;
-}
-
-/** Inverse of formatDouble; rejects loudly on any trailing garbage so
- *  a corrupted export surfaces as an assertion, not a half-parsed 0. */
-double
-parseDouble(const std::string &s)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    ERMS_ASSERT_MSG(!s.empty() && end == s.c_str() + s.size(),
-                    "unparseable double in telemetry export");
-    return v;
-}
-
-std::uint64_t
-parseU64(const std::string &s)
-{
-    return std::strtoull(s.c_str(), nullptr, 10);
-}
-
-std::string
-kindName(MetricKind kind)
-{
-    switch (kind) {
-      case MetricKind::Counter:
-        return "counter";
-      case MetricKind::Gauge:
-        return "gauge";
-      case MetricKind::Histogram:
-        return "histogram";
-    }
-    return "counter";
-}
-
-MetricKind
-kindFromName(const std::string &name)
-{
-    if (name == "gauge")
-        return MetricKind::Gauge;
-    if (name == "histogram")
-        return MetricKind::Histogram;
-    ERMS_ASSERT_MSG(name == "counter", "unknown metric kind");
-    return MetricKind::Counter;
-}
 
 std::string
 labelsToString(const Labels &labels)
@@ -90,291 +19,34 @@ labelsToString(const Labels &labels)
 }
 
 Labels
-labelsFromString(const std::string &s)
+labelsFromString(const std::string &text)
 {
     Labels labels;
     std::size_t pos = 0;
-    while (pos < s.size()) {
-        std::size_t end = s.find(';', pos);
+    while (pos < text.size()) {
+        std::size_t end = text.find(';', pos);
         if (end == std::string::npos)
-            end = s.size();
-        const std::string pair = s.substr(pos, end - pos);
+            end = text.size();
+        const std::string pair = text.substr(pos, end - pos);
         const std::size_t eq = pair.find('=');
-        ERMS_ASSERT_MSG(eq != std::string::npos, "malformed label pair");
+        if (eq == std::string::npos)
+            throw ErmsError("malformed label pair '" + pair + "'");
         labels.emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
         pos = end + 1;
     }
     return labels;
 }
 
-template <typename T, typename Fmt>
-std::string
-joinSeries(const std::vector<T> &values, Fmt fmt, char sep = '|')
-{
-    std::string out;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i > 0)
-            out += sep;
-        out += fmt(values[i]);
-    }
-    return out;
-}
-
-std::vector<std::string>
-splitOn(const std::string &s, char sep)
-{
-    std::vector<std::string> parts;
-    if (s.empty())
-        return parts;
-    std::size_t pos = 0;
-    while (true) {
-        const std::size_t end = s.find(sep, pos);
-        if (end == std::string::npos) {
-            parts.push_back(s.substr(pos));
-            break;
-        }
-        parts.push_back(s.substr(pos, end - pos));
-        pos = end + 1;
-    }
-    return parts;
-}
-
-} // namespace
-
-// ---------------------------------------------------------------------
-// CSV
-// ---------------------------------------------------------------------
-
-std::string
-toCsv(const std::vector<TelemetrySnapshot> &snapshots)
-{
-    std::string out =
-        "at_us,name,labels,kind,counter,gauge,count,sum,boundaries,buckets\n";
-    for (const TelemetrySnapshot &snap : snapshots) {
-        if (snap.series.empty()) {
-            // Marker row (empty name — no real series has one) so a
-            // scrape that captured zero series survives the round trip
-            // instead of silently vanishing from the stream.
-            out += std::to_string(snap.at);
-            out += ",,,counter,0,0,0,0,,\n";
-            continue;
-        }
-        for (const SeriesSnapshot &s : snap.series) {
-            out += std::to_string(snap.at);
-            out += ',';
-            out += s.name;
-            out += ',';
-            out += labelsToString(s.labels);
-            out += ',';
-            out += kindName(s.kind);
-            out += ',';
-            out += std::to_string(s.counterValue);
-            out += ',';
-            out += formatDouble(s.gaugeValue);
-            out += ',';
-            out += std::to_string(s.count);
-            out += ',';
-            out += formatDouble(s.sum);
-            out += ',';
-            out += joinSeries(s.boundaries, formatDouble);
-            out += ',';
-            out += joinSeries(s.bucketCounts, [](std::uint64_t v) {
-                return std::to_string(v);
-            });
-            out += '\n';
-        }
-    }
-    return out;
-}
-
-std::vector<TelemetrySnapshot>
-fromCsv(const std::string &csv)
-{
-    std::vector<TelemetrySnapshot> snapshots;
-    std::istringstream in(csv);
-    std::string line;
-    bool header = true;
-    while (std::getline(in, line)) {
-        if (header) {
-            header = false;
-            continue;
-        }
-        if (line.empty())
-            continue;
-        const auto fields = splitOn(line, ',');
-        ERMS_ASSERT_MSG(fields.size() == 10, "malformed telemetry CSV row");
-        const SimTime at = parseU64(fields[0]);
-        if (snapshots.empty() || snapshots.back().at != at) {
-            TelemetrySnapshot snap;
-            snap.at = at;
-            snapshots.push_back(std::move(snap));
-        }
-        if (fields[1].empty())
-            continue; // empty-snapshot marker row: scrape, no series
-        SeriesSnapshot s;
-        s.name = fields[1];
-        s.labels = labelsFromString(fields[2]);
-        s.kind = kindFromName(fields[3]);
-        s.counterValue = parseU64(fields[4]);
-        s.gaugeValue = parseDouble(fields[5]);
-        s.count = parseU64(fields[6]);
-        s.sum = parseDouble(fields[7]);
-        for (const std::string &b : splitOn(fields[8], '|'))
-            s.boundaries.push_back(parseDouble(b));
-        for (const std::string &b : splitOn(fields[9], '|'))
-            s.bucketCounts.push_back(parseU64(b));
-        snapshots.back().series.push_back(std::move(s));
-    }
-    return snapshots;
-}
-
-// ---------------------------------------------------------------------
-// JSON
-// ---------------------------------------------------------------------
-
 std::string
 toJson(const std::vector<TelemetrySnapshot> &snapshots)
 {
-    std::string out = "[\n";
-    for (std::size_t i = 0; i < snapshots.size(); ++i) {
-        const TelemetrySnapshot &snap = snapshots[i];
-        out += "  {\"at_us\": " + std::to_string(snap.at) +
-               ", \"series\": [\n";
-        for (std::size_t j = 0; j < snap.series.size(); ++j) {
-            const SeriesSnapshot &s = snap.series[j];
-            out += "    {\"name\": \"" + s.name + "\", \"labels\": \"" +
-                   labelsToString(s.labels) + "\", \"kind\": \"" +
-                   kindName(s.kind) + "\"";
-            switch (s.kind) {
-              case MetricKind::Counter:
-                out += ", \"value\": " + std::to_string(s.counterValue);
-                break;
-              case MetricKind::Gauge:
-                out += ", \"value\": " + formatDouble(s.gaugeValue);
-                break;
-              case MetricKind::Histogram:
-                out += ", \"count\": " + std::to_string(s.count) +
-                       ", \"sum\": " + formatDouble(s.sum) +
-                       ", \"boundaries\": [" +
-                       joinSeries(s.boundaries, formatDouble, ',') +
-                       "], \"buckets\": [" +
-                       joinSeries(s.bucketCounts,
-                                  [](std::uint64_t v) {
-                                      return std::to_string(v);
-                                  },
-                                  ',') +
-                       "]";
-                break;
-            }
-            out += j + 1 < snap.series.size() ? "},\n" : "}\n";
-        }
-        out += i + 1 < snapshots.size() ? "  ]},\n" : "  ]}\n";
-    }
-    out += "]\n";
-    return out;
+    return json::write(json::encode(snapshots));
 }
-
-namespace {
-
-/**
- * Minimal tokenizer for the subset of JSON toJson() emits. It scans
- * key/value pairs without building a DOM; robust only for documents
- * this module produced (which is all the round-trip contract claims).
- */
-struct JsonScanner
-{
-    const std::string &text;
-    std::size_t pos = 0;
-
-    explicit JsonScanner(const std::string &t) : text(t) {}
-
-    bool
-    seek(const std::string &token)
-    {
-        const std::size_t found = text.find(token, pos);
-        if (found == std::string::npos)
-            return false;
-        pos = found + token.size();
-        return true;
-    }
-
-    /** Next position of token, without consuming. */
-    std::size_t
-    peek(const std::string &token) const
-    {
-        return text.find(token, pos);
-    }
-
-    std::string
-    readUntil(const std::string &stop)
-    {
-        const std::size_t end = text.find(stop, pos);
-        ERMS_ASSERT_MSG(end != std::string::npos, "truncated JSON");
-        std::string out = text.substr(pos, end - pos);
-        pos = end + stop.size();
-        return out;
-    }
-};
-
-} // namespace
 
 std::vector<TelemetrySnapshot>
 fromJson(const std::string &json)
 {
-    std::vector<TelemetrySnapshot> snapshots;
-    JsonScanner scan(json);
-    while (true) {
-        const std::size_t next_snap = scan.peek("\"at_us\": ");
-        if (next_snap == std::string::npos)
-            break;
-        scan.seek("\"at_us\": ");
-        TelemetrySnapshot snap;
-        snap.at = parseU64(scan.readUntil(","));
-
-        // Series objects continue until the closing "]}" of this scrape.
-        while (true) {
-            const std::size_t next_series = scan.peek("{\"name\": \"");
-            const std::size_t end_snap = scan.peek("]}");
-            if (next_series == std::string::npos ||
-                (end_snap != std::string::npos && end_snap < next_series))
-                break;
-            scan.seek("{\"name\": \"");
-            SeriesSnapshot s;
-            s.name = scan.readUntil("\"");
-            scan.seek("\"labels\": \"");
-            s.labels = labelsFromString(scan.readUntil("\""));
-            scan.seek("\"kind\": \"");
-            s.kind = kindFromName(scan.readUntil("\""));
-            switch (s.kind) {
-              case MetricKind::Counter:
-                scan.seek("\"value\": ");
-                s.counterValue = parseU64(scan.readUntil("}"));
-                break;
-              case MetricKind::Gauge:
-                scan.seek("\"value\": ");
-                s.gaugeValue = parseDouble(scan.readUntil("}"));
-                break;
-              case MetricKind::Histogram: {
-                scan.seek("\"count\": ");
-                s.count = parseU64(scan.readUntil(","));
-                scan.seek("\"sum\": ");
-                s.sum = parseDouble(scan.readUntil(","));
-                scan.seek("\"boundaries\": [");
-                for (const std::string &b :
-                     splitOn(scan.readUntil("]"), ','))
-                    s.boundaries.push_back(parseDouble(b));
-                scan.seek("\"buckets\": [");
-                for (const std::string &b :
-                     splitOn(scan.readUntil("]"), ','))
-                    s.bucketCounts.push_back(parseU64(b));
-                break;
-              }
-            }
-            snap.series.push_back(std::move(s));
-        }
-        snapshots.push_back(std::move(snap));
-    }
-    return snapshots;
+    return json::read<std::vector<TelemetrySnapshot>>(json);
 }
 
 } // namespace erms::telemetry

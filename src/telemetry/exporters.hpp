@@ -1,11 +1,11 @@
 /**
  * @file
- * Scrape-snapshot exporters: CSV (one row per series per scrape) and a
- * minimal JSON document, plus the matching parsers. Doubles are printed
- * with max_digits10 precision, so export → parse round-trips to exact
- * equality (pinned by the exporter round-trip tests); metric names and
- * label keys/values must not contain commas, semicolons, quotes or
- * newlines (the simulator's metric catalog satisfies this by
+ * Scrape-snapshot export: a JSON array of scrape objects written and
+ * parsed through the field tables below (common/json.hpp), which the
+ * campaign archive's scrape history reuses. Doubles round-trip exactly,
+ * non-finite ones as NaN / Infinity / -Infinity. Labels travel as one
+ * "key=value;key=value" string, so label keys and values must not
+ * contain '=' or ';' (the simulator's metric catalog satisfies this by
  * construction).
  */
 
@@ -15,20 +15,60 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "telemetry/registry.hpp"
 
 namespace erms::telemetry {
 
-/** CSV document with header row; one row per series per snapshot. */
-std::string toCsv(const std::vector<TelemetrySnapshot> &snapshots);
+inline constexpr json::Name<MetricKind> kMetricKindNames[] = {
+    {MetricKind::Counter, "counter"},
+    {MetricKind::Gauge, "gauge"},
+    {MetricKind::Histogram, "histogram"},
+};
 
-/** Parse a toCsv() document back into snapshots. */
-std::vector<TelemetrySnapshot> fromCsv(const std::string &csv);
+/** "key=value;key=value". */
+std::string labelsToString(const Labels &labels);
+
+/** Inverse of labelsToString. @throws ErmsError on a pair without '='. */
+Labels labelsFromString(const std::string &text);
+
+/** Only the fields of the series' kind are stored. */
+template <class V>
+void
+describe(V &v, SeriesSnapshot &s)
+{
+    v.field("name", s.name);
+    v.field("labels", s.labels, labelsToString, labelsFromString);
+    v.field("kind", s.kind, kMetricKindNames);
+    switch (s.kind) {
+      case MetricKind::Counter:
+        v.field("value", s.counterValue);
+        break;
+      case MetricKind::Gauge:
+        v.field("value", s.gaugeValue);
+        break;
+      case MetricKind::Histogram:
+        v.field("count", s.count);
+        v.field("sum", s.sum);
+        v.field("boundaries", s.boundaries);
+        v.field("buckets", s.bucketCounts);
+        break;
+    }
+}
+
+template <class V>
+void
+describe(V &v, TelemetrySnapshot &s)
+{
+    v.field("at_us", s.at);
+    v.field("series", s.series);
+}
 
 /** JSON array of scrape objects. */
 std::string toJson(const std::vector<TelemetrySnapshot> &snapshots);
 
-/** Parse a toJson() document back into snapshots. */
+/** Parse a toJson() document back into snapshots.
+ *  @throws ErmsError naming the key path of the first problem. */
 std::vector<TelemetrySnapshot> fromJson(const std::string &json);
 
 } // namespace erms::telemetry

@@ -103,6 +103,23 @@ struct GuardConfig
  */
 void validateGuardConfig(const GuardConfig &config);
 
+/** Field table (common/json.hpp); campaign archives store it. */
+template <class V>
+void
+describe(V &v, GuardConfig &g)
+{
+    v.field("max_staleness_ms", g.maxStalenessMs);
+    v.field("max_rate_rpm", g.maxRateRpm);
+    v.field("max_latency_ms", g.maxLatencyMs);
+    v.field("max_interference_util", g.maxInterferenceUtil);
+    v.field("mad_gate_multiplier", g.madGateMultiplier);
+    v.field("relative_gate_factor", g.relativeGateFactor);
+    v.field("outlier_history", g.outlierHistory);
+    v.field("outlier_min_history", g.outlierMinHistory);
+    v.field("suspect_bad_cycles_to_fallback", g.suspectBadCyclesToFallback);
+    v.field("recovery_clean_cycles", g.recoveryCleanCycles);
+}
+
 /** Tallies of guard activity (test/bench observability). */
 struct GuardStats
 {

@@ -98,6 +98,19 @@ struct TunedKnobs
     double fallbackEscalationPerCycle = 0.25;
 };
 
+/** Field table of a knob vector (common/json.hpp), shared by the sweep
+ *  export and the bench artifacts. */
+template <class V>
+void
+describe(V &v, TunedKnobs &k)
+{
+    v.field("mad_gate_multiplier", k.madGateMultiplier);
+    v.field("max_staleness_ms", k.maxStalenessMs);
+    v.field("suspect_bad_cycles_to_fallback", k.suspectBadCyclesToFallback);
+    v.field("fallback_over_provision_factor", k.fallbackOverProvisionFactor);
+    v.field("fallback_escalation_per_cycle", k.fallbackEscalationPerCycle);
+}
+
 /** Initial knob vector matching an existing guard + guardrail pair. */
 TunedKnobs knobsFrom(const telemetry::GuardConfig &guard,
                      double fallback_over_provision_factor,
@@ -145,6 +158,34 @@ struct AdaptiveTunerConfig
 
 /** @throws ErmsError on nonsensical thresholds, steps, or bounds. */
 void validateTunerConfig(const AdaptiveTunerConfig &config);
+
+/** Field table (common/json.hpp); campaign archives store it, each
+ *  bound as a _lo/_hi pair. */
+template <class V>
+void
+describe(V &v, AdaptiveTunerConfig &t)
+{
+    v.field("enabled", t.enabled);
+    v.field("cooldown_cycles", t.cooldownCycles);
+    v.field("over_reject_cycles", t.overRejectCycles);
+    v.field("missed_lie_cycles", t.missedLieCycles);
+    v.field("stale_clean_cycles", t.staleCleanCycles);
+    v.field("residency_window", t.residencyWindow);
+    v.field("fallback_residency_high", t.fallbackResidencyHigh);
+    v.field("gate_step", t.gateStep);
+    v.field("staleness_step", t.stalenessStep);
+    v.field("fallback_step", t.fallbackStep);
+    v.field("mad_gate_lo", t.madGate.lo);
+    v.field("mad_gate_hi", t.madGate.hi);
+    v.field("staleness_lo", t.stalenessMs.lo);
+    v.field("staleness_hi", t.stalenessMs.hi);
+    v.field("suspect_lo", t.suspectToFallback.lo);
+    v.field("suspect_hi", t.suspectToFallback.hi);
+    v.field("fallback_factor_lo", t.fallbackFactor.lo);
+    v.field("fallback_factor_hi", t.fallbackFactor.hi);
+    v.field("escalation_lo", t.fallbackEscalation.lo);
+    v.field("escalation_hi", t.fallbackEscalation.hi);
+}
 
 /** Per-cycle deltas of the guard's observed activity, assembled by
  *  makeSelfTuningController from GuardStats / GuardrailStats counter

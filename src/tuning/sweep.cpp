@@ -2,39 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <functional>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "runner/parallel_runner.hpp"
 
 namespace erms::tuning {
 
 namespace {
 
-/** Shortest-exact double formatting: %.17g round-trips every finite
- *  double, keeping sweep JSON byte-stable across worker counts. */
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
+constexpr json::Name<GuardKnob> kGuardKnobNames[] = {
+    {GuardKnob::MadGateMultiplier, "mad_gate_multiplier"},
+    {GuardKnob::MaxStalenessMs, "max_staleness_ms"},
+    {GuardKnob::SuspectBadCyclesToFallback, "suspect_bad_cycles_to_fallback"},
+    {GuardKnob::FallbackOverProvisionFactor, "fallback_over_provision_factor"},
+};
 
 /** Validate one grid value against the knob's domain (mirrors
  *  validateGuardConfig / validateGuardrailConfig so a bad grid fails
@@ -51,18 +35,18 @@ requireKnobValue(GuardKnob knob, double value)
         if (value <= 0.0)
             throw ErmsError(std::string("sweep grid for ") +
                             guardKnobName(knob) + " must be positive, got " +
-                            fmtDouble(value));
+                            json::numberText(value));
         break;
     case GuardKnob::SuspectBadCyclesToFallback:
         if (value < 1.0 || value != std::floor(value))
             throw ErmsError("sweep grid for suspect_bad_cycles_to_fallback "
                             "must hold integers >= 1, got " +
-                            fmtDouble(value));
+                            json::numberText(value));
         break;
     case GuardKnob::FallbackOverProvisionFactor:
         if (value < 1.0)
             throw ErmsError("sweep grid for fallback_over_provision_factor "
-                            "must be >= 1, got " + fmtDouble(value));
+                            "must be >= 1, got " + json::numberText(value));
         break;
     }
 }
@@ -161,60 +145,12 @@ applyBounds(AdaptiveTunerConfig &config, const OperatingCurve &curve)
     }
 }
 
-std::string
-cellJson(const SweepCell &cell)
-{
-    return std::string("{\"knob\": \"") + guardKnobName(cell.knob) +
-           "\", \"value\": " + fmtDouble(cell.value) + ", \"scenario\": \"" +
-           jsonEscape(cell.scenario) +
-           "\", \"violation_pct\": " + fmtDouble(cell.violationPct) +
-           ", \"mean_containers\": " + fmtDouble(cell.meanContainers) +
-           ", \"rejection_rate\": " + fmtDouble(cell.rejectionRate) +
-           ", \"fallback_residency\": " + fmtDouble(cell.fallbackResidency) +
-           "}";
-}
-
-std::string
-curveJson(const OperatingCurve &curve)
-{
-    std::string out = std::string("{\"knob\": \"") + guardKnobName(curve.knob) +
-                      "\", \"knee_index\": " +
-                      std::to_string(curve.kneeIndex) +
-                      ", \"knee_value\": " + fmtDouble(curve.kneeValue) +
-                      ", \"safe_lo\": " + fmtDouble(curve.safeBounds.lo) +
-                      ", \"safe_hi\": " + fmtDouble(curve.safeBounds.hi) +
-                      ", \"points\": [";
-    for (std::size_t i = 0; i < curve.points.size(); ++i) {
-        const CurvePoint &p = curve.points[i];
-        if (i > 0)
-            out += ", ";
-        out += "{\"value\": " + fmtDouble(p.value) +
-               ", \"violation_pct\": " + fmtDouble(p.violationPct) +
-               ", \"mean_containers\": " + fmtDouble(p.meanContainers) +
-               ", \"rejection_rate\": " + fmtDouble(p.rejectionRate) +
-               ", \"fallback_residency\": " + fmtDouble(p.fallbackResidency) +
-               ", \"cost\": " + fmtDouble(p.cost) + "}";
-    }
-    out += "]}";
-    return out;
-}
-
 } // namespace
 
 const char *
 guardKnobName(GuardKnob knob)
 {
-    switch (knob) {
-    case GuardKnob::MadGateMultiplier:
-        return "mad_gate_multiplier";
-    case GuardKnob::MaxStalenessMs:
-        return "max_staleness_ms";
-    case GuardKnob::SuspectBadCyclesToFallback:
-        return "suspect_bad_cycles_to_fallback";
-    case GuardKnob::FallbackOverProvisionFactor:
-        return "fallback_over_provision_factor";
-    }
-    return "unknown";
+    return json::nameOf(knob, kGuardKnobNames);
 }
 
 SweepScenario
@@ -370,63 +306,70 @@ runGuardSweep(const GuardSweepConfig &config)
     return result;
 }
 
+template <class V>
+void
+describe(V &v, SweepCell &c)
+{
+    v.field("knob", c.knob, kGuardKnobNames);
+    v.field("value", c.value);
+    v.field("scenario", c.scenario);
+    v.field("violation_pct", c.violationPct);
+    v.field("mean_containers", c.meanContainers);
+    v.field("rejection_rate", c.rejectionRate);
+    v.field("fallback_residency", c.fallbackResidency);
+}
+
+template <class V>
+void
+describe(V &v, CurvePoint &p)
+{
+    v.field("value", p.value);
+    v.field("violation_pct", p.violationPct);
+    v.field("mean_containers", p.meanContainers);
+    v.field("rejection_rate", p.rejectionRate);
+    v.field("fallback_residency", p.fallbackResidency);
+    v.field("cost", p.cost);
+}
+
+template <class V>
+void
+describe(V &v, OperatingCurve &c)
+{
+    v.field("knob", c.knob, kGuardKnobNames);
+    v.field("knee_index", c.kneeIndex);
+    v.field("knee_value", c.kneeValue);
+    v.field("safe_lo", c.safeBounds.lo);
+    v.field("safe_hi", c.safeBounds.hi);
+    v.field("points", c.points);
+}
+
 std::string
 sweepToJson(const GuardSweepConfig &config, const GuardSweepResult &result)
 {
-    std::string out = "{\n";
-    out += "  \"cost_weight\": " + fmtDouble(config.costWeight) + ",\n";
-    out += "  \"safe_cost_slack\": " + fmtDouble(config.safeCostSlack) + ",\n";
+    std::vector<std::string> scenarios;
+    for (const SweepScenario &scenario : config.scenarios)
+        scenarios.push_back(scenario.label);
 
-    out += "  \"scenarios\": [";
-    for (std::size_t i = 0; i < config.scenarios.size(); ++i) {
-        if (i > 0)
-            out += ", ";
-        out += "\"" + jsonEscape(config.scenarios[i].label) + "\"";
-    }
-    out += "],\n";
-
-    out += "  \"cells\": [\n";
-    for (std::size_t i = 0; i < result.cells.size(); ++i) {
-        out += "    " + cellJson(result.cells[i]);
-        if (i + 1 < result.cells.size())
-            out += ",";
-        out += "\n";
-    }
-    out += "  ],\n";
-
-    out += "  \"curves\": [\n";
-    for (std::size_t i = 0; i < result.curves.size(); ++i) {
-        out += "    " + curveJson(result.curves[i]);
-        if (i + 1 < result.curves.size())
-            out += ",";
-        out += "\n";
-    }
-    out += "  ],\n";
-
-    const TunedKnobs &k = result.tunedKnobs;
-    out += "  \"tuned_knobs\": {\"mad_gate_multiplier\": " +
-           fmtDouble(k.madGateMultiplier) +
-           ", \"max_staleness_ms\": " + fmtDouble(k.maxStalenessMs) +
-           ", \"suspect_bad_cycles_to_fallback\": " +
-           std::to_string(k.suspectBadCyclesToFallback) +
-           ", \"fallback_over_provision_factor\": " +
-           fmtDouble(k.fallbackOverProvisionFactor) +
-           ", \"fallback_escalation_per_cycle\": " +
-           fmtDouble(k.fallbackEscalationPerCycle) + "},\n";
-
+    const auto range = [](const KnobBounds &b) {
+        return std::vector<double>{b.lo, b.hi};
+    };
     const AdaptiveTunerConfig &t = result.tunerConfig;
-    out += "  \"tuner_bounds\": {\"mad_gate\": [" + fmtDouble(t.madGate.lo) +
-           ", " + fmtDouble(t.madGate.hi) + "], \"staleness_ms\": [" +
-           fmtDouble(t.stalenessMs.lo) + ", " + fmtDouble(t.stalenessMs.hi) +
-           "], \"suspect_to_fallback\": [" +
-           fmtDouble(t.suspectToFallback.lo) + ", " +
-           fmtDouble(t.suspectToFallback.hi) + "], \"fallback_factor\": [" +
-           fmtDouble(t.fallbackFactor.lo) + ", " +
-           fmtDouble(t.fallbackFactor.hi) + "], \"fallback_escalation\": [" +
-           fmtDouble(t.fallbackEscalation.lo) + ", " +
-           fmtDouble(t.fallbackEscalation.hi) + "]}\n";
-    out += "}\n";
-    return out;
+    json::Writer bounds;
+    bounds.field("mad_gate", range(t.madGate));
+    bounds.field("staleness_ms", range(t.stalenessMs));
+    bounds.field("suspect_to_fallback", range(t.suspectToFallback));
+    bounds.field("fallback_factor", range(t.fallbackFactor));
+    bounds.field("fallback_escalation", range(t.fallbackEscalation));
+
+    json::Writer doc;
+    doc.field("cost_weight", config.costWeight);
+    doc.field("safe_cost_slack", config.safeCostSlack);
+    doc.field("scenarios", scenarios);
+    doc.field("cells", result.cells);
+    doc.field("curves", result.curves);
+    doc.field("tuned_knobs", result.tunedKnobs);
+    doc.field("tuner_bounds", bounds.take());
+    return json::write(doc.take());
 }
 
 } // namespace erms::tuning

@@ -148,8 +148,8 @@ OperatingCurve reduceCurve(GuardKnob knob,
                            const std::vector<SweepCell> &cells,
                            double cost_weight, double safe_cost_slack);
 
-/** Serialize config + result to a deterministic JSON document (%.17g
- *  doubles, fixed key order). */
+/** Serialize config + result to a deterministic JSON document
+ *  (common/json.hpp: shortest round-trip doubles, fixed key order). */
 std::string sweepToJson(const GuardSweepConfig &config,
                         const GuardSweepResult &result);
 

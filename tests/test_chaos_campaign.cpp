@@ -12,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -469,6 +472,11 @@ TEST(CampaignArchive, MalformedDocumentThrows)
         {"trough_fraction", ""},            // empty token
         {"warmup_minutes", "0x1"},          // not decimal
         {"violation_pct", "1.5x"},          // in a minute row
+        // Parse, then rejected by runCampaign before anything runs
+        // (these used to trip internal assertions).
+        {"horizon_minutes", "0"},
+        {"warmup_minutes", "-1"},
+        {"host_count", "0"},
     };
     for (const auto &[key, value] : mutants) {
         try {
@@ -479,6 +487,417 @@ TEST(CampaignArchive, MalformedDocumentThrows)
                 << e.what();
         }
     }
+}
+
+/**
+ * Field-table visitor that draws every field at random: full-range
+ * integers, doubles from random bit patterns plus the special values
+ * (NaN only as the quiet NaN the format spells), strings over every
+ * byte, labels over their own alphabet, vectors of 0-3 elements.
+ */
+class RandomFields
+{
+  public:
+    explicit RandomFields(std::uint64_t seed) : rng_(seed) {}
+
+    template <class T>
+    void
+    field(const char *, T &value)
+    {
+        draw(value);
+    }
+
+    template <class E, std::size_t N>
+    void
+    field(const char *, E &value, const json::Name<E> (&names)[N])
+    {
+        value = names[pick(N)].value;
+    }
+
+    template <class T, class Encode, class Decode>
+    void
+    field(const char *, T &value, Encode, Decode)
+    {
+        draw(value);
+    }
+
+    void constant(const char *, const char *) {}
+
+  private:
+    std::size_t
+    pick(std::size_t n)
+    {
+        return static_cast<std::size_t>(
+            rng_.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+    }
+
+    void draw(bool &value) { value = (rng_.next() & 1) != 0; }
+
+    void
+    draw(double &value)
+    {
+        const double special[] = {
+            0.0,
+            -0.0,
+            std::numeric_limits<double>::denorm_min(),
+            std::numeric_limits<double>::max(),
+            std::numeric_limits<double>::infinity(),
+            -std::numeric_limits<double>::infinity(),
+            std::numeric_limits<double>::quiet_NaN(),
+        };
+        if (pick(4) == 0) {
+            value = special[pick(std::size(special))];
+            return;
+        }
+        value = std::bit_cast<double>(rng_.next());
+        if (std::isnan(value))
+            value = std::numeric_limits<double>::quiet_NaN();
+    }
+
+    template <class T>
+        requires std::is_integral_v<T>
+    void
+    draw(T &value)
+    {
+        value = static_cast<T>(rng_.next());
+    }
+
+    void
+    draw(std::string &value)
+    {
+        value.resize(pick(6));
+        for (char &c : value)
+            c = static_cast<char>(rng_.next());
+    }
+
+    void
+    draw(std::pair<std::string, std::string> &label)
+    {
+        static constexpr char kAlphabet[] = "abz_09";
+        for (std::string *part : {&label.first, &label.second}) {
+            part->resize(pick(4));
+            for (char &c : *part)
+                c = kAlphabet[pick(sizeof kAlphabet - 1)];
+        }
+    }
+
+    template <class T>
+    void
+    draw(std::vector<T> &values)
+    {
+        values.resize(pick(4));
+        for (T &value : values)
+            draw(value);
+    }
+
+    template <class T>
+    void
+    draw(T &value)
+    {
+        describe(*this, value);
+    }
+
+    Rng rng_;
+};
+
+TEST(CampaignArchive, RandomArchivesRoundTripBitExact)
+{
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+        CampaignArchive original;
+        RandomFields random(deriveRunSeed(0xa7c4, seed));
+        describe(random, original);
+        const std::string text =
+            archiveCampaign(original.config, original.result);
+        const CampaignArchive parsed = parseCampaignArchive(text);
+
+        // The writer spells every double by its shortest round-trip
+        // token, so equal text means every archived field came back
+        // bit for bit; the checks below do not lean on the writer.
+        EXPECT_EQ(archiveCampaign(parsed.config, parsed.result), text)
+            << "seed " << seed;
+        EXPECT_EQ(parsed.config.seed, original.config.seed);
+        EXPECT_EQ(parsed.config.trace.seed, original.config.trace.seed);
+        EXPECT_EQ(parsed.config.controller, original.config.controller);
+        EXPECT_EQ(parsed.config.corruption.mode,
+                  original.config.corruption.mode);
+        EXPECT_TRUE(sameBits(parsed.config.troughFraction,
+                             original.config.troughFraction));
+        EXPECT_TRUE(sameBits(parsed.config.fallbackEscalationPerCycle,
+                             original.config.fallbackEscalationPerCycle));
+        EXPECT_TRUE(sameBits(parsed.config.tuner.fallbackEscalation.hi,
+                             original.config.tuner.fallbackEscalation.hi));
+        EXPECT_TRUE(sameBits(parsed.result.containerMinutes,
+                             original.result.containerMinutes));
+        ASSERT_EQ(parsed.result.minutes.size(),
+                  original.result.minutes.size());
+        for (std::size_t i = 0; i < parsed.result.minutes.size(); ++i)
+            EXPECT_TRUE(sameMinute(parsed.result.minutes[i],
+                                   original.result.minutes[i]));
+        EXPECT_TRUE(parsed.result.perturbedHistory ==
+                    original.result.perturbedHistory)
+            << "seed " << seed;
+    }
+}
+
+/** An archive of the quick med arm with a synthetic result: two rows,
+ *  a summary and two busy-monitor scrapes (counters, gauges and
+ *  histograms), i.e. every part of the schema without a campaign run. */
+std::string
+fuzzArchive()
+{
+    SimMonitor monitor;
+    fillBusyMonitor(monitor, 2);
+    CampaignResult result;
+    result.minutes = {{0, 12, 1.5, 80.25, 0}, {1, 13, 0.0, 77.5, 2}};
+    result.violationPct = 0.75;
+    result.worstP95Ms = 80.25;
+    result.containerMinutes = 25.0;
+    result.perturbedHistory = monitor.snapshots();
+    return archiveCampaign(quickArm("med", "erms", true), result);
+}
+
+/** Every object in `value`'s tree, depth first. */
+void
+collectObjects(json::Value &value, std::vector<json::Value *> &out)
+{
+    if (value.kind == json::Value::Kind::Object)
+        out.push_back(&value);
+    for (json::Value &item : value.items)
+        collectObjects(item, out);
+    for (auto &member : value.members)
+        collectObjects(member.second, out);
+}
+
+/** Parse `mutant`: it must either throw ErmsError (false) or parse to
+ *  an archive whose write -> parse -> write is a fixed point (true).
+ *  Any other exception escapes and fails the test. */
+bool
+parsesToFixedPoint(const std::string &mutant)
+{
+    CampaignArchive parsed;
+    try {
+        parsed = parseCampaignArchive(mutant);
+    } catch (const ErmsError &) {
+        return false;
+    }
+    const std::string once = archiveCampaign(parsed.config, parsed.result);
+    const CampaignArchive again = parseCampaignArchive(once);
+    EXPECT_EQ(archiveCampaign(again.config, again.result), once);
+    return true;
+}
+
+TEST(CampaignArchiveFuzz, ByteFlipsAndTruncationsThrowOrFixedPoint)
+{
+    const std::string archive = fuzzArchive();
+    ASSERT_TRUE(parsesToFixedPoint(archive));
+    const char replacements[] = {'"', '{', '}', '[', ']', ',', ':', '0',
+                                 '9', '-', '.', 'e', 'x', ' ', '\\', '\n',
+                                 '\0', '\x7f', '\xff'};
+    std::size_t parsed = 0, mutants = 0;
+    for (std::size_t i = 0; i < archive.size(); ++i) {
+        std::string mutant = archive;
+        mutant[i] = replacements[i % std::size(replacements)];
+        if (mutant == archive)
+            mutant[i] ^= 0x01;
+        parsed += parsesToFixedPoint(mutant);
+        ++mutants;
+        if (i % 3 == 0) {
+            parsed += parsesToFixedPoint(archive.substr(0, i));
+            ++mutants;
+        }
+    }
+    // Digit flips inside numbers and strings parse; structural damage
+    // throws. Both sides must actually be exercised.
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(mutants - parsed, mutants / 2);
+}
+
+TEST(CampaignArchiveFuzz, KeyMutationsThrowAndReordersParseIdentically)
+{
+    const std::string archive = fuzzArchive();
+    const json::Value tree = json::parse(archive);
+    std::vector<json::Value *> objects;
+    json::Value probe = tree;
+    collectObjects(probe, objects);
+    ASSERT_GT(objects.size(), 20u);
+
+    const auto mutated = [&](std::size_t object, auto mutate) {
+        json::Value copy = tree;
+        std::vector<json::Value *> nodes;
+        collectObjects(copy, nodes);
+        mutate(nodes[object]->members);
+        return json::write(copy);
+    };
+    using Members = std::vector<std::pair<std::string, json::Value>>;
+    for (std::size_t o = 0; o < objects.size(); ++o) {
+        // Key order is free: a reversed object reads back to the
+        // identical archive.
+        const std::string reversed = mutated(o, [](Members &m) {
+            std::reverse(m.begin(), m.end());
+        });
+        const CampaignArchive back = parseCampaignArchive(reversed);
+        EXPECT_EQ(archiveCampaign(back.config, back.result), archive)
+            << "object " << o;
+
+        EXPECT_THROW(parseCampaignArchive(mutated(o, [](Members &m) {
+                         m.emplace_back("unknown_key", json::Value{});
+                     })),
+                     ErmsError)
+            << "object " << o;
+        const std::size_t size = objects[o]->members.size();
+        for (std::size_t k = 0; k < size; ++k) {
+            const std::string key = objects[o]->members[k].first;
+            EXPECT_THROW(parseCampaignArchive(mutated(o, [k](Members &m) {
+                             m.erase(m.begin() + static_cast<long>(k));
+                         })),
+                         ErmsError)
+                << "dropped " << key;
+            EXPECT_THROW(parseCampaignArchive(mutated(o, [k](Members &m) {
+                             m.insert(m.begin() + static_cast<long>(k), m[k]);
+                         })),
+                         ErmsError)
+                << "duplicated " << key;
+            EXPECT_THROW(parseCampaignArchive(mutated(o, [k](Members &m) {
+                             m[k].first += "_x";
+                         })),
+                         ErmsError)
+                << "renamed " << key;
+        }
+    }
+    EXPECT_THROW(parseCampaignArchive(archive + "{}"), ErmsError);
+}
+
+/** Message of the ErmsError parseCampaignArchive throws ("" if none). */
+std::string
+parseError(const std::string &archive)
+{
+    try {
+        parseCampaignArchive(archive);
+    } catch (const ErmsError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** `archive` with campaign.<group>'s members edited by `edit`. */
+template <class Edit>
+std::string
+withGroup(const std::string &archive, const std::string &group, Edit edit)
+{
+    json::Value tree = json::parse(archive);
+    for (auto &[key, campaign] : tree.members) {
+        if (key != "campaign")
+            continue;
+        if (group.empty()) {
+            edit(campaign.members);
+            continue;
+        }
+        for (auto &[name, value] : campaign.members)
+            if (name == group)
+                edit(value.members);
+    }
+    return json::write(tree);
+}
+
+// One regression per defect of the previous hand-rolled parser.
+
+TEST(CampaignArchiveRegression, ReorderedMembersReadTheirOwnValues)
+{
+    // With az_events first, the first textual "scrape_drop_probability"
+    // in telemetry_faults used to be the AZ value (0.8), not 0.2.
+    const std::string archive = fuzzArchive();
+    const std::string moved =
+        withGroup(archive, "telemetry_faults", [](auto &members) {
+            std::rotate(members.begin(), members.end() - 1, members.end());
+        });
+    ASSERT_NE(moved.find("\"telemetry_faults\": {\n      \"az_events\""),
+              std::string::npos);
+    const CampaignArchive parsed = parseCampaignArchive(moved);
+    EXPECT_EQ(parsed.config.telemetryFaults.scrapeDropProbability, 0.2);
+    EXPECT_EQ(parsed.config.telemetryFaults.azEvents.scrapeDropProbability,
+              0.8);
+    EXPECT_EQ(archiveCampaign(parsed.config, parsed.result), archive);
+}
+
+TEST(CampaignArchiveRegression, DroppedKeyThrowsInsteadOfReadingANestedOne)
+{
+    // The AZ group's own scrape_drop_probability used to stand in.
+    const std::string archive =
+        withGroup(fuzzArchive(), "telemetry_faults", [](auto &members) {
+            std::erase_if(members, [](const auto &m) {
+                return m.first == "scrape_drop_probability";
+            });
+        });
+    EXPECT_NE(parseError(archive).find(
+                  "campaign.telemetry_faults.scrape_drop_probability: "
+                  "missing key"),
+              std::string::npos)
+        << parseError(archive);
+}
+
+TEST(CampaignArchiveRegression, DuplicateKeyThrowsInsteadOfFirstWins)
+{
+    // The first of two horizon_minutes used to win silently.
+    const std::string archive =
+        withGroup(fuzzArchive(), "", [](auto &members) {
+            auto second = members[1];
+            second.second.text = "99";
+            members.insert(members.begin() + 2, second);
+        });
+    ASSERT_NE(archive.find("\"horizon_minutes\": 6,\n"
+                           "    \"horizon_minutes\": 99"),
+              std::string::npos);
+    EXPECT_NE(parseError(archive).find(
+                  "campaign.horizon_minutes: duplicate key"),
+              std::string::npos)
+        << parseError(archive);
+}
+
+TEST(CampaignArchiveRegression, TrailingBytesThrow)
+{
+    EXPECT_NE(parseError(fuzzArchive() + "x").find(
+                  "document: trailing bytes"),
+              std::string::npos);
+}
+
+/** archiveCampaign(quickArm("high", "grandslam", false), {}) as the
+ *  previous hand-rolled writer produced it, captured verbatim: archives
+ *  written before the JSON module must still replay. */
+constexpr const char *kLegacyArchive = R"({
+"campaign": {
+  "seed": 14583892340899567853,
+  "horizon_minutes": 6,
+  "warmup_minutes": 1,
+  "host_count": 10,
+  "trough_fraction": 0.29999999999999999,
+  "burst_probability": 0.050000000000000003,
+  "controller": "grandslam",
+  "guarded": false,
+  "trace": {"microservice_count": 24, "service_count": 2, "min_graph_size": 4, "max_graph_size": 8, "popularity_skew": 0.75, "parallel_probability": 0.40000000000000002, "sla_low_ms": 50, "sla_high_ms": 200, "sla_relative_to_knee": true, "sla_knee_low": 1.3, "sla_knee_high": 1.8, "workload_low": 30000, "workload_high": 40000, "seed": 31438},
+  "faults": {"seed": 15179652030011655409, "crashes_per_minute": 0, "restart_delay_ms": 3000, "slowdowns_per_minute": 0, "slowdown_duration_ms": 15000, "slowdown_factor": 2, "slowdown_cpu_inflate": 0.25, "call_failure_probability": 0, "az_events": {"seed": 16121643258021553766, "events_per_minute": 0.69999999999999996, "event_duration_ms": 100000, "az_count": 4, "scrape_drop_probability": 0.84999999999999998, "scrape_delay_probability": 0.59999999999999998, "scrape_delay_ms": 60000}},
+  "telemetry_faults": {"seed": 10379171726681594138, "scrape_drop_probability": 0.34999999999999998, "scrape_delay_probability": 0.34999999999999998, "scrape_delay_ms": 45000, "blackouts_per_minute": 1, "blackout_duration_ms": 60000, "span_loss_probability": 0, "outlier_probability": 0.25, "outlier_fraction": 0.14999999999999999, "counter_drop_probability": 0.25, "counter_drop_floor": 0.25, "clock_skew_ms": 0, "clock_jitter_ms": 0, "az_events": {"seed": 16121643258021553766, "events_per_minute": 0.69999999999999996, "event_duration_ms": 100000, "az_count": 4, "scrape_drop_probability": 0.84999999999999998, "scrape_delay_probability": 0.59999999999999998, "scrape_delay_ms": 60000}},
+  "corruption": {"mode": "frozen", "service": 0, "scale": 0.5},
+  "guard": {"max_staleness_ms": 90000, "max_rate_rpm": 10000000, "max_latency_ms": 60000, "max_interference_util": 4, "mad_gate_multiplier": 8, "relative_gate_factor": 3, "outlier_history": 8, "outlier_min_history": 5, "suspect_bad_cycles_to_fallback": 1, "recovery_clean_cycles": 2},
+  "rails": {"fallback_over_provision_factor": -1, "fallback_escalation_per_cycle": -1},
+  "self_tuned": false,
+  "tuner": {"enabled": true, "cooldown_cycles": 3, "over_reject_cycles": 4, "missed_lie_cycles": 3, "stale_clean_cycles": 3, "residency_window": 6, "fallback_residency_high": 0.5, "gate_step": 1.25, "staleness_step": 1.25, "fallback_step": 0.25, "mad_gate_lo": 2, "mad_gate_hi": 32, "staleness_lo": 45000, "staleness_hi": 360000, "suspect_lo": 1, "suspect_hi": 4, "fallback_factor_lo": 1, "fallback_factor_hi": 4, "escalation_lo": 0.050000000000000003, "escalation_hi": 1.5}
+},
+"minutes": [
+],
+"summary": {"violation_pct": 0, "worst_p95_ms": 0, "container_minutes": 0},
+"scrapes": [
+]
+}
+)";
+
+TEST(CampaignArchive, LegacyArchiveParsesToTheSameConfig)
+{
+    const CampaignConfig config = quickArm("high", "grandslam", false);
+    const CampaignArchive parsed = parseCampaignArchive(kLegacyArchive);
+    EXPECT_EQ(archiveCampaign(parsed.config, parsed.result),
+              archiveCampaign(config, CampaignResult{}));
+    EXPECT_TRUE(parsed.result.minutes.empty());
+    EXPECT_TRUE(parsed.result.perturbedHistory.empty());
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for persistence: fitted-model round-trips (including the cutoff
- * decision tree), plan round-trips, malformed-input rejection, and the
- * CSV rate-series loader.
+ * decision tree), plan round-trips, strict rejection of malformed
+ * model and plan files (each naming its key path), and the CSV
+ * rate-series loader.
  */
 
 #include <gtest/gtest.h>
@@ -102,6 +103,35 @@ TEST(ModelSerialization, AttachToCatalog)
     EXPECT_DOUBLE_EQ(catalog.model(id).cutoff({0.0, 0.0}), 500.0);
 }
 
+/** Message of the ErmsError `fn` throws ("" when it does not throw). */
+template <class Fn>
+std::string
+errorOf(Fn fn)
+{
+    try {
+        fn();
+    } catch (const ErmsError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+std::string
+modelFile(const StoredModel &stored)
+{
+    std::stringstream buffer;
+    writeModels(buffer, {{7, stored}});
+    return buffer.str();
+}
+
+std::string
+replaced(std::string text, const std::string &from, const std::string &to)
+{
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+}
+
 TEST(ModelSerialization, RejectsBadHeaderAndTruncation)
 {
     {
@@ -109,21 +139,39 @@ TEST(ModelSerialization, RejectsBadHeaderAndTruncation)
         EXPECT_THROW(readModels(buffer), ErmsError);
     }
     {
-        std::stringstream buffer("erms-models v1\nmodel 1\nbelow 0 0 1 "
-                                 "2\n"); // truncated
+        StoredModel stored;
+        const std::string text = modelFile(stored);
+        std::stringstream buffer(text.substr(0, text.size() / 2));
         EXPECT_THROW(readModels(buffer), ErmsError);
     }
 }
 
-TEST(ModelSerialization, IgnoresCommentsAndBlankLines)
+TEST(ModelSerialization, RejectsTrailingJunkUnknownKeysAndPlans)
 {
     StoredModel stored;
-    stored.cutoffFallback = 42.0;
-    std::stringstream buffer;
-    writeModels(buffer, {{1, stored}});
-    std::string text = "# leading comment\n\n" + buffer.str();
-    std::stringstream spiked(text);
-    EXPECT_EQ(readModels(spiked).size(), 1u);
+    stored.below = IntervalParams{0.0, 0.0, 0.001, 5.0};
+    stored.cutoffTree.push_back({0, 0.4, 2500.0, 1, 2});
+    const std::string good = modelFile(stored);
+    std::stringstream plan;
+    writePlan(plan, GlobalPlan{});
+    const std::pair<std::string, const char *> cases[] = {
+        // The line format used to read "0.001junk" as 0.001.
+        {replaced(good, "0.001", "0.001junk"), "models.7.below.c"},
+        {replaced(good, "\"left\": 1", "\"left\": 1.5"),
+         "models.7.cutoff_tree[0].left"},
+        {replaced(good, "\"b\": 5", "\"b\": 5, \"d\": 0"),
+         "models.7.below.d"},
+        {replaced(good, "\"7\"", "\"07\""), "models.07"},
+        {good + "x", "document"},
+        {plan.str(), "format"},
+    };
+    for (const auto &[text, path] : cases) {
+        std::stringstream buffer(text);
+        const std::string message = errorOf([&] { readModels(buffer); });
+        EXPECT_NE(message.find(std::string("json: ") + path),
+                  std::string::npos)
+            << path << " -> '" << message << "'";
+    }
 }
 
 TEST(PlanSerialization, RoundTrip)
@@ -163,13 +211,27 @@ TEST(PlanSerialization, AllPoliciesRoundTrip)
 
 TEST(PlanSerialization, RejectsGarbage)
 {
-    {
-        std::stringstream buffer("erms-plan v1\nbogus 1 2\nend\n");
-        EXPECT_THROW(readPlan(buffer), ErmsError);
-    }
-    {
-        std::stringstream buffer("erms-plan v1\npolicy priority\n");
-        EXPECT_THROW(readPlan(buffer), ErmsError); // missing end
+    GlobalPlan plan;
+    plan.containers[4] = 12;
+    std::stringstream written;
+    writePlan(written, plan);
+    const std::string good = written.str();
+    const std::pair<std::string, const char *> cases[] = {
+        {replaced(good, "\"feasible\"", "\"bogus\": 1, \"feasible\""),
+         "bogus"},
+        {good.substr(0, good.size() - 2), "priority_order"},
+        // The line format used to read a count "1abc" as 1.
+        {replaced(good, "12", "1abc"), "containers.4"},
+        {replaced(good, "12", "-1"), "containers.4"},
+        {replaced(good, "\"priority\"", "\"fifo\""), "policy"},
+        {replaced(good, "erms-plan", "erms-models"), "format"},
+    };
+    for (const auto &[text, path] : cases) {
+        std::stringstream buffer(text);
+        const std::string message = errorOf([&] { readPlan(buffer); });
+        EXPECT_NE(message.find(std::string("json: ") + path),
+                  std::string::npos)
+            << path << " -> '" << message << "'";
     }
 }
 

@@ -272,16 +272,6 @@ makeExportFixture()
     return snaps;
 }
 
-TEST(TelemetryExporters, CsvRoundTripIsExact)
-{
-    const auto snaps = makeExportFixture();
-    const std::string csv = telemetry::toCsv(snaps);
-    const auto parsed = telemetry::fromCsv(csv);
-    ASSERT_EQ(parsed.size(), snaps.size());
-    for (std::size_t i = 0; i < snaps.size(); ++i)
-        EXPECT_TRUE(parsed[i] == snaps[i]) << "snapshot " << i;
-}
-
 TEST(TelemetryExporters, JsonRoundTripIsExact)
 {
     const auto snaps = makeExportFixture();
@@ -294,7 +284,6 @@ TEST(TelemetryExporters, JsonRoundTripIsExact)
 
 TEST(TelemetryExporters, EmptyDocuments)
 {
-    EXPECT_TRUE(telemetry::fromCsv(telemetry::toCsv({})).empty());
     EXPECT_TRUE(telemetry::fromJson(telemetry::toJson({})).empty());
 }
 
@@ -319,11 +308,8 @@ TEST(TelemetryExporters, NonFiniteValuesRoundTripExactly)
     hist.bucketCounts = {1, 1, 0};
     snaps[0].series = {nan_gauge, inf_gauge, hist};
 
-    const auto via_csv = telemetry::fromCsv(telemetry::toCsv(snaps));
     const auto via_json = telemetry::fromJson(telemetry::toJson(snaps));
-    ASSERT_EQ(via_csv.size(), 1u);
     ASSERT_EQ(via_json.size(), 1u);
-    EXPECT_TRUE(via_csv[0] == snaps[0]);
     EXPECT_TRUE(via_json[0] == snaps[0]);
     // The spellings are the explicit Python-json-style tokens, not
     // whatever printf produces for a NaN on this libc.
@@ -335,19 +321,80 @@ TEST(TelemetryExporters, NonFiniteValuesRoundTripExactly)
 TEST(TelemetryExporters, EmptySnapshotSurvivesRoundTrip)
 {
     // A scrape that captured zero series must not vanish from the
-    // stream: CSV writes a marker row, JSON an empty series array.
+    // stream: it is written as an empty series array.
     std::vector<TelemetrySnapshot> snaps(2);
     snaps[0].at = 7;
     snaps[1] = makeExportFixture()[0];
     snaps[1].at = 99;
 
-    const auto via_csv = telemetry::fromCsv(telemetry::toCsv(snaps));
     const auto via_json = telemetry::fromJson(telemetry::toJson(snaps));
-    ASSERT_EQ(via_csv.size(), 2u);
     ASSERT_EQ(via_json.size(), 2u);
-    for (std::size_t i = 0; i < snaps.size(); ++i) {
-        EXPECT_TRUE(via_csv[i] == snaps[i]) << "csv snapshot " << i;
+    for (std::size_t i = 0; i < snaps.size(); ++i)
         EXPECT_TRUE(via_json[i] == snaps[i]) << "json snapshot " << i;
+}
+
+/** toJson(makeExportFixture()) as the previous hand-rolled exporter
+ *  wrote it, captured verbatim: old exports must still load. */
+constexpr const char *kLegacyExportFixture = R"([
+  {"at_us": 0, "series": [
+    {"name": "erms_host_cpu_util", "labels": "host=3", "kind": "gauge", "value": 0.12345678901234568},
+    {"name": "erms_request_latency_ms", "labels": "service=0", "kind": "histogram", "count": 3, "sum": 1003.8415926535898, "boundaries": [1,2.5,10], "buckets": [1,0,1,1]},
+    {"name": "erms_requests_total", "labels": "service=0", "kind": "counter", "value": 42}
+  ]},
+  {"at_us": 30000000, "series": [
+    {"name": "erms_host_cpu_util", "labels": "host=3", "kind": "gauge", "value": 0.12345678901234568},
+    {"name": "erms_request_latency_ms", "labels": "service=0", "kind": "histogram", "count": 3, "sum": 1003.8415926535898, "boundaries": [1,2.5,10], "buckets": [1,0,1,1]},
+    {"name": "erms_requests_total", "labels": "service=0", "kind": "counter", "value": 55}
+  ]}
+]
+)";
+
+TEST(TelemetryExporters, LegacyExportLoadsToTheSameSnapshots)
+{
+    const auto snaps = makeExportFixture();
+    const auto parsed = telemetry::fromJson(kLegacyExportFixture);
+    ASSERT_EQ(parsed.size(), snaps.size());
+    for (std::size_t i = 0; i < snaps.size(); ++i)
+        EXPECT_TRUE(parsed[i] == snaps[i]) << "snapshot " << i;
+}
+
+/** Message of the ErmsError fromJson throws on `text` ("" if none). */
+std::string
+fromJsonError(const std::string &text)
+{
+    try {
+        telemetry::fromJson(text);
+    } catch (const ErmsError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(TelemetryExporters, CorruptValuesThrowNamingTheirPath)
+{
+    const std::string good = kLegacyExportFixture;
+    const auto replaced = [&](const std::string &from, const std::string &to) {
+        std::string text = good;
+        return text.replace(text.find(from), from.size(), to);
+    };
+    const std::pair<std::string, const char *> cases[] = {
+        // A counter with trailing junk used to load as its prefix.
+        {replaced("\"value\": 42", "\"value\": 0zzz"), "[0].series[2].value"},
+        // A gauge with trailing junk used to trip an internal assertion.
+        {replaced("0.12345678901234568}", "0.12345678901234568x}"),
+         "[0].series[0].value"},
+        {replaced("\"host=3\"", "\"host3\""), "[0].series[0].labels"},
+        {replaced("\"gauge\"", "\"gauges\""), "[0].series[0].kind"},
+        {replaced("\"count\": 3", "\"count\": -3"), "[0].series[1].count"},
+        {replaced("\"buckets\"", "\"bucket\""), "[0].series[1].buckets"},
+        {replaced("\"at_us\": 0", "\"at_us\": 0, \"at_us\": 1"), "[0].at_us"},
+        {good + "]", "document"},
+    };
+    for (const auto &[text, path] : cases) {
+        const std::string message = fromJsonError(text);
+        EXPECT_NE(message.find(std::string("json: ") + path),
+                  std::string::npos)
+            << path << " -> '" << message << "'";
     }
 }
 

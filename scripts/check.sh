@@ -22,7 +22,10 @@
 # plan -> JSON plan file -> validate), and the documentation
 # link-and-symbol checker. The sanitizer passes also cover the strict
 # JSON module: its grammar and round-trip tests, the archive round-trip
-# property, mutation fuzz and parser regressions, and the io tests.
+# property, mutation fuzz and parser regressions, and the io tests; and
+# the planner: the dependency-graph and scaling suites under ASan and
+# UBSan, plus the critical-path, end-to-end latency, solver and
+# multiplexing properties and the planner golden under UBSan.
 #
 # Usage: scripts/check.sh [jobs]   (default: 2)
 
@@ -35,14 +38,17 @@ cmake -B build -S .
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure
 
-echo "== asan: fault + chaos + campaign + tuning + runner + golden + market + property + json tests (build-asan/) =="
+echo "== asan: fault + chaos + campaign + tuning + runner + golden + market + property + json + planner tests (build-asan/) =="
 cmake -B build-asan -S . -DERMS_SANITIZE=address
 cmake --build build-asan -j"$JOBS" \
     --target erms_tests_foundation erms_tests_sim erms_tests_runner \
              erms_tests_golden erms_tests_system erms_tests_telemetry \
              erms_tests_chaos erms_tests_campaign erms_tests_event_engine \
-             erms_tests_queueing erms_tests_market erms_tests_tuning
-./build-asan/tests/erms_tests_foundation --gtest_filter='Json*'
+             erms_tests_queueing erms_tests_market erms_tests_tuning \
+             erms_tests_scaling
+./build-asan/tests/erms_tests_foundation \
+    --gtest_filter='Json*:DependencyGraph*'
+./build-asan/tests/erms_tests_scaling
 ./build-asan/tests/erms_tests_sim \
     --gtest_filter='Fault*:Resilience*'
 ./build-asan/tests/erms_tests_runner
@@ -69,16 +75,19 @@ cmake --build build-asan -j"$JOBS" \
 ./build-asan/tests/erms_tests_tuning \
     --gtest_filter='AdaptiveTuner.*:TunerConfigValidation.*:GuardrailConfigValidation.*:SweepReduction.*:SweepConfigValidation.*:GuardMetrics.*:GuardRetune.*:SelfTuningDeterminism.SelfTunedCampaignReplaysExactly'
 
-echo "== ubsan: json + io + telemetry + guard + chaos + campaign + tuning numeric paths (build-ubsan/) =="
+echo "== ubsan: json + io + telemetry + guard + chaos + campaign + tuning + planner numeric paths (build-ubsan/) =="
 cmake -B build-ubsan -S . -DERMS_SANITIZE=undefined
 cmake --build build-ubsan -j"$JOBS" \
     --target erms_tests_foundation erms_tests_system erms_tests_telemetry \
              erms_tests_chaos erms_tests_campaign erms_tests_sim \
-             erms_tests_tuning
+             erms_tests_tuning erms_tests_scaling erms_tests_golden
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_foundation \
-    --gtest_filter='Json*'
+    --gtest_filter='Json*:DependencyGraph*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_system \
-    --gtest_filter='*Serialization*'
+    --gtest_filter='*Serialization*:CriticalPaths*:EndToEndLatency*:*SolverProperty*:*MultiplexProperty*'
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_scaling
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_golden \
+    --gtest_filter='Scenarios/GoldenFile.MatchesCommittedTable/planner'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_telemetry
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_chaos
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_campaign \

@@ -13,53 +13,63 @@ DependencyGraph::DependencyGraph(ServiceId service, MicroserviceId root)
     if (root == kInvalidMicroservice)
         throw GraphError("dependency graph requires a valid root");
     nodes_.push_back(root);
-    info_.emplace(root, NodeInfo{});
+    info_.emplace_back();
+    index_.emplace(root, 0);
 }
 
 void
 DependencyGraph::addCall(MicroserviceId parent, MicroserviceId child,
                          int stage, double multiplicity)
 {
-    auto parent_it = info_.find(parent);
-    if (parent_it == info_.end()) {
+    auto parent_it = index_.find(parent);
+    if (parent_it == index_.end()) {
         throw GraphError("addCall: parent " + std::to_string(parent) +
                          " not in graph");
     }
-    if (info_.count(child)) {
+    if (index_.count(child)) {
         throw GraphError("addCall: microservice " + std::to_string(child) +
                          " already appears in this graph (tree property)");
     }
     if (multiplicity <= 0.0)
         throw GraphError("addCall: multiplicity must be positive");
 
-    auto &calls = parent_it->second.calls;
-    calls.push_back(Call{child, stage, multiplicity});
-    std::stable_sort(calls.begin(), calls.end(),
-                     [](const Call &a, const Call &b) {
-                         return a.stage < b.stage;
-                     });
+    // Keep calls ordered by stage, a new call last within its stage.
+    NodeInfo &node = info_[parent_it->second];
+    const auto pos = std::upper_bound(
+        node.calls.begin(), node.calls.end(), stage,
+        [](int s, const Call &call) { return s < call.stage; });
+    const auto offset = pos - node.calls.begin();
+    node.calls.insert(pos, Call{child, stage, multiplicity});
+    node.callees.insert(node.callees.begin() + offset, nodes_.size());
 
+    index_.emplace(child, nodes_.size());
     nodes_.push_back(child);
     NodeInfo child_info;
     child_info.parent = parent;
-    info_.emplace(child, std::move(child_info));
+    info_.push_back(std::move(child_info));
 }
 
 bool
 DependencyGraph::contains(MicroserviceId id) const
 {
-    return info_.count(id) > 0;
+    return index_.count(id) > 0;
+}
+
+std::size_t
+DependencyGraph::indexOf(MicroserviceId id) const
+{
+    auto it = index_.find(id);
+    if (it == index_.end()) {
+        throw GraphError("microservice " + std::to_string(id) +
+                         " not in graph");
+    }
+    return it->second;
 }
 
 const DependencyGraph::NodeInfo &
 DependencyGraph::info(MicroserviceId id) const
 {
-    auto it = info_.find(id);
-    if (it == info_.end()) {
-        throw GraphError("microservice " + std::to_string(id) +
-                         " not in graph");
-    }
-    return it->second;
+    return info_[indexOf(id)];
 }
 
 const std::vector<DependencyGraph::Call> &
@@ -95,19 +105,34 @@ DependencyGraph::isLeaf(MicroserviceId id) const
 std::unordered_map<MicroserviceId, double>
 DependencyGraph::workloads(double root_rate) const
 {
-    ERMS_ASSERT(root_rate >= 0.0);
+    const std::vector<double> gamma = workloadsByIndex(root_rate);
     std::unordered_map<MicroserviceId, double> result;
     result.reserve(nodes_.size());
-
-    // nodes_ is in insertion order with parents always before children,
-    // so one forward pass propagates multiplicities.
-    result[root_] = root_rate;
-    for (MicroserviceId id : nodes_) {
-        const double parent_rate = result.at(id);
-        for (const Call &call : info(id).calls)
-            result[call.callee] = parent_rate * call.multiplicity;
+    // Callers iterate the map, so its insertion order is part of the
+    // contract: the root, then each node's callees in call order.
+    result[root_] = gamma.front();
+    for (const NodeInfo &node : info_) {
+        for (std::size_t k = 0; k < node.calls.size(); ++k)
+            result[node.calls[k].callee] = gamma[node.callees[k]];
     }
     return result;
+}
+
+std::vector<double>
+DependencyGraph::workloadsByIndex(double root_rate) const
+{
+    ERMS_ASSERT(root_rate >= 0.0);
+    std::vector<double> gamma(nodes_.size());
+
+    // Parents precede their children in nodes_, so one forward pass
+    // propagates multiplicities.
+    gamma.front() = root_rate;
+    for (std::size_t i = 0; i < info_.size(); ++i) {
+        const NodeInfo &node = info_[i];
+        for (std::size_t k = 0; k < node.calls.size(); ++k)
+            gamma[node.callees[k]] = gamma[i] * node.calls[k].multiplicity;
+    }
+    return gamma;
 }
 
 std::vector<std::vector<MicroserviceId>>
@@ -175,39 +200,67 @@ DependencyGraph::criticalPaths(std::size_t max_paths) const
     return paths;
 }
 
+namespace {
+
+/** Latency of the subtree at a graph-local index; appends its argmax
+ *  critical path to `path` when one is requested. */
+double
+subtreeLatency(const DependencyGraph &graph, std::span<const double> values,
+               std::size_t index, std::vector<MicroserviceId> *path)
+{
+    double latency = values[index];
+    if (path)
+        path->push_back(graph.nodes()[index]);
+    const auto &calls = graph.callsAt(index);
+    const auto &callees = graph.calleeIndices(index);
+    std::vector<MicroserviceId> branch_path;
+    std::vector<MicroserviceId> worst_path;
+    for (std::size_t k = 0; k < calls.size();) {
+        // One stage: the maximum over its parallel branches.
+        const int stage = calls[k].stage;
+        double worst = -1.0;
+        worst_path.clear();
+        for (; k < calls.size() && calls[k].stage == stage; ++k) {
+            branch_path.clear();
+            const double branch = subtreeLatency(
+                graph, values, callees[k], path ? &branch_path : nullptr);
+            if (branch > worst) {
+                worst = branch;
+                worst_path.swap(branch_path);
+            }
+        }
+        latency += worst;
+        if (path)
+            path->insert(path->end(), worst_path.begin(), worst_path.end());
+    }
+    return latency;
+}
+
+} // namespace
+
+double
+endToEndLatency(const DependencyGraph &graph, std::span<const double> values,
+                std::vector<MicroserviceId> *critical)
+{
+    ERMS_ASSERT(values.size() == graph.size());
+    std::vector<MicroserviceId> path;
+    const double latency =
+        subtreeLatency(graph, values, 0, critical ? &path : nullptr);
+    if (critical)
+        *critical = std::move(path);
+    return latency;
+}
+
 double
 endToEndLatency(const DependencyGraph &graph,
                 const std::unordered_map<MicroserviceId, double> &values,
                 std::vector<MicroserviceId> *critical)
 {
-    struct SubtreeResult
-    {
-        double latency = 0.0;
-        std::vector<MicroserviceId> path;
-    };
-    const std::function<SubtreeResult(MicroserviceId)> walk =
-        [&](MicroserviceId id) -> SubtreeResult {
-        SubtreeResult result;
-        result.latency = values.at(id);
-        result.path.push_back(id);
-        for (const auto &stage : graph.stages(id)) {
-            SubtreeResult worst;
-            worst.latency = -1.0;
-            for (const DependencyGraph::Call &call : stage) {
-                SubtreeResult branch = walk(call.callee);
-                if (branch.latency > worst.latency)
-                    worst = std::move(branch);
-            }
-            result.latency += worst.latency;
-            result.path.insert(result.path.end(), worst.path.begin(),
-                               worst.path.end());
-        }
-        return result;
-    };
-    SubtreeResult total = walk(graph.root());
-    if (critical)
-        *critical = std::move(total.path);
-    return total.latency;
+    std::vector<double> dense;
+    dense.reserve(graph.size());
+    for (MicroserviceId id : graph.nodes())
+        dense.push_back(values.at(id));
+    return endToEndLatency(graph, dense, critical);
 }
 
 int
@@ -252,10 +305,10 @@ DependencyGraph::toDot(
     os << "digraph service_" << service_ << " {\n";
     for (MicroserviceId id : nodes_)
         os << "  n" << id << " [label=\"" << name_of(id) << "\"];\n";
-    for (MicroserviceId id : nodes_) {
-        for (const Call &call : info(id).calls) {
-            os << "  n" << id << " -> n" << call.callee << " [label=\"s"
-               << call.stage << "\"];\n";
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        for (const Call &call : info_[i].calls) {
+            os << "  n" << nodes_[i] << " -> n" << call.callee
+               << " [label=\"s" << call.stage << "\"];\n";
         }
     }
     os << "}\n";

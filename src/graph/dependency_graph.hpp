@@ -17,6 +17,7 @@
 #define ERMS_GRAPH_DEPENDENCY_GRAPH_HPP
 
 #include <functional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -40,6 +41,9 @@ class DependencyGraph
         /** Average number of calls issued per parent invocation. */
         double multiplicity = 1.0;
     };
+    // The simulator copies calls into its per-node stage cache and walks
+    // them on every dispatched call; graph-local indices live beside them.
+    static_assert(sizeof(Call) == 16, "Call must stay 16 bytes");
 
     DependencyGraph(ServiceId service, MicroserviceId root);
 
@@ -57,11 +61,34 @@ class DependencyGraph
     bool contains(MicroserviceId id) const;
     std::size_t size() const { return nodes_.size(); }
 
-    /** All microservices, root first, in insertion order. */
+    /** All microservices, root first, in insertion order. Parents always
+     *  precede their children. A node's position here is its
+     *  *graph-local index*. */
     const std::vector<MicroserviceId> &nodes() const { return nodes_; }
+
+    /**
+     * Graph-local index of a node: its position in nodes().
+     * @throws GraphError if the node is not in the graph.
+     */
+    std::size_t indexOf(MicroserviceId id) const;
 
     /** Outgoing calls of a node, ordered by stage. */
     const std::vector<Call> &calls(MicroserviceId parent) const;
+
+    /** Outgoing calls of the node at a graph-local index. */
+    const std::vector<Call> &
+    callsAt(std::size_t index) const
+    {
+        return info_[index].calls;
+    }
+
+    /** Graph-local indices of those calls' callees, parallel to
+     *  callsAt(index). */
+    const std::vector<std::size_t> &
+    calleeIndices(std::size_t index) const
+    {
+        return info_[index].callees;
+    }
 
     /** Outgoing calls grouped into stages (ascending stage index). */
     std::vector<std::vector<Call>> stages(MicroserviceId parent) const;
@@ -78,6 +105,9 @@ class DependencyGraph
      */
     std::unordered_map<MicroserviceId, double>
     workloads(double root_rate) const;
+
+    /** The same workloads indexed like nodes(). */
+    std::vector<double> workloadsByIndex(double root_rate) const;
 
     /** All root-to-leaf microservice chains (tree paths; note these are
      *  NOT the paper's critical paths — see criticalPaths()). */
@@ -110,6 +140,8 @@ class DependencyGraph
     {
         MicroserviceId parent = kInvalidMicroservice;
         std::vector<Call> calls;
+        /** Graph-local index of each callee, parallel to calls. */
+        std::vector<std::size_t> callees;
     };
 
     const NodeInfo &info(MicroserviceId id) const;
@@ -117,7 +149,9 @@ class DependencyGraph
     ServiceId service_;
     MicroserviceId root_;
     std::vector<MicroserviceId> nodes_;
-    std::unordered_map<MicroserviceId, NodeInfo> info_;
+    /** Parallel to nodes_. */
+    std::vector<NodeInfo> info_;
+    std::unordered_map<MicroserviceId, std::size_t> index_;
 };
 
 /**
@@ -126,11 +160,18 @@ class DependencyGraph
  * over that stage's parallel branches. This is the latency semantics of
  * Fig. 1 and the quantity constrained by Eq. (2).
  *
- * @param values     per-microservice latency (every node must be present)
+ * @param values     per-microservice latency, indexed like
+ *                   graph.nodes()
  * @param critical   optional out-parameter receiving one argmax critical
  *                   path (root plus, per stage, the members of the
  *                   worst branch)
  */
+double endToEndLatency(const DependencyGraph &graph,
+                       std::span<const double> values,
+                       std::vector<MicroserviceId> *critical = nullptr);
+
+/** endToEndLatency over per-microservice values keyed by id (every node
+ *  must be present). */
 double
 endToEndLatency(const DependencyGraph &graph,
                 const std::unordered_map<MicroserviceId, double> &values,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "common/error.hpp"
 
@@ -23,7 +22,7 @@ clampA(double a)
 } // namespace
 
 MergeParams
-mergeSequential(const std::vector<MergeParams> &parts)
+mergeSequential(std::span<const MergeParams> parts)
 {
     ERMS_ASSERT(!parts.empty());
     double sqrt_ar = 0.0;
@@ -44,7 +43,7 @@ mergeSequential(const std::vector<MergeParams> &parts)
 }
 
 MergeParams
-mergeParallel(const std::vector<MergeParams> &parts)
+mergeParallel(std::span<const MergeParams> parts)
 {
     ERMS_ASSERT(!parts.empty());
     double a_sum = 0.0;
@@ -64,102 +63,87 @@ mergeParallel(const std::vector<MergeParams> &parts)
     return merged;
 }
 
-MergeTree::MergeTree(
-    const DependencyGraph &graph,
-    const std::unordered_map<MicroserviceId, MergeParams> &params)
+MergeTree::MergeTree(const DependencyGraph &graph)
+    : nodeCount_(graph.size())
 {
-    root_ = mergeMicroservice(graph, graph.root(), params);
-}
+    // A node's subtree is the node alone if it calls nothing, else its
+    // sequence: the node's own latency plus each stage in order.
+    const auto subtree = [&graph](std::size_t node) {
+        Vertex vertex;
+        vertex.kind = graph.callsAt(node).empty() ? Kind::Real
+                                                  : Kind::Sequential;
+        vertex.node = node;
+        return vertex;
+    };
 
-int
-MergeTree::addReal(MicroserviceId id, const MergeParams &params)
-{
-    MergeNode node;
-    node.kind = MergeNode::Kind::Real;
-    node.real = id;
-    node.params = params;
-    node.params.A = std::max(node.params.A, kMinA);
-    nodes_.push_back(std::move(node));
-    return static_cast<int>(nodes_.size()) - 1;
-}
-
-int
-MergeTree::addSequential(std::vector<int> children)
-{
-    ERMS_ASSERT(children.size() >= 2);
-    std::vector<MergeParams> parts;
-    parts.reserve(children.size());
-    for (int child : children)
-        parts.push_back(nodes_[static_cast<std::size_t>(child)].params);
-
-    MergeNode node;
-    node.kind = MergeNode::Kind::Sequential;
-    node.children = std::move(children);
-    node.params = mergeSequential(parts);
-    nodes_.push_back(std::move(node));
-    return static_cast<int>(nodes_.size()) - 1;
-}
-
-int
-MergeTree::addParallel(std::vector<int> children)
-{
-    ERMS_ASSERT(children.size() >= 2);
-    std::vector<MergeParams> parts;
-    parts.reserve(children.size());
-    for (int child : children)
-        parts.push_back(nodes_[static_cast<std::size_t>(child)].params);
-
-    MergeNode node;
-    node.kind = MergeNode::Kind::Parallel;
-    node.children = std::move(children);
-    node.params = mergeParallel(parts);
-    nodes_.push_back(std::move(node));
-    return static_cast<int>(nodes_.size()) - 1;
-}
-
-int
-MergeTree::mergeMicroservice(
-    const DependencyGraph &graph, MicroserviceId id,
-    const std::unordered_map<MicroserviceId, MergeParams> &params)
-{
-    auto it = params.find(id);
-    ERMS_ASSERT_MSG(it != params.end(),
-                    "missing merge parameters for a graph node");
-    const int self = addReal(id, it->second);
-
-    const auto stages = graph.stages(id);
-    if (stages.empty())
-        return self;
-
-    // The node's own latency plus each stage in sequence; within a stage,
-    // branches run in parallel.
-    std::vector<int> sequence;
-    sequence.push_back(self);
-    for (const auto &stage : stages) {
-        std::vector<int> branches;
-        branches.reserve(stage.size());
-        for (const DependencyGraph::Call &call : stage)
-            branches.push_back(mergeMicroservice(graph, call.callee, params));
-        if (branches.size() == 1)
-            sequence.push_back(branches.front());
-        else
-            sequence.push_back(addParallel(std::move(branches)));
+    // Slot 0 is the root's subtree; expanding a slot appends its children.
+    vertices_.push_back(subtree(0));
+    for (std::size_t slot = 0; slot < vertices_.size(); ++slot) {
+        const Vertex vertex = vertices_[slot];
+        const auto &calls = graph.callsAt(vertex.node);
+        const auto &callees = graph.calleeIndices(vertex.node);
+        const std::size_t first = vertices_.size();
+        if (vertex.kind == Kind::Sequential) {
+            Vertex self;
+            self.node = vertex.node;
+            vertices_.push_back(self);
+            // Within a stage, branches run in parallel.
+            for (std::size_t k = 0; k < calls.size();) {
+                std::size_t end = k + 1;
+                while (end < calls.size() &&
+                       calls[end].stage == calls[k].stage)
+                    ++end;
+                if (end - k == 1) {
+                    vertices_.push_back(subtree(callees[k]));
+                } else {
+                    Vertex stage;
+                    stage.kind = Kind::Parallel;
+                    stage.node = vertex.node;
+                    stage.call = k;
+                    vertices_.push_back(stage);
+                }
+                k = end;
+            }
+        } else if (vertex.kind == Kind::Parallel) {
+            const int stage = calls[vertex.call].stage;
+            for (std::size_t k = vertex.call;
+                 k < calls.size() && calls[k].stage == stage; ++k)
+                vertices_.push_back(subtree(callees[k]));
+        }
+        vertices_[slot].first = first;
+        vertices_[slot].count = vertices_.size() - first;
     }
-    return addSequential(std::move(sequence));
+    params_.resize(vertices_.size());
 }
 
-const MergeNode &
-MergeTree::node(int index) const
+void
+MergeTree::evaluate(std::span<const MergeParams> params)
 {
-    ERMS_ASSERT(index >= 0 &&
-                static_cast<std::size_t>(index) < nodes_.size());
-    return nodes_[static_cast<std::size_t>(index)];
+    ERMS_ASSERT_MSG(params.size() == nodeCount_,
+                    "merge parameters must cover every graph node");
+    for (std::size_t slot = vertices_.size(); slot-- > 0;) {
+        const Vertex &vertex = vertices_[slot];
+        const std::span<const MergeParams> children(
+            params_.data() + vertex.first, vertex.count);
+        switch (vertex.kind) {
+          case Kind::Real:
+            params_[slot] = params[vertex.node];
+            params_[slot].A = std::max(params_[slot].A, kMinA);
+            break;
+          case Kind::Sequential:
+            params_[slot] = mergeSequential(children);
+            break;
+          case Kind::Parallel:
+            params_[slot] = mergeParallel(children);
+            break;
+        }
+    }
 }
 
-std::unordered_map<MicroserviceId, double>
-MergeTree::unfoldTargets(double total_budget_ms) const
+std::vector<double>
+MergeTree::unfold(double total_budget_ms) const
 {
-    const MergeParams &root_params = root().params;
+    const MergeParams &root_params = rootParams();
     if (total_budget_ms <= root_params.b) {
         throw InfeasibleError(
             "latency budget " + std::to_string(total_budget_ms) +
@@ -167,45 +151,44 @@ MergeTree::unfoldTargets(double total_budget_ms) const
             std::to_string(root_params.b) + "ms");
     }
 
-    std::unordered_map<MicroserviceId, double> targets;
-
-    // Depth-first unfolding; each node receives its latency budget.
-    const std::function<void(int, double)> unfold = [&](int index,
-                                                        double budget) {
-        const MergeNode &n = node(index);
-        switch (n.kind) {
-          case MergeNode::Kind::Real:
-            targets[n.real] = budget;
+    // Top-down: each vertex hands its latency budget to its children.
+    std::vector<double> budget(vertices_.size());
+    std::vector<double> targets(nodeCount_);
+    budget.front() = total_budget_ms;
+    for (std::size_t slot = 0; slot < vertices_.size(); ++slot) {
+        const Vertex &vertex = vertices_[slot];
+        const std::size_t end = vertex.first + vertex.count;
+        switch (vertex.kind) {
+          case Kind::Real:
+            targets[vertex.node] = budget[slot];
             break;
-          case MergeNode::Kind::Parallel:
+          case Kind::Parallel:
             // Eq. (10): parallel branches share the same target.
-            for (int child : n.children)
-                unfold(child, budget);
+            for (std::size_t child = vertex.first; child < end; ++child)
+                budget[child] = budget[slot];
             break;
-          case MergeNode::Kind::Sequential: {
+          case Kind::Sequential: {
             // Eq. (5): T_j - b_j proportional to sqrt(A_j R_j) within the
             // slack budget - sum_j b_j.
             double b_sum = 0.0;
             double sqrt_ar_sum = 0.0;
-            for (int child : n.children) {
-                const MergeParams &p = node(child).params;
+            for (std::size_t child = vertex.first; child < end; ++child) {
+                const MergeParams &p = params_[child];
                 b_sum += p.b;
                 sqrt_ar_sum += std::sqrt(std::max(p.A, kMinA) * p.R);
             }
-            const double slack = budget - b_sum;
+            const double slack = budget[slot] - b_sum;
             ERMS_ASSERT_MSG(sqrt_ar_sum > 0.0, "degenerate merge node");
-            for (int child : n.children) {
-                const MergeParams &p = node(child).params;
+            for (std::size_t child = vertex.first; child < end; ++child) {
+                const MergeParams &p = params_[child];
                 const double share =
                     std::sqrt(std::max(p.A, kMinA) * p.R) / sqrt_ar_sum;
-                unfold(child, p.b + share * slack);
+                budget[child] = p.b + share * slack;
             }
             break;
           }
         }
-    };
-
-    unfold(root_, total_budget_ms);
+    }
     return targets;
 }
 

@@ -24,13 +24,16 @@
  *    needing the not-yet-known n_j).
  *
  * The merge tree also remembers its structure so computed targets can be
- * *unfolded* back onto real microservices (Fig. 8).
+ * *unfolded* back onto real microservices (Fig. 8). Its topology depends
+ * only on the graph, so it is built once and re-evaluated whenever the
+ * per-microservice parameters change.
  */
 
 #ifndef ERMS_SCALING_MERGE_HPP
 #define ERMS_SCALING_MERGE_HPP
 
-#include <unordered_map>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -47,71 +50,70 @@ struct MergeParams
 };
 
 /**
- * Node of the merge tree. Leaves are real microservices; internal nodes
- * are the virtual microservices invented by Algorithm 1.
- */
-struct MergeNode
-{
-    enum class Kind { Real, Sequential, Parallel };
-
-    Kind kind = Kind::Real;
-    MicroserviceId real = kInvalidMicroservice; ///< valid for Kind::Real
-    std::vector<int> children;                  ///< indices into the tree
-    MergeParams params{};
-};
-
-/**
- * Result of merging one dependency graph: an index-addressed tree whose
- * root virtual microservice summarizes the whole service.
+ * Algorithm 1's merge tree over one dependency graph, addressed by
+ * graph-local index (position in DependencyGraph::nodes()). Leaves are
+ * the real microservices; the virtual microservices are one sequential
+ * vertex per calling node (the node itself, then each of its stages in
+ * order) and one parallel vertex per stage with two or more branches.
  */
 class MergeTree
 {
   public:
-    /**
-     * Build the merge tree for a graph.
-     *
-     * @param graph   the service's dependency graph
-     * @param params  per-real-microservice {A, b, R}; must contain every
-     *                node of the graph
-     */
-    MergeTree(const DependencyGraph &graph,
-              const std::unordered_map<MicroserviceId, MergeParams> &params);
+    /** Build the tree's topology for a graph. */
+    explicit MergeTree(const DependencyGraph &graph);
 
-    const MergeNode &node(int index) const;
-    int rootIndex() const { return root_; }
-    const MergeNode &root() const { return node(root_); }
-    std::size_t size() const { return nodes_.size(); }
+    /**
+     * Merge per-microservice {A, b, R}, indexed like graph.nodes(),
+     * bottom-up into every virtual microservice.
+     */
+    void evaluate(std::span<const MergeParams> params);
+
+    /** The root virtual microservice, summarizing the whole service
+     *  (valid after evaluate()). */
+    const MergeParams &rootParams() const { return params_.front(); }
+
+    /** Number of real plus virtual microservices. */
+    std::size_t size() const { return vertices_.size(); }
 
     /**
      * Unfold a latency budget from the root down to real microservices
-     * (Fig. 8): sequential children split the budget per Eq. (5);
-     * parallel children all inherit it.
+     * (Fig. 8) using the last evaluate(): sequential children split the
+     * budget per Eq. (5); parallel children all inherit it.
      *
      * @param total_budget_ms latency budget for the root (the SLA)
-     * @return per-real-microservice latency targets (ms)
+     * @return latency targets (ms) indexed like graph.nodes()
      * @throws InfeasibleError if total_budget_ms <= the root intercept.
      */
-    std::unordered_map<MicroserviceId, double>
-    unfoldTargets(double total_budget_ms) const;
+    std::vector<double> unfold(double total_budget_ms) const;
 
   private:
-    int mergeMicroservice(
-        const DependencyGraph &graph, MicroserviceId id,
-        const std::unordered_map<MicroserviceId, MergeParams> &params);
+    enum class Kind : std::uint8_t { Real, Sequential, Parallel };
 
-    int addReal(MicroserviceId id, const MergeParams &params);
-    int addSequential(std::vector<int> children);
-    int addParallel(std::vector<int> children);
+    /** Every vertex's children occupy one contiguous block of slots after
+     *  the vertex itself: the merge rules read them as one span, and
+     *  reverse slot order is bottom-up. */
+    struct Vertex
+    {
+        Kind kind = Kind::Real;
+        /** Graph-local index: the real microservice, the sequence's own
+         *  node, or the node whose stage a parallel vertex merges. */
+        std::size_t node = 0;
+        /** Parallel: the stage's first call in callsAt(node). */
+        std::size_t call = 0;
+        std::size_t first = 0; ///< first child slot
+        std::size_t count = 0; ///< number of children
+    };
 
-    std::vector<MergeNode> nodes_;
-    int root_ = -1;
+    std::size_t nodeCount_ = 0;
+    std::vector<Vertex> vertices_;
+    std::vector<MergeParams> params_;
 };
 
 /** Sequential combination of Eqs. (7)-(9) over arbitrary arity. */
-MergeParams mergeSequential(const std::vector<MergeParams> &parts);
+MergeParams mergeSequential(std::span<const MergeParams> parts);
 
 /** Parallel combination of Eqs. (11)-(12) over arbitrary arity. */
-MergeParams mergeParallel(const std::vector<MergeParams> &parts);
+MergeParams mergeParallel(std::span<const MergeParams> parts);
 
 } // namespace erms
 

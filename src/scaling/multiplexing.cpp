@@ -184,19 +184,28 @@ MultiplexingPlanner::planPriority(const std::vector<ServiceSpec> &services,
     }
 
     // Step 3: modified workloads. Service with the k-th highest priority
-    // at shared microservice i sees sum_{l<=k} gamma_{l,i}.
+    // at shared microservice i sees sum_{l<=k} gamma_{l,i}. Each
+    // service's workloads are derived once, indexed like its nodes().
+    struct ServiceWorkloads
+    {
+        const DependencyGraph *graph = nullptr;
+        std::vector<double> gamma;
+    };
+    std::unordered_map<ServiceId, ServiceWorkloads> workloads_of;
+    for (const ServiceSpec &svc : services) {
+        workloads_of.emplace(
+            svc.id,
+            ServiceWorkloads{svc.graph,
+                             svc.graph->workloadsByIndex(svc.workload)});
+    }
+
     std::unordered_map<ServiceId, std::unordered_map<MicroserviceId, double>>
         overrides;
-    std::unordered_map<ServiceId, const ServiceSpec *> spec_of;
-    for (const ServiceSpec &svc : services)
-        spec_of.emplace(svc.id, &svc);
-
     for (const auto &[ms_id, order] : plan.priorityOrder) {
         double cumulative = 0.0;
         for (ServiceId svc_id : order) {
-            const ServiceSpec &svc = *spec_of.at(svc_id);
-            const auto workloads = svc.graph->workloads(svc.workload);
-            cumulative += workloads.at(ms_id);
+            const ServiceWorkloads &svc = workloads_of.at(svc_id);
+            cumulative += svc.gamma[svc.graph->indexOf(ms_id)];
             overrides[svc_id][ms_id] = cumulative;
         }
     }

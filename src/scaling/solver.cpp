@@ -1,11 +1,22 @@
 #include "solver.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
 #include "scaling/merge.hpp"
 
 namespace erms {
+
+namespace {
+
+struct BandChoice
+{
+    LatencyBand band{};
+    Interval interval = Interval::AboveCutoff;
+};
+
+} // namespace
 
 double
 ServiceAllocation::totalResource() const
@@ -35,57 +46,38 @@ LatencyTargetSolver::LatencyTargetSolver(const MicroserviceCatalog &catalog,
     ERMS_ASSERT(options.cutoffBackstopFactor > 0.0);
 }
 
-std::unordered_map<MicroserviceId, double>
-LatencyTargetSolver::solvePass(
-    const DependencyGraph &graph,
-    const std::unordered_map<MicroserviceId, double> &workloads,
-    const std::unordered_map<MicroserviceId, BandChoice> &bands,
-    double sla_ms) const
-{
-    std::unordered_map<MicroserviceId, MergeParams> params;
-    params.reserve(graph.size());
-    for (MicroserviceId id : graph.nodes()) {
-        const BandChoice &choice = bands.at(id);
-        MergeParams p;
-        p.A = choice.band.a * workloads.at(id);
-        p.b = choice.band.b;
-        p.R = dominantShare(catalog_.profile(id).resources, capacity_);
-        params.emplace(id, p);
-    }
-    MergeTree tree(graph, params);
-    return tree.unfoldTargets(sla_ms);
-}
-
 ServiceAllocation
 LatencyTargetSolver::solve(const ServiceScalingRequest &request,
                            const Interference &itf) const
 {
     ERMS_ASSERT_MSG(request.graph != nullptr, "request requires a graph");
     const DependencyGraph &graph = *request.graph;
+    const std::vector<MicroserviceId> &nodes = graph.nodes();
+    const std::size_t n = nodes.size();
 
     ServiceAllocation result;
     result.service = graph.service();
     result.slaMs = request.slaMs;
 
-    // Per-microservice workloads: graph-derived, then overridden where the
-    // multiplexing planner injected priority-modified values.
-    auto workloads = graph.workloads(request.workload);
-    if (request.workloadOverride) {
-        for (const auto &[id, gamma] : *request.workloadOverride) {
-            if (workloads.count(id))
-                workloads[id] = gamma;
+    // Per-microservice inputs, indexed like nodes(). Workloads are
+    // graph-derived, then overridden where the multiplexing planner
+    // injected priority-modified values. Pass 1 starts from interval-2
+    // bands, as the paper does (high-workload regime, cheaper in
+    // resources).
+    std::vector<double> workloads = graph.workloadsByIndex(request.workload);
+    std::vector<const PiecewiseLatencyModel *> models(n);
+    std::vector<BandChoice> bands(n);
+    std::vector<MergeParams> params(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const MicroserviceId id = nodes[i];
+        if (request.workloadOverride) {
+            const auto it = request.workloadOverride->find(id);
+            if (it != request.workloadOverride->end())
+                workloads[i] = it->second;
         }
-    }
-
-    // Pass 1: the paper starts from interval-2 parameters (high-workload
-    // regime, cheaper in resources).
-    std::unordered_map<MicroserviceId, BandChoice> bands;
-    bands.reserve(graph.size());
-    for (MicroserviceId id : graph.nodes()) {
-        BandChoice choice;
-        choice.interval = Interval::AboveCutoff;
-        choice.band = catalog_.model(id).band(itf, Interval::AboveCutoff);
-        bands.emplace(id, choice);
+        models[i] = &catalog_.model(id);
+        bands[i].band = models[i]->band(itf, Interval::AboveCutoff);
+        params[i].R = dominantShare(catalog_.profile(id).resources, capacity_);
     }
 
     // §5.3.1 refinement, iterated to a fixed point: after each pass, a
@@ -95,15 +87,21 @@ LatencyTargetSolver::solve(const ServiceScalingRequest &request,
     // classification stabilizes (almost always 1-2 passes) with a small
     // cap, which also handles fitted models whose interval-2 intercepts
     // aggregate past a tight SLA (fall back to all-interval-1).
-    std::unordered_map<MicroserviceId, double> targets;
+    MergeTree tree(graph);
+    std::vector<double> targets;
     bool have_targets = false;
     for (int pass = 0; pass < options_.maxRefinementPasses; ++pass) {
+        for (std::size_t i = 0; i < n; ++i) {
+            params[i].A = bands[i].band.a * workloads[i];
+            params[i].b = bands[i].band.b;
+        }
+        tree.evaluate(params);
         try {
-            targets = solvePass(graph, workloads, bands, request.slaMs);
+            targets = tree.unfold(request.slaMs);
             have_targets = true;
         } catch (const InfeasibleError &err) {
             bool all_below = true;
-            for (const auto &[id, choice] : bands)
+            for (const BandChoice &choice : bands)
                 all_below &= choice.interval == Interval::BelowCutoff;
             if (all_below) {
                 result.feasible = false;
@@ -111,10 +109,9 @@ LatencyTargetSolver::solve(const ServiceScalingRequest &request,
                 return result;
             }
             // Retry at the conservative (light-load) end.
-            for (MicroserviceId id : graph.nodes()) {
-                bands[id].interval = Interval::BelowCutoff;
-                bands[id].band =
-                    catalog_.model(id).band(itf, Interval::BelowCutoff);
+            for (std::size_t i = 0; i < n; ++i) {
+                bands[i].interval = Interval::BelowCutoff;
+                bands[i].band = models[i]->band(itf, Interval::BelowCutoff);
             }
             have_targets = false;
             continue;
@@ -124,12 +121,11 @@ LatencyTargetSolver::solve(const ServiceScalingRequest &request,
         // interval-1 band and stays there. This guarantees termination
         // and avoids oscillation between band assignments.
         bool changed = false;
-        for (MicroserviceId id : graph.nodes()) {
-            const auto &model = catalog_.model(id);
-            if (bands[id].interval == Interval::AboveCutoff &&
-                targets.at(id) < model.cutoffLatency(itf)) {
-                bands[id].interval = Interval::BelowCutoff;
-                bands[id].band = model.band(itf, Interval::BelowCutoff);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (bands[i].interval == Interval::AboveCutoff &&
+                targets[i] < models[i]->cutoffLatency(itf)) {
+                bands[i].interval = Interval::BelowCutoff;
+                bands[i].band = models[i]->band(itf, Interval::BelowCutoff);
                 changed = true;
             }
         }
@@ -142,22 +138,23 @@ LatencyTargetSolver::solve(const ServiceScalingRequest &request,
         return result;
     }
 
-    // Convert targets to container counts.
-    for (MicroserviceId id : graph.nodes()) {
-        const BandChoice &choice = bands.at(id);
+    // Convert targets to container counts. The final check below needs
+    // each microservice's model-predicted latency at its allocation.
+    std::vector<double> predicted(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const MicroserviceId id = nodes[i];
+        const PiecewiseLatencyModel &model = *models[i];
         MicroserviceAllocation alloc;
-        alloc.latencyTargetMs = targets.at(id);
-        alloc.workload = workloads.at(id);
-        alloc.band = choice.band;
-        alloc.intervalUsed = choice.interval;
-        alloc.resourceDemand =
-            dominantShare(catalog_.profile(id).resources, capacity_);
+        alloc.latencyTargetMs = targets[i];
+        alloc.workload = workloads[i];
+        alloc.band = bands[i].band;
+        alloc.intervalUsed = bands[i].interval;
+        alloc.resourceDemand = params[i].R;
 
         // Size containers by inverting the *piecewise* model at the
         // target: this guarantees the target is met under the model even
         // when the band assumed during merging disagrees with the
         // realized operating interval (§5.3.1 stops after two passes).
-        const auto &model = catalog_.model(id);
         double max_load = model.maxLoadForLatency(alloc.latencyTargetMs,
                                                   itf);
         if (max_load <= 0.0) {
@@ -187,6 +184,8 @@ LatencyTargetSolver::solve(const ServiceScalingRequest &request,
         alloc.containers = std::max(
             1, static_cast<int>(std::ceil(alloc.containersFractional -
                                           1e-9)));
+        predicted[i] = model.latency(
+            alloc.workload / std::max(1, alloc.containers), itf);
         result.perMicroservice.emplace(id, alloc);
     }
 
@@ -195,13 +194,6 @@ LatencyTargetSolver::solve(const ServiceScalingRequest &request,
     // (even negative targets) no allocation can deliver. Reject the
     // solution unless the *model-predicted* end-to-end latency at the
     // deployed allocation meets the SLA.
-    std::unordered_map<MicroserviceId, double> predicted;
-    predicted.reserve(result.perMicroservice.size());
-    for (const auto &[id, alloc] : result.perMicroservice) {
-        const double per_container =
-            alloc.workload / std::max(1, alloc.containers);
-        predicted[id] = catalog_.model(id).latency(per_container, itf);
-    }
     const double e2e = endToEndLatency(graph, predicted);
     if (e2e > request.slaMs * 1.01 + 1e-9) {
         result.feasible = false;

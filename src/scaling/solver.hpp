@@ -4,14 +4,18 @@
  * (§4.2, §5.3.1). For one service it:
  *
  *  1. derives per-microservice workloads from the service request rate,
- *  2. builds the merge tree with interval-2 (queueing regime) bands,
+ *  2. builds the graph's merge tree once and evaluates it with
+ *     interval-2 (queueing regime) bands,
  *  3. unfolds the SLA into per-microservice latency targets (Eq. (5)),
  *  4. checks each target against the cutoff latency; any microservice
  *     whose target falls below it would actually operate in interval 1,
- *     so the solver re-runs once with interval-1 bands for those
- *     microservices (at most two passes per graph, §5.3.1),
+ *     so the solver re-evaluates the same tree with interval-1 bands for
+ *     those microservices (at most two passes per graph, §5.3.1),
  *  5. converts targets to container counts n_i = A_i / (T_i - b_i),
  *     rounded up.
+ *
+ * Per-microservice state lives in arrays indexed like the graph's
+ * nodes() for the whole solve.
  */
 
 #ifndef ERMS_SCALING_SOLVER_HPP
@@ -81,19 +85,6 @@ class LatencyTargetSolver
                             const Interference &itf) const;
 
   private:
-    struct BandChoice
-    {
-        LatencyBand band{};
-        Interval interval = Interval::AboveCutoff;
-    };
-
-    /** One merge + unfold pass with fixed per-microservice bands. */
-    std::unordered_map<MicroserviceId, double>
-    solvePass(const DependencyGraph &graph,
-              const std::unordered_map<MicroserviceId, double> &workloads,
-              const std::unordered_map<MicroserviceId, BandChoice> &bands,
-              double sla_ms) const;
-
     const MicroserviceCatalog &catalog_;
     ClusterCapacity capacity_;
     SolverOptions options_;

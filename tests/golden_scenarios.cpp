@@ -1,5 +1,7 @@
 #include "golden_scenarios.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 
@@ -8,10 +10,12 @@
 #include "core/profiling_pipeline.hpp"
 #include "fault/campaign.hpp"
 #include "market/market.hpp"
+#include "scaling/multiplexing.hpp"
 #include "telemetry/guarded_view.hpp"
 #include "telemetry/monitor.hpp"
 #include "telemetry/view.hpp"
 #include "workload/generators.hpp"
+#include "workload/synth_trace.hpp"
 
 namespace erms::golden {
 namespace {
@@ -455,6 +459,191 @@ chaosCampaignImpl()
     return out.str();
 }
 
+
+// ---------------------------------------------------------------------
+// planner: latency targets and multiplexing at trace-scale sharing
+// ---------------------------------------------------------------------
+
+/** FNV-1a: one 64-bit digest pins every row of a plan on one line. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** One line per service, then one row per microservice in id order:
+ *  target, workload, fractional and whole containers, interval, band,
+ *  per-container demand. The service line carries totalResource(),
+ *  which sums in the allocation map's iteration order. */
+std::string
+allocationRows(const ServiceAllocation &alloc)
+{
+    std::vector<MicroserviceId> ids;
+    for (const auto &[id, ms] : alloc.perMicroservice)
+        ids.push_back(id);
+    std::sort(ids.begin(), ids.end());
+    std::ostringstream out;
+    out << "service " << alloc.service << ' '
+        << (alloc.feasible ? "feasible" : "infeasible") << ' '
+        << alloc.totalContainers() << ' ' << hex(alloc.totalResource())
+        << " reason=" << alloc.infeasibleReason << '\n';
+    for (MicroserviceId id : ids) {
+        const MicroserviceAllocation &ms = alloc.perMicroservice.at(id);
+        out << ' ' << id << ' ' << hex(ms.latencyTargetMs) << ' '
+            << hex(ms.workload) << ' ' << hex(ms.containersFractional)
+            << ' ' << ms.containers << ' '
+            << (ms.intervalUsed == Interval::AboveCutoff ? 2 : 1) << ' '
+            << hex(ms.band.a) << ' ' << hex(ms.band.b) << ' '
+            << hex(ms.resourceDemand) << '\n';
+    }
+    return out.str();
+}
+
+/** Every row of a plan: service allocations in submission order, then
+ *  deployed containers (id:count, 16 a line) and priority orders in id
+ *  order. */
+std::string
+planRows(const GlobalPlan &plan)
+{
+    std::ostringstream out;
+    for (const ServiceAllocation &alloc : plan.services)
+        out << allocationRows(alloc);
+    std::vector<std::pair<MicroserviceId, int>> containers(
+        plan.containers.begin(), plan.containers.end());
+    std::sort(containers.begin(), containers.end());
+    for (std::size_t i = 0; i < containers.size(); ++i) {
+        out << (i % 16 == 0 ? "containers" : "") << ' '
+            << containers[i].first << ':' << containers[i].second
+            << (i % 16 == 15 || i + 1 == containers.size() ? "\n" : "");
+    }
+    std::vector<MicroserviceId> shared;
+    for (const auto &[id, order] : plan.priorityOrder)
+        shared.push_back(id);
+    std::sort(shared.begin(), shared.end());
+    for (MicroserviceId id : shared) {
+        out << "priority " << id << ':';
+        for (ServiceId svc : plan.priorityOrder.at(id))
+            out << ' ' << svc;
+        out << '\n';
+    }
+    return out.str();
+}
+
+/** One summary line per plan: totals (the planner's own
+ *  totalResource sums in container-map order) plus the rows' digest. */
+std::string
+planSummary(const std::string &label, const GlobalPlan &plan)
+{
+    int infeasible = 0;
+    for (const ServiceAllocation &alloc : plan.services)
+        infeasible += alloc.feasible ? 0 : 1;
+    char digest[20];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(fnv1a(planRows(plan))));
+    std::ostringstream out;
+    out << label << " feasible=" << plan.feasible
+        << " infeasible_services=" << infeasible
+        << " total_containers=" << plan.totalContainers
+        << " total_resource=" << hex(plan.totalResource)
+        << " rows=" << digest << " reason=" << plan.infeasibleReason
+        << '\n';
+    return out.str();
+}
+
+std::string
+plannerImpl()
+{
+    // Alibaba-like sharing: ~600 microservices over 55 services of
+    // 20-70, SLAs drawn against each graph's own knee latency.
+    SynthTraceConfig config;
+    config.microserviceCount = 600;
+    config.serviceCount = 55;
+    config.minGraphSize = 20;
+    config.maxGraphSize = 70;
+    config.slaRelativeToKnee = true;
+    config.seed = 61;
+    const SynthTrace trace = makeSynthTrace(config);
+
+    const auto servicesAt = [&](double sla_scale) {
+        std::vector<ServiceSpec> services;
+        for (std::size_t s = 0; s < trace.graphs.size(); ++s) {
+            ServiceSpec spec;
+            spec.id = trace.graphs[s].service();
+            spec.graph = &trace.graphs[s];
+            spec.slaMs = trace.slaMs[s] * sla_scale;
+            spec.workload = trace.workloads[s];
+            services.push_back(spec);
+        }
+        return services;
+    };
+
+    std::ostringstream out;
+    out << "golden planner: synth trace 600 microservices, 55 services of "
+           "20-70, knee-relative SLAs, seed 61, shared microservices "
+        << trace.sharedMicroserviceCount() << '\n';
+
+    const std::vector<Interference> points{{0.2, 0.1}, {0.5, 0.4}};
+    const MultiplexingPlanner planner(trace.catalog, ClusterCapacity{});
+    GlobalPlan pinned;
+    for (std::size_t point = 0; point < points.size(); ++point) {
+        const Interference &itf = points[point];
+        for (double sla_scale : {1.0, 0.5, 0.05}) {
+            for (SharingPolicy policy :
+                 {SharingPolicy::Priority, SharingPolicy::FcfsSharing,
+                  SharingPolicy::NonSharing}) {
+                GlobalPlan plan =
+                    planner.plan(servicesAt(sla_scale), itf, policy);
+                std::ostringstream label;
+                label << "plan " << bench::policyName(policy) << " itf "
+                      << hex(itf.cpuUtil) << ' ' << hex(itf.memUtil)
+                      << " sla_scale " << sla_scale;
+                out << planSummary(label.str(), plan);
+                if (policy == SharingPolicy::Priority && sla_scale == 1.0 &&
+                    point == 0)
+                    pinned = std::move(plan);
+            }
+        }
+    }
+
+    // The paper's literal two-pass refinement (§5.3.1).
+    SolverOptions two_pass;
+    two_pass.maxRefinementPasses = 2;
+    const MultiplexingPlanner literal(trace.catalog, ClusterCapacity{},
+                                      two_pass);
+    out << planSummary("plan priority two-pass itf 0.5/0.4 sla_scale 0.5",
+                       literal.plan(servicesAt(0.5), points.back()));
+
+    // A single solve with injected workloads, as Step 3 of the priority
+    // planner does: every third microservice doubled, plus an id the
+    // graph does not contain.
+    const DependencyGraph &graph = trace.graphs.front();
+    std::unordered_map<MicroserviceId, double> injected;
+    const auto derived = graph.workloads(trace.workloads.front());
+    for (std::size_t i = 0; i < graph.nodes().size(); i += 3) {
+        const MicroserviceId id = graph.nodes()[i];
+        injected.emplace(id, 2.0 * derived.at(id));
+    }
+    injected.emplace(kInvalidMicroservice - 1, 1.0);
+    ServiceScalingRequest request;
+    request.graph = &graph;
+    request.slaMs = trace.slaMs.front();
+    request.workload = trace.workloads.front();
+    request.workloadOverride = &injected;
+    const LatencyTargetSolver solver(trace.catalog, ClusterCapacity{});
+    out << "solve workload-override service " << graph.service() << '\n'
+        << allocationRows(solver.solve(request, points.front()));
+
+    out << "rows of plan priority itf " << hex(points.front().cpuUtil)
+        << ' ' << hex(points.front().memUtil) << " sla_scale 1\n"
+        << planRows(pinned);
+    return out.str();
+}
+
 } // namespace
 
 std::string
@@ -487,6 +676,12 @@ chaosCampaignGolden()
     return chaosCampaignImpl();
 }
 
+std::string
+plannerGolden()
+{
+    return plannerImpl();
+}
+
 const std::vector<Scenario> &
 scenarios()
 {
@@ -496,6 +691,7 @@ scenarios()
         {"fault_sweep.txt", &faultSweepGolden},
         {"market.txt", &marketGolden},
         {"chaos_campaign.txt", &chaosCampaignGolden},
+        {"planner.txt", &plannerGolden},
     };
     return kScenarios;
 }

@@ -53,6 +53,13 @@ std::string marketGolden();
  *  scrape stream's shape end to end. */
 std::string chaosCampaignGolden();
 
+/** Planner alone at trace-scale sharing: a synthetic Alibaba-like
+ *  population planned under every sharing policy at two interference
+ *  points and three SLA scales (the tightest pins infeasible reasons),
+ *  plus a two-pass refinement plan and a workload-override solve. One
+ *  summary line and row digest per plan; full rows for one plan. */
+std::string plannerGolden();
+
 /** All golden scenarios in regeneration order. */
 const std::vector<Scenario> &scenarios();
 

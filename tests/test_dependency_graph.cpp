@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "graph/dependency_graph.hpp"
 
@@ -91,6 +93,63 @@ TEST(DependencyGraph, WorkloadPropagationWithMultiplicity)
     EXPECT_DOUBLE_EQ(workloads.at(0), 100.0);
     EXPECT_DOUBLE_EQ(workloads.at(1), 200.0);
     EXPECT_DOUBLE_EQ(workloads.at(2), 600.0);
+}
+
+/** Ids that differ from their graph-local indices (root 50 is index 0),
+ *  with calls inserted out of stage order. */
+DependencyGraph
+shuffledGraph()
+{
+    DependencyGraph g(0, 50);
+    g.addCall(50, 41, 1, 2.0);
+    g.addCall(50, 42, 0, 0.5);
+    g.addCall(50, 43, 1, 3.0);
+    g.addCall(42, 44, 0, 4.0);
+    return g;
+}
+
+TEST(DependencyGraph, GraphLocalIndicesFollowNodesAndCalls)
+{
+    const DependencyGraph g = shuffledGraph();
+    for (std::size_t i = 0; i < g.size(); ++i)
+        EXPECT_EQ(g.indexOf(g.nodes()[i]), i);
+    EXPECT_THROW(g.indexOf(7), GraphError);
+
+    // Calls by stage, insertion order within a stage; callee indices
+    // stay parallel to them.
+    const std::size_t root = g.indexOf(50);
+    const auto &calls = g.callsAt(root);
+    ASSERT_EQ(calls.size(), 3u);
+    EXPECT_EQ(&calls, &g.calls(50));
+    EXPECT_EQ(calls[0].callee, 42u);
+    EXPECT_EQ(calls[1].callee, 41u);
+    EXPECT_EQ(calls[2].callee, 43u);
+    ASSERT_EQ(g.calleeIndices(root).size(), 3u);
+    for (std::size_t k = 0; k < calls.size(); ++k)
+        EXPECT_EQ(g.nodes()[g.calleeIndices(root)[k]], calls[k].callee);
+    EXPECT_TRUE(g.calleeIndices(g.indexOf(44)).empty());
+}
+
+TEST(DependencyGraph, WorkloadMapKeepsItsInsertionOrder)
+{
+    // Callers iterate workloads(), so the map must come out as if built
+    // root first, then each node's callees in call order.
+    const DependencyGraph g = shuffledGraph();
+    std::unordered_map<MicroserviceId, double> expected;
+    expected.reserve(g.size());
+    expected[50] = 100.0;
+    expected[42] = 50.0;
+    expected[41] = 200.0;
+    expected[43] = 300.0;
+    expected[44] = 200.0;
+    const auto workloads = g.workloads(100.0);
+    EXPECT_TRUE(std::equal(workloads.begin(), workloads.end(),
+                           expected.begin(), expected.end()));
+
+    const std::vector<double> dense = g.workloadsByIndex(100.0);
+    ASSERT_EQ(dense.size(), g.size());
+    for (MicroserviceId id : g.nodes())
+        EXPECT_EQ(dense[g.indexOf(id)], workloads.at(id)) << id;
 }
 
 TEST(DependencyGraph, RootToLeafPathsOfFig7)

@@ -11,6 +11,7 @@
 
 #include "apps/applications.hpp"
 #include "baselines/baseline.hpp"
+#include "common/rng.hpp"
 #include "core/erms.hpp"
 #include "trace/coordinator.hpp"
 
@@ -91,6 +92,47 @@ TEST(EndToEndLatency, MatchesMaxCriticalPathSum)
         best = std::max(best, sum);
     }
     EXPECT_DOUBLE_EQ(endToEndLatency(g, values), best);
+}
+
+TEST(EndToEndLatency, IndexedValuesMatchCriticalPathMaximum)
+{
+    // Random trees whose ids differ from their graph-local indices;
+    // integer values keep every path sum exact.
+    Rng rng(17);
+    for (int trial = 0; trial < 20; ++trial) {
+        const MicroserviceId base = 100 + 7 * static_cast<MicroserviceId>(
+                                              trial);
+        DependencyGraph g(0, base);
+        for (MicroserviceId k = 1; k < 15; ++k) {
+            const MicroserviceId parent =
+                base + static_cast<MicroserviceId>(rng.uniformInt(0, k - 1));
+            g.addCall(parent, base + k,
+                      static_cast<int>(rng.uniformInt(0, 2)));
+        }
+        std::vector<double> indexed(g.size());
+        std::unordered_map<MicroserviceId, double> keyed;
+        for (MicroserviceId id : g.nodes()) {
+            const double v = static_cast<double>(rng.uniformInt(1, 50));
+            indexed[g.indexOf(id)] = v;
+            keyed[id] = v;
+        }
+        double best = 0.0;
+        for (const auto &path : g.criticalPaths()) {
+            double sum = 0.0;
+            for (MicroserviceId id : path)
+                sum += keyed.at(id);
+            best = std::max(best, sum);
+        }
+        std::vector<MicroserviceId> critical;
+        EXPECT_EQ(endToEndLatency(g, indexed, &critical), best);
+        double along = 0.0;
+        for (MicroserviceId id : critical)
+            along += keyed.at(id);
+        EXPECT_EQ(along, best);
+        std::vector<MicroserviceId> keyed_critical;
+        EXPECT_EQ(endToEndLatency(g, keyed, &keyed_critical), best);
+        EXPECT_EQ(keyed_critical, critical);
+    }
 }
 
 // ---------------------------------------------------------------------

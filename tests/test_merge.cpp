@@ -75,12 +75,22 @@ TEST(MergeParallel, EqualBranchTargetsUseSameBudget)
     EXPECT_NEAR(merged.A * merged.R / (x - merged.b), direct, 1e-9);
 }
 
-/** Helper: chain graph 0 -> 1 -> 2 with given params. */
-std::unordered_map<MicroserviceId, MergeParams>
+/** The graph's merge tree evaluated with per-node params (indexed like
+ *  nodes()). */
+MergeTree
+merged(const DependencyGraph &g, const std::vector<MergeParams> &params)
+{
+    MergeTree tree(g);
+    tree.evaluate(params);
+    return tree;
+}
+
+/** Helper: chain graph 0 -> 1 -> 2 with given params; ids are inserted
+ *  in order, so each id is also its graph-local index. */
+std::vector<MergeParams>
 chainParams()
 {
-    return {{0, {10.0, 2.0, 1.0}}, {1, {40.0, 5.0, 2.0}},
-            {2, {90.0, 3.0, 0.5}}};
+    return {{10.0, 2.0, 1.0}, {40.0, 5.0, 2.0}, {90.0, 3.0, 0.5}};
 }
 
 DependencyGraph
@@ -96,30 +106,32 @@ TEST(MergeTree, ChainTargetsMatchClosedForm)
 {
     const auto params = chainParams();
     const DependencyGraph g = chainGraph();
-    MergeTree tree(g, params);
+    const MergeTree tree = merged(g, params);
 
     const double sla = 100.0;
-    const auto targets = tree.unfoldTargets(sla);
+    const auto targets = tree.unfold(sla);
 
     // Eq. (5): T_i - b_i proportional to sqrt(A_i R_i).
     double sqrt_sum = 0.0, b_sum = 0.0;
-    for (const auto &[id, p] : params) {
+    for (const MergeParams &p : params) {
         sqrt_sum += std::sqrt(p.A * p.R);
         b_sum += p.b;
     }
-    for (const auto &[id, p] : params) {
+    for (MicroserviceId id : g.nodes()) {
+        const MergeParams &p = params[g.indexOf(id)];
         const double expected =
             p.b + std::sqrt(p.A * p.R) / sqrt_sum * (sla - b_sum);
-        EXPECT_NEAR(targets.at(id), expected, 1e-9) << "ms " << id;
+        EXPECT_NEAR(targets.at(g.indexOf(id)), expected, 1e-9)
+            << "ms " << id;
     }
 }
 
 TEST(MergeTree, ChainTargetsSumToSla)
 {
-    MergeTree tree(chainGraph(), chainParams());
-    const auto targets = tree.unfoldTargets(75.0);
+    const MergeTree tree = merged(chainGraph(), chainParams());
+    const auto targets = tree.unfold(75.0);
     double sum = 0.0;
-    for (const auto &[id, t] : targets)
+    for (double t : targets)
         sum += t;
     EXPECT_NEAR(sum, 75.0, 1e-9);
 }
@@ -129,15 +141,14 @@ TEST(MergeTree, ChainSplitIsKktOptimal)
     // Perturbing the optimal split along the budget simplex can only
     // increase total resource usage.
     const auto params = chainParams();
-    MergeTree tree(chainGraph(), params);
+    const MergeTree tree = merged(chainGraph(), params);
     const double sla = 100.0;
-    const auto targets = tree.unfoldTargets(sla);
+    const auto targets = tree.unfold(sla);
 
-    const auto resource = [&](const std::unordered_map<MicroserviceId,
-                                                       double> &t) {
+    const auto resource = [&](const std::vector<double> &t) {
         double total = 0.0;
-        for (const auto &[id, p] : params)
-            total += p.A / (t.at(id) - p.b) * p.R;
+        for (std::size_t i = 0; i < params.size(); ++i)
+            total += params[i].A / (t.at(i) - params[i].b) * params[i].R;
         return total;
     };
 
@@ -146,9 +157,9 @@ TEST(MergeTree, ChainSplitIsKktOptimal)
     for (int trial = 0; trial < 50; ++trial) {
         auto perturbed = targets;
         // Move epsilon of budget from one microservice to another.
-        const MicroserviceId from = static_cast<MicroserviceId>(
+        const std::size_t from = static_cast<std::size_t>(
             rng.uniformInt(0, 2));
-        const MicroserviceId to = static_cast<MicroserviceId>(
+        const std::size_t to = static_cast<std::size_t>(
             rng.uniformInt(0, 2));
         if (from == to)
             continue;
@@ -172,28 +183,29 @@ fig7Graph()
     return g;
 }
 
-std::unordered_map<MicroserviceId, MergeParams>
+/** Per-node params of fig7Graph(), whose ids equal their indices. */
+std::vector<MergeParams>
 fig7Params()
 {
-    return {{0, {10.0, 1.0, 1.0}},
-            {1, {30.0, 2.0, 1.0}},
-            {2, {50.0, 3.0, 2.0}},
-            {3, {20.0, 2.0, 1.0}}};
+    return {{10.0, 1.0, 1.0},
+            {30.0, 2.0, 1.0},
+            {50.0, 3.0, 2.0},
+            {20.0, 2.0, 1.0}};
 }
 
 TEST(MergeTree, ParallelBranchesReceiveEqualTargets)
 {
-    MergeTree tree(fig7Graph(), fig7Params());
-    const auto targets = tree.unfoldTargets(60.0);
+    const MergeTree tree = merged(fig7Graph(), fig7Params());
+    const auto targets = tree.unfold(60.0);
     EXPECT_NEAR(targets.at(1), targets.at(2), 1e-9);
 }
 
 TEST(MergeTree, PathBudgetsEqualSlaOnEveryCriticalPath)
 {
     const DependencyGraph g = fig7Graph();
-    MergeTree tree(g, fig7Params());
+    const MergeTree tree = merged(g, fig7Params());
     const double sla = 60.0;
-    const auto targets = tree.unfoldTargets(sla);
+    const auto targets = tree.unfold(sla);
     // Both critical paths T -> branch -> C consume exactly the SLA.
     EXPECT_NEAR(targets.at(0) + targets.at(1) + targets.at(3), sla, 1e-9);
     EXPECT_NEAR(targets.at(0) + targets.at(2) + targets.at(3), sla, 1e-9);
@@ -208,30 +220,50 @@ TEST(MergeTree, PathBudgetsEqualSlaOnEveryCriticalPath)
 TEST(MergeTree, AllTargetsExceedIntercepts)
 {
     const auto params = fig7Params();
-    MergeTree tree(fig7Graph(), params);
-    const auto targets = tree.unfoldTargets(30.0);
-    for (const auto &[id, p] : params)
-        EXPECT_GT(targets.at(id), p.b) << "ms " << id;
+    const MergeTree tree = merged(fig7Graph(), params);
+    const auto targets = tree.unfold(30.0);
+    for (std::size_t i = 0; i < params.size(); ++i)
+        EXPECT_GT(targets.at(i), params[i].b) << "ms " << i;
 }
 
 TEST(MergeTree, InfeasibleBudgetThrows)
 {
-    MergeTree tree(fig7Graph(), fig7Params());
+    const MergeTree tree = merged(fig7Graph(), fig7Params());
     // Root intercept: b_T + max(b_Url, b_U) + b_C = 1 + 3 + 2 = 6.
-    EXPECT_THROW(tree.unfoldTargets(5.9), InfeasibleError);
-    EXPECT_NO_THROW(tree.unfoldTargets(6.1));
+    EXPECT_THROW(tree.unfold(5.9), InfeasibleError);
+    EXPECT_NO_THROW(tree.unfold(6.1));
 }
 
 TEST(MergeTree, RootParamsAggregateIntercepts)
 {
-    MergeTree tree(fig7Graph(), fig7Params());
-    EXPECT_NEAR(tree.root().params.b, 6.0, 1e-9);
+    const MergeTree tree = merged(fig7Graph(), fig7Params());
+    EXPECT_NEAR(tree.rootParams().b, 6.0, 1e-9);
 }
 
 TEST(MergeTree, MissingParamsIsInternalError)
 {
-    std::unordered_map<MicroserviceId, MergeParams> params{{0, {1, 1, 1}}};
-    EXPECT_THROW(MergeTree(fig7Graph(), params), std::logic_error);
+    const std::vector<MergeParams> params{{1, 1, 1}};
+    MergeTree tree(fig7Graph());
+    EXPECT_THROW(tree.evaluate(params), std::logic_error);
+}
+
+TEST(MergeTree, ReevaluationMatchesAFreshTree)
+{
+    // A solver re-evaluates one tree on every refinement pass: nothing
+    // from an earlier evaluate() may leak into the next.
+    const DependencyGraph g = fig7Graph();
+    MergeTree reused(g);
+    std::vector<MergeParams> first = fig7Params();
+    for (MergeParams &p : first)
+        p.A *= 3.0;
+    reused.evaluate(first);
+    reused.evaluate(fig7Params());
+    const MergeTree fresh = merged(g, fig7Params());
+    EXPECT_EQ(reused.size(), fresh.size());
+    EXPECT_EQ(reused.rootParams().A, fresh.rootParams().A);
+    EXPECT_EQ(reused.rootParams().b, fresh.rootParams().b);
+    EXPECT_EQ(reused.rootParams().R, fresh.rootParams().R);
+    EXPECT_EQ(reused.unfold(60.0), fresh.unfold(60.0));
 }
 
 TEST(MergeTree, DeepRandomTreeUnfoldsConsistently)
@@ -241,26 +273,26 @@ TEST(MergeTree, DeepRandomTreeUnfoldsConsistently)
     Rng rng(21);
     for (int trial = 0; trial < 20; ++trial) {
         DependencyGraph g(0, 0);
-        std::unordered_map<MicroserviceId, MergeParams> params;
-        params[0] = {rng.uniform(1, 10), rng.uniform(0.5, 2), 1.0};
+        std::vector<MergeParams> params;
+        params.push_back({rng.uniform(1, 10), rng.uniform(0.5, 2), 1.0});
         const int n = 12;
         for (MicroserviceId id = 1; id < n; ++id) {
             const MicroserviceId parent =
                 static_cast<MicroserviceId>(rng.uniformInt(0, id - 1));
             g.addCall(parent, id, static_cast<int>(rng.uniformInt(0, 2)));
-            params[id] = {rng.uniform(1, 100), rng.uniform(0.5, 3.0),
-                          rng.uniform(0.5, 2.0)};
+            params.push_back({rng.uniform(1, 100), rng.uniform(0.5, 3.0),
+                              rng.uniform(0.5, 2.0)});
         }
-        MergeTree tree(g, params);
+        const MergeTree tree = merged(g, params);
         const double sla = 200.0;
-        const auto targets = tree.unfoldTargets(sla);
+        const auto targets = tree.unfold(sla);
 
         // Every critical path (one branch per parallel stage, all
         // sequential stages) stays within the SLA...
         for (const auto &path : g.criticalPaths()) {
             double sum = 0.0;
             for (MicroserviceId id : path)
-                sum += targets.at(id);
+                sum += targets.at(g.indexOf(id));
             EXPECT_LE(sum, sla + 1e-6);
         }
         // ...and the end-to-end composition consumes it exactly.

@@ -244,8 +244,9 @@ TEST(TelemetrySampling, SubsetPropertyAcrossProbabilities)
     // A request sampled at p stays sampled at every p' > p (head
     // sampling compares one hash against a threshold).
     for (RequestId id = 0; id < 2000; ++id) {
-        if (hashSampleRequest(id, 0.05))
+        if (hashSampleRequest(id, 0.05)) {
             EXPECT_TRUE(hashSampleRequest(id, 0.20)) << id;
+        }
     }
 }
 

@@ -25,7 +25,9 @@
 # property, mutation fuzz and parser regressions, and the io tests; and
 # the planner: the dependency-graph and scaling suites under ASan and
 # UBSan, plus the critical-path, end-to-end latency, solver and
-# multiplexing properties and the planner golden under UBSan.
+# multiplexing properties and the planner golden under UBSan; and the
+# telemetry read path: the shard merge, partition and coordinated
+# stepping suites and the strict CSV rate reader under ASan and UBSan.
 #
 # Usage: scripts/check.sh [jobs]   (default: 2)
 
@@ -38,14 +40,14 @@ cmake -B build -S .
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure
 
-echo "== asan: fault + chaos + campaign + tuning + runner + golden + market + property + json + planner tests (build-asan/) =="
+echo "== asan: fault + chaos + campaign + tuning + runner + golden + market + property + json + planner + shard merge tests (build-asan/) =="
 cmake -B build-asan -S . -DERMS_SANITIZE=address
 cmake --build build-asan -j"$JOBS" \
     --target erms_tests_foundation erms_tests_sim erms_tests_runner \
              erms_tests_golden erms_tests_system erms_tests_telemetry \
              erms_tests_chaos erms_tests_campaign erms_tests_event_engine \
              erms_tests_queueing erms_tests_market erms_tests_tuning \
-             erms_tests_scaling
+             erms_tests_scaling erms_tests_shard
 ./build-asan/tests/erms_tests_foundation \
     --gtest_filter='Json*:DependencyGraph*'
 ./build-asan/tests/erms_tests_scaling
@@ -54,7 +56,9 @@ cmake --build build-asan -j"$JOBS" \
 ./build-asan/tests/erms_tests_runner
 ./build-asan/tests/erms_tests_golden
 ./build-asan/tests/erms_tests_system \
-    --gtest_filter='*Property*:*StatsMerge*:*HistogramMerge*:*TelemetryTransparency*:*Serialization*'
+    --gtest_filter='*Property*:*StatsMerge*:*HistogramMerge*:*TelemetryTransparency*:*Serialization*:CsvRates*'
+./build-asan/tests/erms_tests_shard \
+    --gtest_filter='ShardMerge.*:ShardPartition.*:CoordinatedStepping.*'
 ./build-asan/tests/erms_tests_telemetry
 ./build-asan/tests/erms_tests_chaos
 # The campaign suite's full-size runs are slow under ASan; the archive/
@@ -62,7 +66,7 @@ cmake --build build-asan -j"$JOBS" \
 # pass below, so the sanitizer focuses on the schedule/corruption/cache
 # layers and the guarded-baseline transparency runs.
 ./build-asan/tests/erms_tests_campaign \
-    --gtest_filter='CampaignAzSchedule.*:CampaignCorruption.*:CampaignFaultyViewCache.*:CampaignArms.*:CampaignArchive.MalformedDocumentThrows:CampaignArchive.RandomArchivesRoundTripBitExact:CampaignArchive.LegacyArchiveParsesToTheSameConfig:CampaignArchiveFuzz.*:CampaignArchiveRegression.*:CampaignBaselineTransparency.*'
+    --gtest_filter='CampaignAzSchedule.*:CampaignCorruption.*:CampaignFaultyViewCache.*:CampaignArms.*:CampaignArchive.MalformedDocumentThrows:CampaignArchive.RandomArchivesRoundTripBitExact:CampaignArchive.LegacyArchiveParsesToTheSameConfig:CampaignArchive.UnsortedOrDuplicateScrapeSeriesThrowNamingThePath:CampaignArchiveFuzz.*:CampaignArchiveRegression.*:CampaignBaselineTransparency.*'
 ./build-asan/tests/erms_tests_event_engine
 ./build-asan/tests/erms_tests_queueing \
     --gtest_filter='QueueingValidation.MM1*:QueueingValidation.ErlangC*'
@@ -75,23 +79,26 @@ cmake --build build-asan -j"$JOBS" \
 ./build-asan/tests/erms_tests_tuning \
     --gtest_filter='AdaptiveTuner.*:TunerConfigValidation.*:GuardrailConfigValidation.*:SweepReduction.*:SweepConfigValidation.*:GuardMetrics.*:GuardRetune.*:SelfTuningDeterminism.SelfTunedCampaignReplaysExactly'
 
-echo "== ubsan: json + io + telemetry + guard + chaos + campaign + tuning + planner numeric paths (build-ubsan/) =="
+echo "== ubsan: json + io + telemetry + guard + chaos + campaign + tuning + planner + shard merge numeric paths (build-ubsan/) =="
 cmake -B build-ubsan -S . -DERMS_SANITIZE=undefined
 cmake --build build-ubsan -j"$JOBS" \
     --target erms_tests_foundation erms_tests_system erms_tests_telemetry \
              erms_tests_chaos erms_tests_campaign erms_tests_sim \
-             erms_tests_tuning erms_tests_scaling erms_tests_golden
+             erms_tests_tuning erms_tests_scaling erms_tests_golden \
+             erms_tests_shard
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_foundation \
     --gtest_filter='Json*:DependencyGraph*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_system \
-    --gtest_filter='*Serialization*:CriticalPaths*:EndToEndLatency*:*SolverProperty*:*MultiplexProperty*'
+    --gtest_filter='*Serialization*:CriticalPaths*:EndToEndLatency*:*SolverProperty*:*MultiplexProperty*:CsvRates*'
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_shard \
+    --gtest_filter='ShardMerge.*:ShardPartition.*:CoordinatedStepping.*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_scaling
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_golden \
     --gtest_filter='Scenarios/GoldenFile.MatchesCommittedTable/planner'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_telemetry
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_chaos
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_campaign \
-    --gtest_filter='CampaignAzSchedule.*:CampaignCorruption.*:CampaignFaultyViewCache.*:CampaignArms.*:CampaignArchive.MalformedDocumentThrows:CampaignArchive.RandomArchivesRoundTripBitExact:CampaignArchive.LegacyArchiveParsesToTheSameConfig:CampaignArchiveFuzz.*:CampaignArchiveRegression.*:CampaignBaselineTransparency.*'
+    --gtest_filter='CampaignAzSchedule.*:CampaignCorruption.*:CampaignFaultyViewCache.*:CampaignArms.*:CampaignArchive.MalformedDocumentThrows:CampaignArchive.RandomArchivesRoundTripBitExact:CampaignArchive.LegacyArchiveParsesToTheSameConfig:CampaignArchive.UnsortedOrDuplicateScrapeSeriesThrowNamingThePath:CampaignArchiveFuzz.*:CampaignArchiveRegression.*:CampaignBaselineTransparency.*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_sim \
     --gtest_filter='Fault*:Resilience*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_tuning \

@@ -27,11 +27,13 @@
  *     v.field("mode", t.mode, kModeNames);    // enum via a Name table
  *     v.field("labels", t.labels, enc, dec);  // stored as text
  *     v.constant("format", "erms-plan");      // fixed tag
+ *     v.check("series", problem);             // invariant of a field
  *
  * Writer runs the table to build an object. Reader runs it to read one
  * back and throws on a missing key, an unknown key, a value of the
- * wrong type, or a number that does not fit its field — so a field
- * cannot be written without being read back.
+ * wrong type, a number that does not fit its field, or a field whose
+ * check reports a problem — so a field cannot be written without being
+ * read back.
  */
 
 #ifndef ERMS_COMMON_JSON_HPP
@@ -147,6 +149,10 @@ class Writer
         add(key, Value(Value::Kind::String, text));
     }
 
+    /** A check validates what a Reader read; writing skips it. */
+    template <class Check>
+    void check(const char *, Check) {}
+
     Value take() { return std::move(object_); }
 
   private:
@@ -199,6 +205,17 @@ class Reader
     }
 
     void constant(const char *key, const char *text);
+
+    /** Validate field `key` once it is read: `problem()` returns what
+     *  is wrong with it, or an empty string when nothing is. */
+    template <class Check>
+    void
+    check(const char *key, Check problem)
+    {
+        const std::string what = problem();
+        if (!what.empty())
+            fail(childPath(path_, key), what);
+    }
 
     /** @throws ErmsError on a member no field read (an unknown key). */
     void finish() const;

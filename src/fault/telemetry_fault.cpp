@@ -281,149 +281,147 @@ TelemetryFaultInjector::activeAzEvent(SimTime at) const
     return false;
 }
 
+PerturbedScrape
+TelemetryFaultInjector::perturbScrape(std::size_t i,
+                                      const TelemetrySnapshot &snap) const
+{
+    PerturbedScrape out;
+    if (!config_.anyFaults()) {
+        out.snapshot = snap;
+        return out;
+    }
+    const auto decides = [&](double probability, std::uint64_t stream) {
+        return probability > 0.0 &&
+               toUniform(decisionWord(config_.seed, stream, i)) <
+                   probability;
+    };
+
+    if (decides(config_.scrapeDropProbability, kDropStream)) {
+        out.dropped = true; // this scrape never landed
+        return out;
+    }
+    // A delayed scrape surfaces only once the pipeline has moved
+    // scrapeDelayMs past its stamp (measured against the newest true
+    // scrape — the injector's notion of "now").
+    if (decides(config_.scrapeDelayProbability, kDelayStream))
+        out.visibleFrom = snap.at + toSimTime(config_.scrapeDelayMs);
+    if (config_.azEvents.active() && activeAzEvent(snap.at)) {
+        // Correlated AZ event: while the zone burns, the whole scrape
+        // pipeline degrades — scrapes stamped inside the window drop or
+        // arrive late with the event's own probabilities, on dedicated
+        // decision streams.
+        if (decides(config_.azEvents.scrapeDropProbability,
+                    kAzDropStream)) {
+            out.dropped = true;
+            return out;
+        }
+        if (decides(config_.azEvents.scrapeDelayProbability,
+                    kAzDelayStream))
+            out.visibleFrom = std::max(
+                out.visibleFrom,
+                snap.at + toSimTime(config_.azEvents.scrapeDelayMs));
+    }
+
+    TelemetrySnapshot &p = out.snapshot;
+    p.at = snap.at;
+
+    // Clock skew + per-scrape jitter on the snapshot stamp. The
+    // perturbed stream keeps its original order even if stamps
+    // cross — exactly the corruption a real skewed scraper emits.
+    if (config_.clockSkewMs != 0.0 || config_.clockJitterMs > 0.0) {
+        double shift_ms = config_.clockSkewMs;
+        if (config_.clockJitterMs > 0.0) {
+            const double u =
+                toUniform(decisionWord(config_.seed, kJitterStream, i));
+            shift_ms += (2.0 * u - 1.0) * config_.clockJitterMs;
+        }
+        const double shifted =
+            static_cast<double>(p.at) + shift_ms * 1000.0;
+        p.at = shifted <= 0.0 ? 0 : static_cast<SimTime>(shifted);
+    }
+
+    const std::uint64_t span_word =
+        decisionWord(config_.seed, kSpanLossStream, i);
+    const std::uint64_t outlier_word =
+        decisionWord(config_.seed, kOutlierStream, i);
+    const std::uint64_t counter_word =
+        decisionWord(config_.seed, kCounterDropStream, i);
+
+    p.series.reserve(snap.series.size());
+    for (const SeriesSnapshot &true_series : snap.series) {
+        // Per-host blackout: the host's gauge series vanish from the
+        // scrape (windows are defined against true sim time).
+        if (isHostGaugeSeries(true_series) &&
+            hostBlackedOut(hostOfSeries(true_series), snap.at))
+            continue;
+
+        SeriesSnapshot &s = p.series.emplace_back(true_series);
+        const std::uint64_t salt = seriesHash(s);
+
+        if (s.kind == MetricKind::Counter &&
+            config_.counterDropProbability > 0.0 &&
+            toUniform(saltWord(counter_word, salt)) <
+                config_.counterDropProbability) {
+            // Partial scrape: a shard of the counter is lost, so the
+            // cumulative value under-reports (and will appear to
+            // regress relative to neighbouring scrapes).
+            const double u =
+                toUniform(saltWord(counter_word, salt ^ 0x5eedULL));
+            const double f = config_.counterDropFloor +
+                             u * (0.9 - config_.counterDropFloor);
+            s.counterValue = static_cast<std::uint64_t>(
+                static_cast<double>(s.counterValue) * f);
+        }
+
+        if (s.kind == MetricKind::Histogram) {
+            if (config_.spanLossProbability > 0.0) {
+                // Collector backpressure: a uniform fraction of the
+                // cumulative span mass is gone at this scrape.
+                const double u = toUniform(saltWord(span_word, salt));
+                const double f = 1.0 - config_.spanLossProbability * u;
+                std::uint64_t total = 0;
+                for (std::uint64_t &b : s.bucketCounts) {
+                    b = static_cast<std::uint64_t>(
+                        static_cast<double>(b) * f);
+                    total += b;
+                }
+                s.count = total;
+                s.sum *= f;
+            }
+            if (config_.outlierProbability > 0.0 &&
+                !s.bucketCounts.empty() && s.count > 0 &&
+                toUniform(saltWord(outlier_word, salt)) <
+                    config_.outlierProbability) {
+                // A corrupted batch of spans: phantom mass in the
+                // overflow bucket drags interval quantiles to the top
+                // boundary.
+                const std::uint64_t phantom = std::max<std::uint64_t>(
+                    1, static_cast<std::uint64_t>(
+                           static_cast<double>(s.count) *
+                           config_.outlierFraction));
+                s.bucketCounts.back() += phantom;
+                s.count += phantom;
+                if (!s.boundaries.empty())
+                    s.sum += static_cast<double>(phantom) *
+                             s.boundaries.back() * 4.0;
+            }
+        }
+    }
+    return out;
+}
+
 std::vector<TelemetrySnapshot>
 TelemetryFaultInjector::perturb(
     const std::vector<TelemetrySnapshot> &true_snaps) const
 {
-    if (!config_.anyFaults())
-        return true_snaps;
-
     std::vector<TelemetrySnapshot> out;
     out.reserve(true_snaps.size());
     const SimTime newest_true =
         true_snaps.empty() ? 0 : true_snaps.back().at;
-
     for (std::size_t i = 0; i < true_snaps.size(); ++i) {
-        const TelemetrySnapshot &snap = true_snaps[i];
-
-        if (config_.scrapeDropProbability > 0.0 &&
-            toUniform(decisionWord(config_.seed, kDropStream, i)) <
-                config_.scrapeDropProbability)
-            continue; // this scrape never landed
-
-        if (config_.scrapeDelayProbability > 0.0 &&
-            toUniform(decisionWord(config_.seed, kDelayStream, i)) <
-                config_.scrapeDelayProbability) {
-            // A delayed scrape surfaces only once the pipeline has moved
-            // scrapeDelayMs past its stamp (measured against the newest
-            // true scrape — the injector's notion of "now").
-            const SimTime visible_at =
-                snap.at + toSimTime(config_.scrapeDelayMs);
-            if (newest_true < visible_at)
-                continue; // still in flight
-        }
-
-        if (config_.azEvents.active() && activeAzEvent(snap.at)) {
-            // Correlated AZ event: while the zone burns, the whole
-            // scrape pipeline degrades — scrapes stamped inside the
-            // window drop or arrive late with the event's own
-            // probabilities, on dedicated decision streams.
-            if (config_.azEvents.scrapeDropProbability > 0.0 &&
-                toUniform(decisionWord(config_.seed, kAzDropStream, i)) <
-                    config_.azEvents.scrapeDropProbability)
-                continue;
-            if (config_.azEvents.scrapeDelayProbability > 0.0 &&
-                toUniform(decisionWord(config_.seed, kAzDelayStream,
-                                       i)) <
-                    config_.azEvents.scrapeDelayProbability) {
-                const SimTime visible_at =
-                    snap.at + toSimTime(config_.azEvents.scrapeDelayMs);
-                if (newest_true < visible_at)
-                    continue; // still in flight
-            }
-        }
-
-        TelemetrySnapshot p = snap;
-
-        // Clock skew + per-scrape jitter on the snapshot stamp. The
-        // perturbed stream keeps its original order even if stamps
-        // cross — exactly the corruption a real skewed scraper emits.
-        if (config_.clockSkewMs != 0.0 || config_.clockJitterMs > 0.0) {
-            double shift_ms = config_.clockSkewMs;
-            if (config_.clockJitterMs > 0.0) {
-                const double u = toUniform(
-                    decisionWord(config_.seed, kJitterStream, i));
-                shift_ms += (2.0 * u - 1.0) * config_.clockJitterMs;
-            }
-            const double shifted =
-                static_cast<double>(p.at) + shift_ms * 1000.0;
-            p.at = shifted <= 0.0 ? 0 : static_cast<SimTime>(shifted);
-        }
-
-        const std::uint64_t span_word =
-            decisionWord(config_.seed, kSpanLossStream, i);
-        const std::uint64_t outlier_word =
-            decisionWord(config_.seed, kOutlierStream, i);
-        const std::uint64_t counter_word =
-            decisionWord(config_.seed, kCounterDropStream, i);
-
-        std::vector<SeriesSnapshot> kept;
-        kept.reserve(p.series.size());
-        for (SeriesSnapshot &s : p.series) {
-            // Per-host blackout: the host's gauge series vanish from the
-            // scrape (windows are defined against true sim time).
-            if (isHostGaugeSeries(s) &&
-                hostBlackedOut(hostOfSeries(s), snap.at))
-                continue;
-
-            const std::uint64_t salt = seriesHash(s);
-
-            if (s.kind == MetricKind::Counter &&
-                config_.counterDropProbability > 0.0 &&
-                toUniform(saltWord(counter_word, salt)) <
-                    config_.counterDropProbability) {
-                // Partial scrape: a shard of the counter is lost, so the
-                // cumulative value under-reports (and will appear to
-                // regress relative to neighbouring scrapes).
-                const double u =
-                    toUniform(saltWord(counter_word, salt ^ 0x5eedULL));
-                const double f =
-                    config_.counterDropFloor +
-                    u * (0.9 - config_.counterDropFloor);
-                s.counterValue = static_cast<std::uint64_t>(
-                    static_cast<double>(s.counterValue) * f);
-            }
-
-            if (s.kind == MetricKind::Histogram) {
-                if (config_.spanLossProbability > 0.0) {
-                    // Collector backpressure: a uniform fraction of the
-                    // cumulative span mass is gone at this scrape.
-                    const double u =
-                        toUniform(saltWord(span_word, salt));
-                    const double f =
-                        1.0 - config_.spanLossProbability * u;
-                    std::uint64_t total = 0;
-                    for (std::uint64_t &b : s.bucketCounts) {
-                        b = static_cast<std::uint64_t>(
-                            static_cast<double>(b) * f);
-                        total += b;
-                    }
-                    s.count = total;
-                    s.sum *= f;
-                }
-                if (config_.outlierProbability > 0.0 &&
-                    !s.bucketCounts.empty() && s.count > 0 &&
-                    toUniform(saltWord(outlier_word, salt)) <
-                        config_.outlierProbability) {
-                    // A corrupted batch of spans: phantom mass in the
-                    // overflow bucket drags interval quantiles to the
-                    // top boundary.
-                    const std::uint64_t phantom = std::max<std::uint64_t>(
-                        1, static_cast<std::uint64_t>(
-                               static_cast<double>(s.count) *
-                               config_.outlierFraction));
-                    s.bucketCounts.back() += phantom;
-                    s.count += phantom;
-                    if (!s.boundaries.empty())
-                        s.sum += static_cast<double>(phantom) *
-                                 s.boundaries.back() * 4.0;
-                }
-            }
-
-            kept.push_back(std::move(s));
-        }
-        p.series = std::move(kept);
-        out.push_back(std::move(p));
+        PerturbedScrape scrape = perturbScrape(i, true_snaps[i]);
+        if (!scrape.dropped && newest_true >= scrape.visibleFrom)
+            out.push_back(std::move(scrape.snapshot));
     }
     return out;
 }
@@ -440,11 +438,45 @@ const std::vector<TelemetrySnapshot> &
 FaultyTelemetryView::visibleSnapshots() const
 {
     const auto &true_snaps = monitor_->snapshots();
-    if (cachedTrueCount_ != true_snaps.size()) {
-        cache_ = corruptor_.corrupt(injector_.perturb(true_snaps));
-        cachedTrueCount_ = true_snaps.size();
+    const bool corrupting = corruptor_.config().active();
+    if (perturbedCount_ == true_snaps.size())
+        return corrupting ? corrupted_ : visible_;
+
+    for (; perturbedCount_ < true_snaps.size(); ++perturbedCount_) {
+        const TelemetrySnapshot &snap = true_snaps[perturbedCount_];
+        ERMS_ASSERT_MSG(perturbedCount_ == 0 ||
+                            snap.at >= true_snaps[perturbedCount_ - 1].at,
+                        "monitor scrape stamps must not decrease");
+        PerturbedScrape scrape =
+            injector_.perturbScrape(perturbedCount_, snap);
+        if (!scrape.dropped)
+            held_.push_back({perturbedCount_, scrape.visibleFrom,
+                             std::move(scrape.snapshot)});
     }
-    return cache_;
+    // Surface every held scrape the newest true scrape has reached, at
+    // its scrape-index position. Stamps only grow, so a scrape once
+    // visible stays visible.
+    const SimTime newest = true_snaps.back().at;
+    const auto surfaced = [newest](const HeldScrape &held) {
+        return newest >= held.visibleFrom;
+    };
+    for (HeldScrape &held : held_) {
+        if (!surfaced(held))
+            continue;
+        const auto pos = std::upper_bound(visibleIndex_.begin(),
+                                          visibleIndex_.end(), held.index);
+        visible_.insert(visible_.begin() + (pos - visibleIndex_.begin()),
+                        std::move(held.snapshot));
+        visibleIndex_.insert(pos, held.index);
+    }
+    std::erase_if(held_, surfaced);
+
+    if (!corrupting)
+        return visible_;
+    // A surfacing delayed scrape can move a Frozen/Negated anchor, so
+    // the corruptor reruns over the whole visible stream.
+    corrupted_ = corruptor_.corrupt(visible_);
+    return corrupted_;
 }
 
 } // namespace erms

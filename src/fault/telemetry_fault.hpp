@@ -206,11 +206,24 @@ class SeriesCorruptor
     SeriesCorruptionConfig config_;
 };
 
+/** What the injector makes of one true scrape. */
+struct PerturbedScrape
+{
+    /** The scrape never lands (the snapshot is left empty). */
+    bool dropped = false;
+    /** The scrape is visible once the newest true scrape is stamped at
+     *  or after this time: the latest of its delay thresholds, 0 when
+     *  no delay hit it. */
+    SimTime visibleFrom = 0;
+    /** The scrape as it lands. */
+    telemetry::TelemetrySnapshot snapshot;
+};
+
 /**
  * Applies a TelemetryFaultConfig to a true snapshot stream, producing
  * the perturbed stream an unlucky operator would see. Stateless beyond
- * its precomputed blackout schedule; perturb() is a pure function of
- * (config, schedule, true snapshots).
+ * its precomputed blackout schedule; perturbScrape() and perturb() are
+ * pure functions of (config, schedule, true snapshots).
  */
 class TelemetryFaultInjector
 {
@@ -222,11 +235,20 @@ class TelemetryFaultInjector
     const TelemetryFaultSchedule &schedule() const { return schedule_; }
 
     /**
+     * Perturb true scrape number `index` of a stream: whether it drops,
+     * from when it is visible, and what it shows. Every fault class is
+     * applied here and nowhere else. The series keep their order (some
+     * are removed, none move), so the result stays sorted.
+     */
+    PerturbedScrape perturbScrape(std::size_t index,
+                                  const telemetry::TelemetrySnapshot &scrape)
+        const;
+
+    /**
      * The perturbed snapshot stream visible once `true_snaps` have been
-     * scraped: dropped scrapes are removed, delayed ones withheld until
-     * a true scrape at least scrapeDelayMs newer exists, and every
-     * surviving snapshot is perturbed per the config. With no active
-     * faults the result equals the input.
+     * scraped: perturbScrape() over every scrape, keeping those not
+     * dropped whose visibleFrom the newest true scrape has reached, in
+     * scrape order. With no active faults the result equals the input.
      */
     std::vector<telemetry::TelemetrySnapshot>
     perturb(const std::vector<telemetry::TelemetrySnapshot> &true_snaps)
@@ -245,6 +267,13 @@ class TelemetryFaultInjector
  * consume when the observability path is failing. Decorates a
  * SimMonitor with a TelemetryFaultInjector and answers every query via
  * the shared SnapshotTelemetryView math over the perturbed stream.
+ *
+ * Each true scrape is perturbed once, when a query first finds it;
+ * delayed scrapes wait aside until the newest true scrape reaches
+ * their threshold. At every scrape generation the visible stream is
+ * corruptor().corrupt(injector().perturb(scrapes so far)), whatever
+ * the query pattern. This relies on the monitor's scrape stamps never
+ * decreasing (asserted), so a scrape once visible stays visible.
  */
 class FaultyTelemetryView : public telemetry::SnapshotTelemetryView
 {
@@ -266,9 +295,10 @@ class FaultyTelemetryView : public telemetry::SnapshotTelemetryView
      * The full perturbed scrape history currently visible — the same
      * vector every query reads. Chaos campaigns archive this stream
      * next to their config so any run replays offline
-     * (docs/chaos_campaigns.md); the cache-idempotence regression test
-     * pins that the same scrape generation always returns bit-identical
-     * snapshots regardless of the query pattern that built the cache.
+     * (docs/chaos_campaigns.md); the cache tests pin that the same
+     * scrape generation always returns bit-identical snapshots,
+     * whatever query pattern built the cache, and that they equal the
+     * whole-stream reference.
      */
     const std::vector<telemetry::TelemetrySnapshot> &
     perturbedHistory() const
@@ -277,27 +307,33 @@ class FaultyTelemetryView : public telemetry::SnapshotTelemetryView
     }
 
   protected:
-    /** Lazily rebuilt whenever the monitor scraped since the last
-     *  query. The scrape count is the sole cache key (the monitor only
-     *  appends snapshots), which is sound only because the whole
-     *  perturbation pipeline — injector then corruptor — is a pure
-     *  function of the full true stream: a cache rebuilt at generation
-     *  N is byte-identical however many intermediate generations were
-     *  (or were not) queried along the way. */
+    /** Brought up to date whenever the monitor scraped since the last
+     *  query: new true scrapes are perturbed, due delayed ones
+     *  surface, and a configured corruptor reruns over the result. */
     const std::vector<telemetry::TelemetrySnapshot> &
     visibleSnapshots() const override;
 
   private:
-    /** Sentinel: no generation cached yet (distinct from a cached empty
-     *  stream at generation 0). */
-    static constexpr std::size_t kNoGeneration =
-        static_cast<std::size_t>(-1);
+    /** A perturbed scrape that has not surfaced yet. */
+    struct HeldScrape
+    {
+        std::size_t index = 0;
+        SimTime visibleFrom = 0;
+        telemetry::TelemetrySnapshot snapshot;
+    };
 
     const telemetry::SimMonitor *monitor_;
     TelemetryFaultInjector injector_;
     SeriesCorruptor corruptor_;
-    mutable std::vector<telemetry::TelemetrySnapshot> cache_;
-    mutable std::size_t cachedTrueCount_ = kNoGeneration;
+    /** True scrapes perturbed so far (the cache's generation). */
+    mutable std::size_t perturbedCount_ = 0;
+    /** Delayed scrapes still in flight, in scrape order. */
+    mutable std::vector<HeldScrape> held_;
+    /** Surfaced scrapes in scrape order, and their scrape indices. */
+    mutable std::vector<telemetry::TelemetrySnapshot> visible_;
+    mutable std::vector<std::size_t> visibleIndex_;
+    /** visible_ after the corruptor (only when one is configured). */
+    mutable std::vector<telemetry::TelemetrySnapshot> corrupted_;
 };
 
 } // namespace erms

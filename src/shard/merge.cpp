@@ -11,23 +11,22 @@ namespace {
 
 using telemetry::Labels;
 using telemetry::MetricKind;
+using telemetry::seriesBefore;
 using telemetry::SeriesSnapshot;
 using telemetry::TelemetrySnapshot;
 
 /** Rewrite a shard-local {host=h} label to the cluster-wide id. */
-Labels
-remapHostLabels(const Labels &labels, int host_offset)
+void
+remapHostLabels(Labels &labels, int host_offset)
 {
     if (host_offset == 0)
-        return labels;
-    Labels out = labels;
-    for (auto &[key, value] : out) {
+        return;
+    for (auto &[key, value] : labels) {
         if (key == "host") {
             const long local = std::stol(value);
             value = std::to_string(local + host_offset);
         }
     }
-    return out;
 }
 
 /** Accumulate `part` into `into` (same name/labels/kind). */
@@ -60,41 +59,40 @@ accumulateSeries(SeriesSnapshot &into, const SeriesSnapshot &part)
 } // namespace
 
 telemetry::TelemetrySnapshot
-mergeTelemetrySnapshots(const std::vector<TelemetrySnapshot> &parts,
+mergeTelemetrySnapshots(const std::vector<const TelemetrySnapshot *> &parts,
                         const ShardPlan &plan)
 {
     ERMS_ASSERT_MSG(parts.size() ==
                         static_cast<std::size_t>(plan.shardCount),
                     "one snapshot per shard required");
     TelemetrySnapshot merged;
+    std::size_t total = 0;
+    for (const TelemetrySnapshot *part : parts) {
+        ERMS_ASSERT(part != nullptr);
+        total += part->series.size();
+    }
+    std::vector<SeriesSnapshot> &series = merged.series;
+    series.reserve(total);
     for (int k = 0; k < plan.shardCount; ++k) {
-        const TelemetrySnapshot &part = parts[k];
-        merged.at = std::max(merged.at, part.at);
+        merged.at = std::max(merged.at, parts[k]->at);
         const int offset = plan.shards[k].hostOffset;
-        for (const SeriesSnapshot &series : part.series) {
-            SeriesSnapshot remapped = series;
-            remapped.labels = remapHostLabels(series.labels, offset);
-            // Shard-disjoint series dominate; linear probe over the
-            // few collision candidates (label-free cluster gauges) is
-            // cheaper than a map for the catalog's series counts.
-            auto it = std::find_if(
-                merged.series.begin(), merged.series.end(),
-                [&](const SeriesSnapshot &existing) {
-                    return existing.name == remapped.name &&
-                           existing.labels == remapped.labels;
-                });
-            if (it == merged.series.end())
-                merged.series.push_back(std::move(remapped));
-            else
-                accumulateSeries(*it, remapped);
+        for (const SeriesSnapshot &s : parts[k]->series)
+            remapHostLabels(series.emplace_back(s).labels, offset);
+    }
+    // Stable, so colliding series keep shard index order; each run of
+    // equal keys then folds into its first entry in that order.
+    std::stable_sort(series.begin(), series.end(), seriesBefore);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < series.size(); ++i) {
+        if (kept > 0 && !seriesBefore(series[kept - 1], series[i])) {
+            accumulateSeries(series[kept - 1], series[i]);
+        } else {
+            if (kept != i)
+                series[kept] = std::move(series[i]);
+            ++kept;
         }
     }
-    std::sort(merged.series.begin(), merged.series.end(),
-              [](const SeriesSnapshot &a, const SeriesSnapshot &b) {
-                  if (a.name != b.name)
-                      return a.name < b.name;
-                  return a.labels < b.labels;
-              });
+    series.resize(kept);
     return merged;
 }
 

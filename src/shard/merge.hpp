@@ -39,15 +39,19 @@ namespace erms::shard {
  *    is owned by exactly one shard) and pass through;
  *  - series colliding on (name, labels) — only the label-free
  *    fault-schedule gauges in the simulator's catalog — combine
- *    kind-wise: counters and histogram buckets/sums add, gauges add
- *    (every colliding gauge is cluster-additive).
- * The merged series list is re-sorted by (name, labels) — the same
- * order MetricsRegistry::snapshot emits — and stamped with the newest
- * shard scrape time.
+ *    kind-wise in shard index order: counters and histogram
+ *    buckets/sums add, gauges add (every colliding gauge is
+ *    cluster-additive).
+ * The parts are concatenated (each series copied once), stable-sorted
+ * by (name, labels) — the order MetricsRegistry::snapshot emits — and
+ * each run of equal keys folded, so one generation costs
+ * O(S log S) for S series in all. The result is stamped with the
+ * newest shard scrape time.
  */
 telemetry::TelemetrySnapshot
-mergeTelemetrySnapshots(const std::vector<telemetry::TelemetrySnapshot> &parts,
-                        const ShardPlan &plan);
+mergeTelemetrySnapshots(
+    const std::vector<const telemetry::TelemetrySnapshot *> &parts,
+    const ShardPlan &plan);
 
 /**
  * Merge per-shard cluster snapshots into a whole-cluster snapshot:

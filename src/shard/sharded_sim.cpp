@@ -216,12 +216,13 @@ ShardedSimulation::mergeNewTelemetry()
     std::size_t complete = monitors_[0]->snapshots().size();
     for (const auto &monitor : monitors_)
         complete = std::min(complete, monitor->snapshots().size());
+    std::vector<const telemetry::TelemetrySnapshot *> generation;
+    generation.reserve(monitors_.size());
     while (mergedGenerations_ < complete) {
-        std::vector<telemetry::TelemetrySnapshot> generation;
-        generation.reserve(monitors_.size());
+        generation.clear();
         for (const auto &monitor : monitors_)
             generation.push_back(
-                monitor->snapshots()[mergedGenerations_]);
+                &monitor->snapshots()[mergedGenerations_]);
         mergedView_->append(mergeTelemetrySnapshots(generation, plan_));
         ++mergedGenerations_;
     }

@@ -38,6 +38,23 @@ labelsFromString(const std::string &text)
 }
 
 std::string
+seriesOrderProblem(const std::vector<SeriesSnapshot> &series)
+{
+    for (std::size_t i = 1; i < series.size(); ++i) {
+        if (seriesBefore(series[i - 1], series[i]))
+            continue;
+        const SeriesSnapshot &s = series[i];
+        return "series " + std::to_string(i) + " (" + s.name + "{" +
+               labelsToString(s.labels) + "}) " +
+               (seriesBefore(s, series[i - 1]) ? "sorts before"
+                                               : "duplicates") +
+               " series " + std::to_string(i - 1) +
+               "; series must be strictly ascending by (name, labels)";
+    }
+    return {};
+}
+
+std::string
 toJson(const std::vector<TelemetrySnapshot> &snapshots)
 {
     return json::write(json::encode(snapshots));

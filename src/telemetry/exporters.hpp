@@ -3,7 +3,8 @@
  * Scrape-snapshot export: a JSON array of scrape objects written and
  * parsed through the field tables below (common/json.hpp), which the
  * campaign archive's scrape history reuses. Doubles round-trip exactly,
- * non-finite ones as NaN / Infinity / -Infinity. Labels travel as one
+ * non-finite ones as NaN / Infinity / -Infinity. A scrape's series
+ * must be strictly ascending by (name, labels). Labels travel as one
  * "key=value;key=value" string, so label keys and values must not
  * contain '=' or ';' (the simulator's metric catalog satisfies this by
  * construction).
@@ -56,12 +57,19 @@ describe(V &v, SeriesSnapshot &s)
     }
 }
 
+/** Why `series` is not strictly ascending by seriesBefore (naming the
+ *  first duplicated or out-of-order entry), or an empty string. */
+std::string seriesOrderProblem(const std::vector<SeriesSnapshot> &series);
+
+/** The reader rejects series out of (name, labels) order, which
+ *  TelemetrySnapshot::find would otherwise silently miss. */
 template <class V>
 void
 describe(V &v, TelemetrySnapshot &s)
 {
     v.field("at_us", s.at);
     v.field("series", s.series);
+    v.check("series", [&] { return seriesOrderProblem(s.series); });
 }
 
 /** JSON array of scrape objects. */

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <thread>
+#include <tuple>
 
 #include "common/error.hpp"
 
@@ -246,14 +247,40 @@ SeriesSnapshot::operator==(const SeriesSnapshot &other) const
            bucketCounts == other.bucketCounts;
 }
 
+bool
+seriesBefore(const SeriesSnapshot &a, const SeriesSnapshot &b)
+{
+    return std::tie(a.name, a.labels) < std::tie(b.name, b.labels);
+}
+
 const SeriesSnapshot *
 TelemetrySnapshot::find(const std::string &name, const Labels &labels) const
 {
-    for (const SeriesSnapshot &s : series) {
-        if (s.name == name && s.labels == labels)
-            return &s;
-    }
-    return nullptr;
+    const auto key = std::tie(name, labels);
+    const auto it = std::lower_bound(
+        series.begin(), series.end(), key,
+        [](const SeriesSnapshot &s, const auto &k) {
+            return std::tie(s.name, s.labels) < k;
+        });
+    if (it == series.end() || std::tie(it->name, it->labels) != key)
+        return nullptr;
+    return &*it;
+}
+
+std::span<const SeriesSnapshot>
+TelemetrySnapshot::named(const std::string &name) const
+{
+    const auto first = std::lower_bound(
+        series.begin(), series.end(), name,
+        [](const SeriesSnapshot &s, const std::string &n) {
+            return s.name < n;
+        });
+    const auto last = std::upper_bound(
+        first, series.end(), name,
+        [](const std::string &n, const SeriesSnapshot &s) {
+            return n < s.name;
+        });
+    return {first, last};
 }
 
 bool

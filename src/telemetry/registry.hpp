@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -146,15 +147,24 @@ struct SeriesSnapshot
     bool operator==(const SeriesSnapshot &other) const;
 };
 
+/** The (name, labels) order of TelemetrySnapshot::series. */
+bool seriesBefore(const SeriesSnapshot &a, const SeriesSnapshot &b);
+
 /** All series captured at one scrape instant (sim time in µs). */
 struct TelemetrySnapshot
 {
     SimTime at = 0;
-    std::vector<SeriesSnapshot> series; ///< sorted by (name, labels)
+    /** Strictly ascending by seriesBefore: every producer keeps this
+     *  order (registry snapshots, shard merges, perturbation, the JSON
+     *  reader), and the lookups below rely on it. */
+    std::vector<SeriesSnapshot> series;
 
-    /** Series lookup; nullptr when absent. */
+    /** Series lookup by binary search; nullptr when absent. */
     const SeriesSnapshot *find(const std::string &name,
                                const Labels &labels) const;
+
+    /** Every series named `name`, in label order (empty when none). */
+    std::span<const SeriesSnapshot> named(const std::string &name) const;
 
     bool operator==(const TelemetrySnapshot &other) const;
 };

@@ -54,18 +54,15 @@ SnapshotTelemetryView::clusterInterference() const
     const TelemetrySnapshot *now = latest();
     if (now == nullptr)
         return avg;
-    double cpu = 0.0, mem = 0.0;
-    std::size_t hosts = 0;
-    for (const SeriesSnapshot &s : now->series) {
-        if (s.name == "erms_host_cpu_util") {
-            cpu += s.gaugeValue;
-            ++hosts;
-        } else if (s.name == "erms_host_mem_util") {
-            mem += s.gaugeValue;
-        }
-    }
+    const auto cpu_series = now->named("erms_host_cpu_util");
+    const std::size_t hosts = cpu_series.size();
     if (hosts == 0)
         return avg;
+    double cpu = 0.0, mem = 0.0;
+    for (const SeriesSnapshot &s : cpu_series)
+        cpu += s.gaugeValue;
+    for (const SeriesSnapshot &s : now->named("erms_host_mem_util"))
+        mem += s.gaugeValue;
     avg.cpuUtil = cpu / static_cast<double>(hosts);
     avg.memUtil = mem / static_cast<double>(hosts);
     return avg;

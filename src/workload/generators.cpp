@@ -4,10 +4,12 @@
 #include <cmath>
 #include <istream>
 #include <numbers>
-#include <sstream>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 
 namespace erms {
@@ -89,6 +91,20 @@ stepSeries(int minutes, double low_rate, double high_rate, int switch_minute)
     return series;
 }
 
+namespace {
+
+/** `text` without leading and trailing blanks. */
+std::string_view
+trimBlanks(std::string_view text)
+{
+    const std::size_t first = text.find_first_not_of(" \t\r");
+    if (first == std::string_view::npos)
+        return {};
+    return text.substr(first, text.find_last_not_of(" \t\r") - first + 1);
+}
+
+} // namespace
+
 std::vector<double>
 rateSeriesFromCsv(std::istream &is)
 {
@@ -97,19 +113,23 @@ rateSeriesFromCsv(std::istream &is)
     std::size_t line_number = 0;
     while (std::getline(is, line)) {
         ++line_number;
-        const auto first = line.find_first_not_of(" \t\r");
-        if (first == std::string::npos || line[first] == '#')
+        const std::string_view row = trimBlanks(line);
+        if (row.empty() || row.front() == '#')
             continue;
-        std::replace(line.begin(), line.end(), ',', ' ');
-        std::istringstream in(line);
-        double rate = 0.0;
-        in >> rate;
-        if (in.fail() || rate < 0.0) {
-            throw ErmsError("rateSeriesFromCsv: bad value at line " +
-                            std::to_string(line_number) + ": '" + line +
-                            "'");
-        }
-        series.push_back(rate);
+        const auto reject = [&](const char *why) {
+            return ErmsError("rateSeriesFromCsv: line " +
+                             std::to_string(line_number) + ": '" + line +
+                             "' " + why);
+        };
+        const std::size_t comma = row.find(',');
+        if (comma != std::string_view::npos &&
+            row.find(',', comma + 1) != std::string_view::npos)
+            throw reject("has more than two columns");
+        const std::optional<double> rate =
+            parseNumber<double>(trimBlanks(row.substr(0, comma)));
+        if (!rate || !std::isfinite(*rate) || *rate < 0.0)
+            throw reject("has no finite non-negative rate in column 1");
+        series.push_back(*rate);
     }
     return series;
 }

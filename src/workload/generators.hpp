@@ -68,8 +68,11 @@ std::vector<double> stepSeries(int minutes, double lowRate, double highRate,
 /**
  * Parse a per-minute rate series from CSV text: one value per line (an
  * optional second column is ignored, as are blank lines and lines
- * starting with '#'). Used to replay exported production traces.
- * @throws ErmsError on non-numeric or negative entries.
+ * starting with '#'). Cells are split on ',' and trimmed of blanks; the
+ * rate must be one whole number token. Used to replay exported
+ * production traces.
+ * @throws ErmsError naming the line on a rate that is not a finite
+ * non-negative number, or on a row with more than two columns.
  */
 std::vector<double> rateSeriesFromCsv(std::istream &is);
 

@@ -335,6 +335,108 @@ TEST(CampaignFaultyViewCache, IdempotentAndQueryPatternIndependent)
     EXPECT_TRUE(chatty.perturbedHistory() == chatty.perturbedHistory());
 }
 
+/** One scrape of a four-host, two-service cluster at (scrape + 1) × 30 s:
+ *  counters, histograms, deployment and host gauges all advance. */
+void
+scrapeFourHostCluster(SimMonitor &monitor, int scrape)
+{
+    for (int i = 0; i < 50 + 10 * scrape; ++i) {
+        for (ServiceId service : {0u, 1u}) {
+            monitor.onRequestArrival(service);
+            monitor.onRequestComplete(service, 10.0 + 7.0 * service + scrape,
+                                      false, i % 4 == 0);
+        }
+        monitor.onMicroserviceLatency(3, 5.0 + scrape, i % 4 == 0);
+    }
+    for (HostId host = 0; host < 4; ++host)
+        monitor.recordHostUtil(host, 0.2 + 0.05 * host + 0.01 * scrape,
+                               0.4);
+    monitor.recordDeployment(3, 4 + scrape % 3, 1, 2);
+    monitor.takeSnapshot(static_cast<SimTime>(scrape + 1) * 30 * kSecondUs);
+}
+
+TEST(CampaignFaultyViewCache, IncrementalMatchesWholeStreamReference)
+{
+    // The view perturbs each true scrape once and holds delayed ones
+    // aside until the newest scrape reaches them. At every generation,
+    // queried at each scrape or only now and then, its history must be
+    // the whole-stream reference corrupt(perturb(scrapes so far)).
+    constexpr int kScrapes = 16;
+    constexpr int kHosts = 4;
+    constexpr double kIntervalMs = 30000.0;
+    const SimTime horizon = 10 * kMinuteUs;
+    std::size_t dropped = 0, late = 0, checked = 0;
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+        Rng rng(deriveRunSeed(0x1ca4e, seed));
+        TelemetryFaultConfig faults;
+        faults.seed = rng.next();
+        faults.scrapeDropProbability = 0.3 * rng.uniform();
+        faults.scrapeDelayProbability = 0.2 + 0.4 * rng.uniform();
+        // 1-3 scrape intervals: a delayed scrape surfaces behind newer
+        // ones.
+        faults.scrapeDelayMs = kIntervalMs * (1.0 + 2.0 * rng.uniform());
+        faults.blackoutsPerMinute = 2.0 * rng.uniform();
+        faults.blackoutDurationMs = 20000.0 + 60000.0 * rng.uniform();
+        faults.spanLossProbability = 0.5 * rng.uniform();
+        faults.outlierProbability = 0.3 * rng.uniform();
+        faults.counterDropProbability = 0.3 * rng.uniform();
+        faults.clockJitterMs = 20000.0 * rng.uniform();
+        if (seed % 2 == 0) {
+            faults.azEvents.seed = rng.next();
+            faults.azEvents.eventsPerMinute = 0.5 + rng.uniform();
+            faults.azEvents.eventDurationMs = 60000.0;
+            faults.azEvents.azCount = 2;
+            faults.azEvents.scrapeDropProbability = 0.4 * rng.uniform();
+            faults.azEvents.scrapeDelayProbability =
+                0.3 + 0.5 * rng.uniform();
+            faults.azEvents.scrapeDelayMs =
+                kIntervalMs * (1.0 + 2.0 * rng.uniform());
+        }
+        for (const auto mode : {SeriesCorruptionConfig::Mode::None,
+                                SeriesCorruptionConfig::Mode::Scaled,
+                                SeriesCorruptionConfig::Mode::Frozen,
+                                SeriesCorruptionConfig::Mode::Negated}) {
+            SeriesCorruptionConfig corruption;
+            corruption.mode = mode;
+            corruption.service = static_cast<ServiceId>(seed % 2);
+            SimMonitor monitor;
+            const FaultyTelemetryView every(monitor, faults, kHosts, horizon,
+                                            corruption);
+            const FaultyTelemetryView skipping(monitor, faults, kHosts,
+                                               horizon, corruption);
+            for (int scrape = 0; scrape < kScrapes; ++scrape) {
+                scrapeFourHostCluster(monitor, scrape);
+                const std::vector<TelemetrySnapshot> reference =
+                    every.corruptor().corrupt(
+                        every.injector().perturb(monitor.snapshots()));
+                EXPECT_TRUE(every.perturbedHistory() == reference)
+                    << "seed " << seed << " scrape " << scrape;
+                if ((scrape + static_cast<int>(seed)) % 3 == 0 ||
+                    scrape == kScrapes - 1) {
+                    EXPECT_TRUE(skipping.perturbedHistory() == reference)
+                        << "seed " << seed << " scrape " << scrape;
+                    ++checked;
+                }
+            }
+            if (mode != SeriesCorruptionConfig::Mode::None)
+                continue;
+            // The configs must hit drops and late surfacing, or the
+            // comparison would pass vacuously.
+            const auto &snaps = monitor.snapshots();
+            for (std::size_t i = 0; i + 1 < snaps.size(); ++i) {
+                const PerturbedScrape p =
+                    every.injector().perturbScrape(i, snaps[i]);
+                dropped += p.dropped;
+                late += !p.dropped && p.visibleFrom > snaps[i + 1].at &&
+                        p.visibleFrom <= snaps.back().at;
+            }
+        }
+    }
+    EXPECT_GT(dropped, 10u);
+    EXPECT_GT(late, 10u);
+    EXPECT_GT(checked, 20u * 4u * 5u);
+}
+
 // ---------------------------------------------------------------------
 // Battery arms
 // ---------------------------------------------------------------------
@@ -523,6 +625,9 @@ class RandomFields
 
     void constant(const char *, const char *) {}
 
+    template <class Check>
+    void check(const char *, Check) {}
+
   private:
     std::size_t
     pick(std::size_t n)
@@ -606,6 +711,18 @@ TEST(CampaignArchive, RandomArchivesRoundTripBitExact)
         CampaignArchive original;
         RandomFields random(deriveRunSeed(0xa7c4, seed));
         describe(random, original);
+        // The reader takes scrape series only strictly ascending by
+        // (name, labels), the order every producer keeps.
+        const auto same_key = [](const SeriesSnapshot &a,
+                                 const SeriesSnapshot &b) {
+            return !telemetry::seriesBefore(a, b);
+        };
+        for (TelemetrySnapshot &scrape : original.result.perturbedHistory) {
+            auto &series = scrape.series;
+            std::sort(series.begin(), series.end(), telemetry::seriesBefore);
+            series.erase(std::unique(series.begin(), series.end(), same_key),
+                         series.end());
+        }
         const std::string text =
             archiveCampaign(original.config, original.result);
         const CampaignArchive parsed = parseCampaignArchive(text);
@@ -710,6 +827,38 @@ TEST(CampaignArchiveFuzz, ByteFlipsAndTruncationsThrowOrFixedPoint)
     // throws. Both sides must actually be exercised.
     EXPECT_GT(parsed, 0u);
     EXPECT_GT(mutants - parsed, mutants / 2);
+}
+
+TEST(CampaignArchive, UnsortedOrDuplicateScrapeSeriesThrowNamingThePath)
+{
+    const std::string archive = fuzzArchive();
+    const auto mutated = [&](auto mutate) {
+        json::Value doc = json::parse(archive);
+        for (auto &[key, value] : doc.members)
+            if (key == "scrapes")
+                for (auto &[field, series] : value.items[1].members)
+                    if (field == "series")
+                        mutate(series.items);
+        return json::write(doc);
+    };
+    const std::pair<std::string, const char *> cases[] = {
+        {mutated([](auto &series) { std::swap(series[2], series[3]); }),
+         "json: scrapes[1].series: series 3 "},
+        {mutated([](auto &series) {
+             series.insert(series.begin() + 1, series[0]);
+         }),
+         "json: scrapes[1].series: series 1 "},
+    };
+    for (const auto &[text, expected] : cases) {
+        std::string message;
+        try {
+            parseCampaignArchive(text);
+        } catch (const ErmsError &e) {
+            message = e.what();
+        }
+        EXPECT_NE(message.find(expected), std::string::npos)
+            << expected << " -> '" << message << "'";
+    }
 }
 
 TEST(CampaignArchiveFuzz, KeyMutationsThrowAndReordersParseIdentically)

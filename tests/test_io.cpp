@@ -252,6 +252,14 @@ TEST(CsvRates, RejectsNegativeAndNonNumeric)
         std::stringstream csv("abc\n");
         EXPECT_THROW(rateSeriesFromCsv(csv), ErmsError);
     }
+    // Each of these used to load as its numeric prefix (or as 0).
+    for (const char *row : {"12abc", "0x10", "7;8", "1,2,3", "5 6 7", "nan",
+                            "inf", "-inf", "1e999", ",5", "+5"}) {
+        std::stringstream csv(std::string("100\n") + row + "\n");
+        const std::string message = errorOf([&] { rateSeriesFromCsv(csv); });
+        EXPECT_NE(message.find("line 2: '"), std::string::npos)
+            << row << " -> '" << message << "'";
+    }
 }
 
 TEST(CsvRates, EmptyInputGivesEmptySeries)

@@ -201,8 +201,11 @@ syntheticPlan(int shard_count, int hosts_per_shard)
 /**
  * Record one randomized observation batch into a whole-cluster monitor
  * and, identically, into K shard monitors (hosts shard-local, services
- * and microservices routed to their owner). The merged shard snapshot
- * must equal the whole-cluster snapshot exactly.
+ * and microservices routed to their owner). Each shard also records its
+ * own fault-schedule sizes and the whole-cluster monitor their totals:
+ * those label-free gauges are the series that collide across shards.
+ * The merged shard snapshot must equal the whole-cluster snapshot
+ * exactly.
  */
 void
 recordRandomObservations(Rng &rng, telemetry::SimMonitor &whole,
@@ -210,7 +213,13 @@ recordRandomObservations(Rng &rng, telemetry::SimMonitor &whole,
                          const ShardPlan &plan, int services_per_shard)
 {
     const int shard_count = plan.shardCount;
+    std::size_t crashes = 0, slowdowns = 0;
     for (int k = 0; k < shard_count; ++k) {
+        const std::size_t shard_crashes = rng.next() % 7;
+        const std::size_t shard_slowdowns = rng.next() % 5;
+        parts[k].recordFaultSchedule(shard_crashes, shard_slowdowns);
+        crashes += shard_crashes;
+        slowdowns += shard_slowdowns;
         for (int s = 0; s < services_per_shard; ++s) {
             const ServiceId svc =
                 static_cast<ServiceId>(k * services_per_shard + s);
@@ -241,42 +250,65 @@ recordRandomObservations(Rng &rng, telemetry::SimMonitor &whole,
             parts[k].recordHostUtil(static_cast<HostId>(h), cpu, mem);
         }
     }
+    whole.recordFaultSchedule(crashes, slowdowns);
+}
+
+/** Scrape every shard monitor at `at`; the generation to merge. */
+std::vector<const telemetry::TelemetrySnapshot *>
+scrapeShards(std::vector<telemetry::SimMonitor> &parts, SimTime at)
+{
+    std::vector<const telemetry::TelemetrySnapshot *> generation;
+    for (auto &part : parts) {
+        part.takeSnapshot(at);
+        generation.push_back(&part.snapshots().back());
+    }
+    return generation;
 }
 
 TEST(ShardMerge, MergedSnapshotEqualsWholeClusterSnapshot)
 {
-    // 20 randomized catalogs: the merge must reproduce the snapshot a
-    // single monitor observing every shard would have taken.
-    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-        const ShardPlan plan = syntheticPlan(3, 4);
-        telemetry::SimMonitor whole;
-        std::vector<telemetry::SimMonitor> parts(3);
-        Rng rng(seed);
-        recordRandomObservations(rng, whole, parts, plan, 2);
+    // 20 randomized catalogs per shard count: the merge must reproduce
+    // the snapshot a single monitor observing every shard would have
+    // taken, colliding fault-schedule gauges included.
+    for (int shard_count : {2, 3, 4}) {
+        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+            const ShardPlan plan = syntheticPlan(shard_count, 4);
+            telemetry::SimMonitor whole;
+            std::vector<telemetry::SimMonitor> parts(shard_count);
+            Rng rng(seed);
+            recordRandomObservations(rng, whole, parts, plan, 2);
 
-        const SimTime at = 30'000'000;
-        whole.takeSnapshot(at);
-        std::vector<telemetry::TelemetrySnapshot> generation;
-        for (auto &part : parts) {
-            part.takeSnapshot(at);
-            generation.push_back(part.snapshots().back());
+            const SimTime at = 30'000'000;
+            whole.takeSnapshot(at);
+            const telemetry::TelemetrySnapshot merged =
+                shard::mergeTelemetrySnapshots(scrapeShards(parts, at),
+                                               plan);
+            const telemetry::TelemetrySnapshot &reference =
+                whole.snapshots().back();
+            EXPECT_EQ(merged, reference)
+                << "K=" << shard_count << " seed " << seed;
+            for (const char *name : {"erms_fault_planned_crashes",
+                                     "erms_fault_planned_slowdowns"}) {
+                const telemetry::SeriesSnapshot *folded =
+                    merged.find(name, {});
+                ASSERT_NE(folded, nullptr) << name;
+                EXPECT_EQ(folded->gaugeValue,
+                          reference.find(name, {})->gaugeValue)
+                    << name << " K=" << shard_count << " seed " << seed;
+            }
         }
-        const telemetry::TelemetrySnapshot merged =
-            shard::mergeTelemetrySnapshots(generation, plan);
-        EXPECT_EQ(merged, whole.snapshots().back())
-            << "seed " << seed;
     }
 }
 
 TEST(ShardMerge, MergedViewAnswersMatchWholeViewAcrossShardCounts)
 {
-    // The same observation stream split into K in {2, 3} partitions
+    // The same observation stream split into K in {2, 3, 4} partitions
     // must give controllers identical merged answers — the shard count
     // is invisible in the merged view.
-    for (int shard_count : {2, 3}) {
+    for (int shard_count : {2, 3, 4}) {
         const int hosts_per_shard = 12 / shard_count;
         const ShardPlan plan = syntheticPlan(shard_count, hosts_per_shard);
-        const int services_per_shard = 6 / shard_count;
+        const int services_per_shard = 12 / shard_count;
         telemetry::SimMonitor whole;
         std::vector<telemetry::SimMonitor> parts(shard_count);
         Rng rng(99);
@@ -288,17 +320,12 @@ TEST(ShardMerge, MergedViewAnswersMatchWholeViewAcrossShardCounts)
             const SimTime at =
                 static_cast<SimTime>(scrape + 1) * 30'000'000;
             whole.takeSnapshot(at);
-            std::vector<telemetry::TelemetrySnapshot> generation;
-            for (auto &part : parts) {
-                part.takeSnapshot(at);
-                generation.push_back(part.snapshots().back());
-            }
-            merged_view.append(
-                shard::mergeTelemetrySnapshots(generation, plan));
+            merged_view.append(shard::mergeTelemetrySnapshots(
+                scrapeShards(parts, at), plan));
         }
 
         const telemetry::ScrapedTelemetryView whole_view(whole);
-        for (ServiceId svc = 0; svc < 6; ++svc) {
+        for (ServiceId svc = 0; svc < 12; ++svc) {
             EXPECT_EQ(merged_view.observedRate(svc),
                       whole_view.observedRate(svc));
             EXPECT_EQ(merged_view.serviceP95Ms(svc),

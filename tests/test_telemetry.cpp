@@ -220,6 +220,48 @@ TEST(TelemetryRegistry, SnapshotFreezesValues)
     EXPECT_EQ(before.find("missing", {}), nullptr);
 }
 
+TEST(TelemetryRegistry, FindHitsEverySeriesAndMissesEveryOtherKey)
+{
+    MetricsRegistry registry;
+    registry.gauge("erms_fault_planned_crashes");
+    registry.gauge("erms_host_cpu_util", {{"host", "0"}});
+    registry.gauge("erms_host_cpu_util", {{"host", "2"}});
+    registry.histogram("erms_ms_latency_ms", {{"microservice", "5"}},
+                       {1.0, 10.0});
+    registry.counter("erms_requests_total", {{"service", "1"}});
+    registry.counter("erms_requests_total", {{"service", "3"}});
+    const TelemetrySnapshot snap = registry.snapshot(0);
+    ASSERT_EQ(snap.series.size(), 6u);
+    for (const telemetry::SeriesSnapshot &s : snap.series)
+        EXPECT_EQ(snap.find(s.name, s.labels), &s) << s.name;
+
+    // Keys sorting before the first series, between two, after the last.
+    EXPECT_EQ(snap.find("", {}), nullptr);
+    EXPECT_EQ(snap.find("erms_a", {}), nullptr);
+    EXPECT_EQ(snap.find("erms_host_cpu_util", {{"host", "1"}}), nullptr);
+    EXPECT_EQ(snap.find("erms_i", {}), nullptr);
+    EXPECT_EQ(snap.find("erms_requests_total", {{"service", "2"}}), nullptr);
+    EXPECT_EQ(snap.find("erms_requests_total", {{"service", "4"}}), nullptr);
+    EXPECT_EQ(snap.find("zzz", {}), nullptr);
+    // Known names with other labels.
+    EXPECT_EQ(snap.find("erms_host_cpu_util", {}), nullptr);
+    EXPECT_EQ(snap.find("erms_host_cpu_util", {{"service", "0"}}), nullptr);
+    EXPECT_EQ(snap.find("erms_fault_planned_crashes", {{"host", "0"}}),
+              nullptr);
+    EXPECT_EQ(snap.find("erms_requests_total",
+                        {{"host", "0"}, {"service", "1"}}),
+              nullptr);
+    EXPECT_EQ(TelemetrySnapshot{}.find("erms_host_cpu_util", {}), nullptr);
+
+    // named() is the run of one name, in label order.
+    const auto hosts = snap.named("erms_host_cpu_util");
+    ASSERT_EQ(hosts.size(), 2u);
+    EXPECT_EQ(&hosts[0], snap.find("erms_host_cpu_util", {{"host", "0"}}));
+    EXPECT_EQ(&hosts[1], snap.find("erms_host_cpu_util", {{"host", "2"}}));
+    EXPECT_TRUE(snap.named("erms_i").empty());
+    EXPECT_TRUE(snap.named("zzz").empty());
+}
+
 // ---------------------------------------------------------------------
 // Span sampling
 // ---------------------------------------------------------------------
@@ -307,7 +349,7 @@ TEST(TelemetryExporters, NonFiniteValuesRoundTripExactly)
     hist.sum = -std::numeric_limits<double>::infinity();
     hist.boundaries = {1.0, 2.0};
     hist.bucketCounts = {1, 1, 0};
-    snaps[0].series = {nan_gauge, inf_gauge, hist};
+    snaps[0].series = {inf_gauge, nan_gauge, hist};
 
     const auto via_json = telemetry::fromJson(telemetry::toJson(snaps));
     ASSERT_EQ(via_json.size(), 1u);
@@ -396,6 +438,35 @@ TEST(TelemetryExporters, CorruptValuesThrowNamingTheirPath)
         EXPECT_NE(message.find(std::string("json: ") + path),
                   std::string::npos)
             << path << " -> '" << message << "'";
+    }
+}
+
+TEST(TelemetryExporters, UnsortedOrDuplicateSeriesThrowNamingThePath)
+{
+    // find() binary-searches the (name, labels) order, so a document
+    // breaking it would load into silent lookup misses; the reader
+    // rejects it instead.
+    const std::string good = telemetry::toJson(makeExportFixture());
+    ASSERT_EQ(fromJsonError(good), "");
+    const auto mutated = [&](auto mutate) {
+        json::Value doc = json::parse(good);
+        for (auto &[key, value] : doc.items[1].members)
+            if (key == "series")
+                mutate(value.items);
+        return json::write(doc);
+    };
+    const std::pair<std::string, const char *> cases[] = {
+        {mutated([](auto &series) { std::swap(series[0], series[1]); }),
+         "json: [1].series: series 1 "},
+        {mutated([](auto &series) {
+             series.insert(series.begin() + 2, series[1]);
+         }),
+         "json: [1].series: series 2 "},
+    };
+    for (const auto &[text, expected] : cases) {
+        const std::string message = fromJsonError(text);
+        EXPECT_NE(message.find(expected), std::string::npos)
+            << expected << " -> '" << message << "'";
     }
 }
 

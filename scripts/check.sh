@@ -27,7 +27,10 @@
 # UBSan, plus the critical-path, end-to-end latency, solver and
 # multiplexing properties and the planner golden under UBSan; and the
 # telemetry read path: the shard merge, partition and coordinated
-# stepping suites and the strict CSV rate reader under ASan and UBSan.
+# stepping suites and the strict CSV rate reader under ASan and UBSan;
+# and the interned telemetry schemas: the sharded coordinator suite
+# (whose union-schema cache outlives rounds) under ASan and UBSan as
+# well as TSan, and the telemetry golden under UBSan.
 #
 # Usage: scripts/check.sh [jobs]   (default: 2)
 
@@ -58,7 +61,7 @@ cmake --build build-asan -j"$JOBS" \
 ./build-asan/tests/erms_tests_system \
     --gtest_filter='*Property*:*StatsMerge*:*HistogramMerge*:*TelemetryTransparency*:*Serialization*:CsvRates*'
 ./build-asan/tests/erms_tests_shard \
-    --gtest_filter='ShardMerge.*:ShardPartition.*:CoordinatedStepping.*'
+    --gtest_filter='ShardMerge.*:ShardPartition.*:CoordinatedStepping.*:ShardCoordinator.*'
 ./build-asan/tests/erms_tests_telemetry
 ./build-asan/tests/erms_tests_chaos
 # The campaign suite's full-size runs are slow under ASan; the archive/
@@ -91,10 +94,10 @@ UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_foundation \
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_system \
     --gtest_filter='*Serialization*:CriticalPaths*:EndToEndLatency*:*SolverProperty*:*MultiplexProperty*:CsvRates*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_shard \
-    --gtest_filter='ShardMerge.*:ShardPartition.*:CoordinatedStepping.*'
+    --gtest_filter='ShardMerge.*:ShardPartition.*:CoordinatedStepping.*:ShardCoordinator.*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_scaling
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_golden \
-    --gtest_filter='Scenarios/GoldenFile.MatchesCommittedTable/planner'
+    --gtest_filter='Scenarios/GoldenFile.MatchesCommittedTable/planner:Scenarios/GoldenFile.MatchesCommittedTable/telemetry'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_telemetry
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_chaos
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_campaign \

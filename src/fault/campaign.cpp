@@ -320,7 +320,9 @@ archiveCampaign(const CampaignConfig &config, const CampaignResult &result)
 CampaignArchive
 parseCampaignArchive(const std::string &archive_json)
 {
-    return json::read<CampaignArchive>(archive_json);
+    CampaignArchive archive = json::read<CampaignArchive>(archive_json);
+    telemetry::shareSchemas(archive.result.perturbedHistory);
+    return archive;
 }
 
 CampaignConfig

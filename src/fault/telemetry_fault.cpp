@@ -1,9 +1,11 @@
 #include "telemetry_fault.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <span>
 #include <string>
 
 #include "common/error.hpp"
@@ -14,7 +16,7 @@ namespace erms {
 namespace {
 
 using telemetry::MetricKind;
-using telemetry::SeriesSnapshot;
+using telemetry::SeriesSchema;
 using telemetry::TelemetrySnapshot;
 
 constexpr SimTime kMinuteUs = 60ULL * 1000ULL * 1000ULL;
@@ -56,7 +58,7 @@ toUniform(std::uint64_t word)
 
 /** FNV-1a of a series identity (name + labels). */
 std::uint64_t
-seriesHash(const SeriesSnapshot &s)
+seriesHash(const SeriesSchema::Series &s)
 {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     const auto mix = [&h](const std::string &text) {
@@ -95,13 +97,13 @@ poissonTimes(Rng &rng, double per_minute, SimTime horizon)
 }
 
 bool
-isHostGaugeSeries(const SeriesSnapshot &s)
+isHostGaugeSeries(const SeriesSchema::Series &s)
 {
     return s.name == "erms_host_cpu_util" || s.name == "erms_host_mem_util";
 }
 
 HostId
-hostOfSeries(const SeriesSnapshot &s)
+hostOfSeries(const SeriesSchema::Series &s)
 {
     for (const auto &[key, value] : s.labels) {
         if (key == "host")
@@ -185,14 +187,34 @@ SeriesCorruptor::corrupt(std::vector<TelemetrySnapshot> snaps) const
     if (!config_.active())
         return snaps;
 
+    // The targeted ids of the schema last seen: consecutive scrapes
+    // mostly share one, so each run of them works its targets out once.
     const std::string target = std::to_string(config_.service);
-    const auto targeted = [&](const SeriesSnapshot &s) {
-        if (s.kind != MetricKind::Counter)
-            return false;
-        for (const auto &[key, value] : s.labels)
-            if (key == "service")
-                return value == target;
-        return false;
+    const SeriesSchema *seen = nullptr;
+    std::vector<std::size_t> targets;
+    const auto targetsOf = [&](const TelemetrySnapshot &snap)
+        -> const std::vector<std::size_t> & {
+        if (snap.schema.get() == seen)
+            return targets;
+        seen = snap.schema.get();
+        targets.clear();
+        for (std::size_t id = 0; id < snap.size(); ++id) {
+            const SeriesSchema::Series &s = (*snap.schema)[id];
+            if (s.kind != MetricKind::Counter)
+                continue;
+            for (const auto &[key, value] : s.labels) {
+                if (key == "service") {
+                    if (value == target)
+                        targets.push_back(id);
+                    break;
+                }
+            }
+        }
+        return targets;
+    };
+    const auto value = [](TelemetrySnapshot &snap,
+                          std::size_t id) -> std::uint64_t & {
+        return snap.values[(*snap.schema)[id].offset];
     };
 
     // Frozen/Negated anchor on the first scrape in which each series
@@ -200,32 +222,30 @@ SeriesCorruptor::corrupt(std::vector<TelemetrySnapshot> snaps) const
     // function of (config, stream) — not of how the cache was queried.
     std::map<std::string, std::uint64_t> anchors;
     if (config_.mode != SeriesCorruptionConfig::Mode::Scaled) {
-        for (const TelemetrySnapshot &snap : snaps)
-            for (const SeriesSnapshot &s : snap.series)
-                if (targeted(s))
-                    anchors.emplace(s.name, s.counterValue);
+        for (TelemetrySnapshot &snap : snaps)
+            for (std::size_t id : targetsOf(snap))
+                anchors.emplace((*snap.schema)[id].name, value(snap, id));
     }
 
     for (TelemetrySnapshot &snap : snaps) {
-        for (SeriesSnapshot &s : snap.series) {
-            if (!targeted(s))
-                continue;
+        for (std::size_t id : targetsOf(snap)) {
+            std::uint64_t &counter = value(snap, id);
             switch (config_.mode) {
             case SeriesCorruptionConfig::Mode::Scaled:
-                s.counterValue = static_cast<std::uint64_t>(
-                    static_cast<double>(s.counterValue) * config_.scale);
+                counter = static_cast<std::uint64_t>(
+                    static_cast<double>(counter) * config_.scale);
                 break;
             case SeriesCorruptionConfig::Mode::Frozen:
-                s.counterValue = anchors.at(s.name);
+                counter = anchors.at((*snap.schema)[id].name);
                 break;
             case SeriesCorruptionConfig::Mode::Negated: {
                 // The counter runs backwards from its anchor by exactly
                 // the true progress, clamped at zero — the worst-case
                 // regression shape for delta-based rate math.
-                const std::uint64_t anchor = anchors.at(s.name);
-                const std::uint64_t progress = s.counterValue - anchor;
-                s.counterValue =
-                    anchor > progress ? anchor - progress : 0;
+                const std::uint64_t anchor =
+                    anchors.at((*snap.schema)[id].name);
+                const std::uint64_t progress = counter - anchor;
+                counter = anchor > progress ? anchor - progress : 0;
                 break;
             }
             case SeriesCorruptionConfig::Mode::None:
@@ -234,6 +254,44 @@ SeriesCorruptor::corrupt(std::vector<TelemetrySnapshot> snaps) const
         }
     }
     return snaps;
+}
+
+const PerturbationCache::Facts &
+PerturbationCache::facts(const std::shared_ptr<const SeriesSchema> &schema)
+{
+    auto [it, inserted] = facts_.try_emplace(schema);
+    Facts &facts = it->second;
+    if (inserted) {
+        facts.salt.reserve(schema->size());
+        facts.gaugeHost.reserve(schema->size());
+        for (std::size_t id = 0; id < schema->size(); ++id) {
+            const SeriesSchema::Series &s = (*schema)[id];
+            facts.salt.push_back(seriesHash(s));
+            facts.gaugeHost.push_back(isHostGaugeSeries(s) ? hostOfSeries(s)
+                                                           : kInvalidHost);
+        }
+    }
+    return facts;
+}
+
+std::shared_ptr<const SeriesSchema>
+PerturbationCache::subset(const std::shared_ptr<const SeriesSchema> &schema,
+                          const std::vector<std::size_t> &dropped)
+{
+    auto &cached = subsets_[{schema, dropped}];
+    if (!cached) {
+        std::vector<SeriesSchema::Series> kept;
+        kept.reserve(schema->size() - dropped.size());
+        auto next = dropped.begin();
+        for (std::size_t id = 0; id < schema->size(); ++id) {
+            if (next != dropped.end() && *next == id)
+                ++next;
+            else
+                kept.push_back((*schema)[id]);
+        }
+        cached = std::make_shared<const SeriesSchema>(std::move(kept));
+    }
+    return cached;
 }
 
 TelemetryFaultInjector::TelemetryFaultInjector(TelemetryFaultConfig config,
@@ -263,16 +321,6 @@ TelemetryFaultInjector::TelemetryFaultInjector(TelemetryFaultConfig config,
 }
 
 bool
-TelemetryFaultInjector::hostBlackedOut(HostId host, SimTime at) const
-{
-    for (const BlackoutWindow &window : schedule_.blackouts) {
-        if (window.host == host && at >= window.start && at < window.end)
-            return true;
-    }
-    return false;
-}
-
-bool
 TelemetryFaultInjector::activeAzEvent(SimTime at) const
 {
     for (const AzEvent &event : schedule_.azEvents)
@@ -284,6 +332,15 @@ TelemetryFaultInjector::activeAzEvent(SimTime at) const
 PerturbedScrape
 TelemetryFaultInjector::perturbScrape(std::size_t i,
                                       const TelemetrySnapshot &snap) const
+{
+    PerturbationCache cache;
+    return perturbScrape(i, snap, cache);
+}
+
+PerturbedScrape
+TelemetryFaultInjector::perturbScrape(std::size_t i,
+                                      const TelemetrySnapshot &snap,
+                                      PerturbationCache &cache) const
 {
     PerturbedScrape out;
     if (!config_.anyFaults()) {
@@ -347,16 +404,44 @@ TelemetryFaultInjector::perturbScrape(std::size_t i,
     const std::uint64_t counter_word =
         decisionWord(config_.seed, kCounterDropStream, i);
 
-    p.series.reserve(snap.series.size());
-    for (const SeriesSnapshot &true_series : snap.series) {
-        // Per-host blackout: the host's gauge series vanish from the
-        // scrape (windows are defined against true sim time).
-        if (isHostGaugeSeries(true_series) &&
-            hostBlackedOut(hostOfSeries(true_series), snap.at))
-            continue;
+    if (!snap.schema)
+        return out;
+    const SeriesSchema &schema = *snap.schema;
+    const PerturbationCache::Facts &facts = cache.facts(snap.schema);
 
-        SeriesSnapshot &s = p.series.emplace_back(true_series);
-        const std::uint64_t salt = seriesHash(s);
+    // Per-host blackout: the host's gauge series vanish from the scrape
+    // (windows are defined against true sim time).
+    std::vector<HostId> dark;
+    for (const BlackoutWindow &window : schedule_.blackouts)
+        if (snap.at >= window.start && snap.at < window.end)
+            dark.push_back(window.host);
+    std::sort(dark.begin(), dark.end());
+    std::vector<std::size_t> dropped;
+    if (!dark.empty()) {
+        for (std::size_t id = 0; id < schema.size(); ++id)
+            if (facts.gaugeHost[id] != kInvalidHost &&
+                std::binary_search(dark.begin(), dark.end(),
+                                   facts.gaugeHost[id]))
+                dropped.push_back(id);
+    }
+    p.schema = dropped.empty() ? snap.schema
+                               : cache.subset(snap.schema, dropped);
+    p.values.reserve(p.schema->valueCount());
+
+    auto next_dropped = dropped.begin();
+    for (std::size_t id = 0; id < schema.size(); ++id) {
+        if (next_dropped != dropped.end() && *next_dropped == id) {
+            ++next_dropped;
+            continue;
+        }
+        const SeriesSchema::Series &s = schema[id];
+        const std::size_t first = p.values.size();
+        const std::uint64_t *src = snap.values.data() + s.offset;
+        p.values.insert(p.values.end(), src,
+                        src + telemetry::valueWords(s.kind,
+                                                    s.boundaries.size()));
+        std::uint64_t *v = p.values.data() + first;
+        const std::uint64_t salt = facts.salt[id];
 
         if (s.kind == MetricKind::Counter &&
             config_.counterDropProbability > 0.0 &&
@@ -369,27 +454,33 @@ TelemetryFaultInjector::perturbScrape(std::size_t i,
                 toUniform(saltWord(counter_word, salt ^ 0x5eedULL));
             const double f = config_.counterDropFloor +
                              u * (0.9 - config_.counterDropFloor);
-            s.counterValue = static_cast<std::uint64_t>(
-                static_cast<double>(s.counterValue) * f);
+            v[0] = static_cast<std::uint64_t>(static_cast<double>(v[0]) * f);
         }
 
         if (s.kind == MetricKind::Histogram) {
+            // v: count, sum bits, then boundaries + 1 buckets.
+            std::uint64_t &count = v[0];
+            const auto sum = [&v] { return std::bit_cast<double>(v[1]); };
+            const auto setSum = [&v](double x) {
+                v[1] = std::bit_cast<std::uint64_t>(x);
+            };
+            const std::span<std::uint64_t> buckets(v + 2,
+                                                   s.boundaries.size() + 1);
             if (config_.spanLossProbability > 0.0) {
                 // Collector backpressure: a uniform fraction of the
                 // cumulative span mass is gone at this scrape.
                 const double u = toUniform(saltWord(span_word, salt));
                 const double f = 1.0 - config_.spanLossProbability * u;
                 std::uint64_t total = 0;
-                for (std::uint64_t &b : s.bucketCounts) {
+                for (std::uint64_t &b : buckets) {
                     b = static_cast<std::uint64_t>(
                         static_cast<double>(b) * f);
                     total += b;
                 }
-                s.count = total;
-                s.sum *= f;
+                count = total;
+                setSum(sum() * f);
             }
-            if (config_.outlierProbability > 0.0 &&
-                !s.bucketCounts.empty() && s.count > 0 &&
+            if (config_.outlierProbability > 0.0 && count > 0 &&
                 toUniform(saltWord(outlier_word, salt)) <
                     config_.outlierProbability) {
                 // A corrupted batch of spans: phantom mass in the
@@ -397,13 +488,12 @@ TelemetryFaultInjector::perturbScrape(std::size_t i,
                 // boundary.
                 const std::uint64_t phantom = std::max<std::uint64_t>(
                     1, static_cast<std::uint64_t>(
-                           static_cast<double>(s.count) *
+                           static_cast<double>(count) *
                            config_.outlierFraction));
-                s.bucketCounts.back() += phantom;
-                s.count += phantom;
-                if (!s.boundaries.empty())
-                    s.sum += static_cast<double>(phantom) *
-                             s.boundaries.back() * 4.0;
+                buckets.back() += phantom;
+                count += phantom;
+                setSum(sum() + static_cast<double>(phantom) *
+                                   s.boundaries.back() * 4.0);
             }
         }
     }
@@ -418,8 +508,9 @@ TelemetryFaultInjector::perturb(
     out.reserve(true_snaps.size());
     const SimTime newest_true =
         true_snaps.empty() ? 0 : true_snaps.back().at;
+    PerturbationCache cache;
     for (std::size_t i = 0; i < true_snaps.size(); ++i) {
-        PerturbedScrape scrape = perturbScrape(i, true_snaps[i]);
+        PerturbedScrape scrape = perturbScrape(i, true_snaps[i], cache);
         if (!scrape.dropped && newest_true >= scrape.visibleFrom)
             out.push_back(std::move(scrape.snapshot));
     }
@@ -448,7 +539,7 @@ FaultyTelemetryView::visibleSnapshots() const
                             snap.at >= true_snaps[perturbedCount_ - 1].at,
                         "monitor scrape stamps must not decrease");
         PerturbedScrape scrape =
-            injector_.perturbScrape(perturbedCount_, snap);
+            injector_.perturbScrape(perturbedCount_, snap, cache_);
         if (!scrape.dropped)
             held_.push_back({perturbedCount_, scrape.visibleFrom,
                              std::move(scrape.snapshot)});

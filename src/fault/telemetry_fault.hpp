@@ -42,6 +42,9 @@
 #define ERMS_FAULT_TELEMETRY_FAULT_HPP
 
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -198,7 +201,9 @@ class SeriesCorruptor
     const SeriesCorruptionConfig &config() const { return config_; }
 
     /** Corrupt the target service's counter series across the whole
-     *  stream; with Mode::None the input passes through untouched. */
+     *  stream; with Mode::None the input passes through untouched.
+     *  Only value words change; which ids are targeted is worked out
+     *  once per run of scrapes sharing a schema. */
     std::vector<telemetry::TelemetrySnapshot>
     corrupt(std::vector<telemetry::TelemetrySnapshot> snaps) const;
 
@@ -220,6 +225,44 @@ struct PerturbedScrape
 };
 
 /**
+ * What perturbation derives from a series schema rather than from one
+ * scrape: each series' identity hash (the salt of its per-series
+ * decisions) and the host whose gauge it is (blackouts), worked out
+ * once per schema; and the subset schemas blackouts cut from a schema,
+ * built once per (schema, dropped ids), so most perturbed scrapes share
+ * the monitor's schema or an earlier subset. One owner, single-threaded.
+ */
+class PerturbationCache
+{
+  public:
+    struct Facts
+    {
+        /** FNV-1a of each series' name and labels. */
+        std::vector<std::uint64_t> salt;
+        /** Host of each host-gauge series; kInvalidHost for the rest. */
+        std::vector<HostId> gaugeHost;
+    };
+
+    /** The facts of `schema` (non-null). */
+    const Facts &
+    facts(const std::shared_ptr<const telemetry::SeriesSchema> &schema);
+
+    /** `schema` without the ids in `dropped` (ascending, non-empty). */
+    std::shared_ptr<const telemetry::SeriesSchema>
+    subset(const std::shared_ptr<const telemetry::SeriesSchema> &schema,
+           const std::vector<std::size_t> &dropped);
+
+  private:
+    /** Keys hold their schemas, so no other schema can take a cached
+     *  address. */
+    std::map<std::shared_ptr<const telemetry::SeriesSchema>, Facts> facts_;
+    std::map<std::pair<std::shared_ptr<const telemetry::SeriesSchema>,
+                       std::vector<std::size_t>>,
+             std::shared_ptr<const telemetry::SeriesSchema>>
+        subsets_;
+};
+
+/**
  * Applies a TelemetryFaultConfig to a true snapshot stream, producing
  * the perturbed stream an unlucky operator would see. Stateless beyond
  * its precomputed blackout schedule; perturbScrape() and perturb() are
@@ -238,8 +281,15 @@ class TelemetryFaultInjector
      * Perturb true scrape number `index` of a stream: whether it drops,
      * from when it is visible, and what it shows. Every fault class is
      * applied here and nowhere else. The series keep their order (some
-     * are removed, none move), so the result stays sorted.
+     * are removed, none move), so the result stays sorted; it shares
+     * the scrape's schema, or a cached subset of it when a blackout
+     * removed series, and copies only value words.
      */
+    PerturbedScrape perturbScrape(std::size_t index,
+                                  const telemetry::TelemetrySnapshot &scrape,
+                                  PerturbationCache &cache) const;
+
+    /** perturbScrape() with a cache of its own. */
     PerturbedScrape perturbScrape(std::size_t index,
                                   const telemetry::TelemetrySnapshot &scrape)
         const;
@@ -255,7 +305,6 @@ class TelemetryFaultInjector
         const;
 
   private:
-    bool hostBlackedOut(HostId host, SimTime at) const;
     bool activeAzEvent(SimTime at) const;
 
     TelemetryFaultConfig config_;
@@ -327,6 +376,8 @@ class FaultyTelemetryView : public telemetry::SnapshotTelemetryView
     SeriesCorruptor corruptor_;
     /** True scrapes perturbed so far (the cache's generation). */
     mutable std::size_t perturbedCount_ = 0;
+    /** Per-schema facts and subset schemas of the perturbed stream. */
+    mutable PerturbationCache cache_;
     /** Delayed scrapes still in flight, in scrape order. */
     mutable std::vector<HeldScrape> held_;
     /** Surfaced scrapes in scrape order, and their scrape indices. */

@@ -1,7 +1,9 @@
 #include "merge.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
+#include <tuple>
 
 #include "common/error.hpp"
 
@@ -11,8 +13,7 @@ namespace {
 
 using telemetry::Labels;
 using telemetry::MetricKind;
-using telemetry::seriesBefore;
-using telemetry::SeriesSnapshot;
+using telemetry::SeriesSchema;
 using telemetry::TelemetrySnapshot;
 
 /** Rewrite a shard-local {host=h} label to the cluster-wide id. */
@@ -29,71 +30,146 @@ remapHostLabels(Labels &labels, int host_offset)
     }
 }
 
-/** Accumulate `part` into `into` (same name/labels/kind). */
+/** Add the `words` value words of a part series onto `into` (same
+ *  kind and ladder). */
 void
-accumulateSeries(SeriesSnapshot &into, const SeriesSnapshot &part)
+accumulateValues(std::uint64_t *into, const std::uint64_t *part,
+                 MetricKind kind, std::size_t words)
 {
-    ERMS_ASSERT_MSG(into.kind == part.kind,
-                    "shard series collide with mismatched kinds");
-    switch (into.kind) {
+    const auto add_double = [](std::uint64_t &a, std::uint64_t b) {
+        a = std::bit_cast<std::uint64_t>(std::bit_cast<double>(a) +
+                                         std::bit_cast<double>(b));
+    };
+    switch (kind) {
     case MetricKind::Counter:
-        into.counterValue += part.counterValue;
+        into[0] += part[0];
         break;
     case MetricKind::Gauge:
         // Only cluster-additive gauges (the label-free fault-schedule
         // sizes) can collide across shards; owned-entity gauges carry
         // service/microservice/host labels and stay disjoint.
-        into.gaugeValue += part.gaugeValue;
+        add_double(into[0], part[0]);
         break;
     case MetricKind::Histogram:
-        ERMS_ASSERT_MSG(into.boundaries == part.boundaries,
-                        "shard histograms collide with mismatched buckets");
-        for (std::size_t b = 0; b < into.bucketCounts.size(); ++b)
-            into.bucketCounts[b] += part.bucketCounts[b];
-        into.count += part.count;
-        into.sum += part.sum;
+        for (std::size_t b = 2; b < words; ++b)
+            into[b] += part[b];
+        into[0] += part[0];
+        add_double(into[1], part[1]);
         break;
     }
 }
 
 } // namespace
 
-telemetry::TelemetrySnapshot
-mergeTelemetrySnapshots(const std::vector<const TelemetrySnapshot *> &parts,
-                        const ShardPlan &plan)
+SchemaUnion
+unionSchemas(std::vector<std::shared_ptr<const SeriesSchema>> parts,
+             const ShardPlan &plan)
 {
     ERMS_ASSERT_MSG(parts.size() ==
                         static_cast<std::size_t>(plan.shardCount),
-                    "one snapshot per shard required");
-    TelemetrySnapshot merged;
-    std::size_t total = 0;
-    for (const TelemetrySnapshot *part : parts) {
-        ERMS_ASSERT(part != nullptr);
-        total += part->series.size();
-    }
-    std::vector<SeriesSnapshot> &series = merged.series;
-    series.reserve(total);
+                    "one schema per shard required");
+    struct Item
+    {
+        SeriesSchema::Series series;
+        int part = 0;
+        std::size_t id = 0;
+    };
+    std::vector<Item> items;
     for (int k = 0; k < plan.shardCount; ++k) {
-        merged.at = std::max(merged.at, parts[k]->at);
-        const int offset = plan.shards[k].hostOffset;
-        for (const SeriesSnapshot &s : parts[k]->series)
-            remapHostLabels(series.emplace_back(s).labels, offset);
-    }
-    // Stable, so colliding series keep shard index order; each run of
-    // equal keys then folds into its first entry in that order.
-    std::stable_sort(series.begin(), series.end(), seriesBefore);
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < series.size(); ++i) {
-        if (kept > 0 && !seriesBefore(series[kept - 1], series[i])) {
-            accumulateSeries(series[kept - 1], series[i]);
-        } else {
-            if (kept != i)
-                series[kept] = std::move(series[i]);
-            ++kept;
+        if (!parts[k])
+            continue;
+        const SeriesSchema &schema = *parts[k];
+        for (std::size_t id = 0; id < schema.size(); ++id) {
+            Item &item = items.emplace_back(Item{schema[id], k, id});
+            remapHostLabels(item.series.labels, plan.shards[k].hostOffset);
         }
     }
-    series.resize(kept);
+    // Stable, so colliding series keep shard index order; each run of
+    // equal keys then becomes one merged id.
+    const auto before = [](const Item &a, const Item &b) {
+        return std::tie(a.series.name, a.series.labels) <
+               std::tie(b.series.name, b.series.labels);
+    };
+    std::stable_sort(items.begin(), items.end(), before);
+
+    SchemaUnion u;
+    u.target.resize(parts.size());
+    for (int k = 0; k < plan.shardCount; ++k)
+        u.target[k].resize(parts[k] ? parts[k]->size() : 0);
+    std::vector<SeriesSchema::Series> merged;
+    for (Item &item : items) {
+        if (!merged.empty() &&
+            std::tie(merged.back().name, merged.back().labels) ==
+                std::tie(item.series.name, item.series.labels)) {
+            ERMS_ASSERT_MSG(merged.back().kind == item.series.kind,
+                            "shard series collide with mismatched kinds");
+            ERMS_ASSERT_MSG(
+                merged.back().boundaries == item.series.boundaries,
+                "shard histograms collide with mismatched buckets");
+        } else {
+            merged.push_back(std::move(item.series));
+            u.firstPart.push_back(item.part);
+        }
+        u.target[item.part][item.id] = merged.size() - 1;
+    }
+    u.schema = std::make_shared<const SeriesSchema>(std::move(merged));
+    u.parts = std::move(parts);
+    return u;
+}
+
+TelemetrySnapshot
+foldGeneration(const SchemaUnion &u,
+               const std::vector<const TelemetrySnapshot *> &parts)
+{
+    ERMS_ASSERT_MSG(parts.size() == u.parts.size(),
+                    "one snapshot per shard required");
+    TelemetrySnapshot merged;
+    merged.schema = u.schema;
+    merged.values.resize(u.schema->valueCount());
+    const SeriesSchema &into = *u.schema;
+    for (std::size_t k = 0; k < parts.size(); ++k) {
+        const TelemetrySnapshot &part = *parts[k];
+        ERMS_ASSERT_MSG(part.schema == u.parts[k],
+                        "snapshot schema differs from the union's part");
+        merged.at = std::max(merged.at, part.at);
+        for (std::size_t id = 0; id < part.size(); ++id) {
+            const SeriesSchema::Series &s = (*part.schema)[id];
+            const std::size_t t = u.target[k][id];
+            const std::size_t words =
+                telemetry::valueWords(s.kind, s.boundaries.size());
+            const std::uint64_t *src = part.values.data() + s.offset;
+            std::uint64_t *dst = merged.values.data() + into[t].offset;
+            if (u.firstPart[t] == static_cast<int>(k))
+                std::copy(src, src + words, dst);
+            else
+                accumulateValues(dst, src, s.kind, words);
+        }
+    }
     return merged;
+}
+
+TelemetrySnapshot
+TelemetryMerger::merge(const std::vector<const TelemetrySnapshot *> &parts,
+                       const ShardPlan &plan)
+{
+    std::vector<std::shared_ptr<const SeriesSchema>> schemas;
+    schemas.reserve(parts.size());
+    for (const TelemetrySnapshot *part : parts) {
+        ERMS_ASSERT(part != nullptr);
+        schemas.push_back(part->schema);
+    }
+    if (schemas != union_.parts) {
+        union_ = unionSchemas(std::move(schemas), plan);
+        ++unionsBuilt_;
+    }
+    return foldGeneration(union_, parts);
+}
+
+TelemetrySnapshot
+mergeTelemetrySnapshots(const std::vector<const TelemetrySnapshot *> &parts,
+                        const ShardPlan &plan)
+{
+    return TelemetryMerger().merge(parts, plan);
 }
 
 ClusterSnapshot

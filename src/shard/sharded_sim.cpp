@@ -223,7 +223,7 @@ ShardedSimulation::mergeNewTelemetry()
         for (const auto &monitor : monitors_)
             generation.push_back(
                 &monitor->snapshots()[mergedGenerations_]);
-        mergedView_->append(mergeTelemetrySnapshots(generation, plan_));
+        mergedView_->append(telemetryMerger_.merge(generation, plan_));
         ++mergedGenerations_;
     }
 }

@@ -201,6 +201,9 @@ class ShardedSimulation
     std::vector<std::unique_ptr<telemetry::SimMonitor>> monitors_;
     std::vector<std::unique_ptr<Simulation>> sims_;
     std::shared_ptr<ShardedTelemetryView> mergedView_;
+    /** Caches the union schema across generations; touched only
+     *  between rounds. */
+    TelemetryMerger telemetryMerger_;
     std::size_t mergedGenerations_ = 0;
     GlobalPlan appliedPlan_;
     bool hasPlan_ = false;

@@ -4,20 +4,6 @@
 
 namespace erms::telemetry {
 
-std::string
-labelsToString(const Labels &labels)
-{
-    std::string out;
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-        if (i > 0)
-            out += ';';
-        out += labels[i].first;
-        out += '=';
-        out += labels[i].second;
-    }
-    return out;
-}
-
 Labels
 labelsFromString(const std::string &text)
 {
@@ -37,21 +23,15 @@ labelsFromString(const std::string &text)
     return labels;
 }
 
-std::string
-seriesOrderProblem(const std::vector<SeriesSnapshot> &series)
+void
+shareSchemas(std::vector<TelemetrySnapshot> &snapshots)
 {
-    for (std::size_t i = 1; i < series.size(); ++i) {
-        if (seriesBefore(series[i - 1], series[i]))
-            continue;
-        const SeriesSnapshot &s = series[i];
-        return "series " + std::to_string(i) + " (" + s.name + "{" +
-               labelsToString(s.labels) + "}) " +
-               (seriesBefore(s, series[i - 1]) ? "sorts before"
-                                               : "duplicates") +
-               " series " + std::to_string(i - 1) +
-               "; series must be strictly ascending by (name, labels)";
+    for (std::size_t i = 1; i < snapshots.size(); ++i) {
+        auto &prev = snapshots[i - 1].schema;
+        auto &schema = snapshots[i].schema;
+        if (prev && schema && prev != schema && *prev == *schema)
+            schema = prev;
     }
-    return {};
 }
 
 std::string
@@ -63,7 +43,9 @@ toJson(const std::vector<TelemetrySnapshot> &snapshots)
 std::vector<TelemetrySnapshot>
 fromJson(const std::string &json)
 {
-    return json::read<std::vector<TelemetrySnapshot>>(json);
+    auto snapshots = json::read<std::vector<TelemetrySnapshot>>(json);
+    shareSchemas(snapshots);
+    return snapshots;
 }
 
 } // namespace erms::telemetry

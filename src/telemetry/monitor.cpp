@@ -25,6 +25,16 @@ hostLabels(HostId host)
     return {{"host", std::to_string(host)}};
 }
 
+/** Slot `id` of an id-indexed handle table, grown on demand. */
+template <class T>
+T &
+slot(std::vector<T> &table, std::size_t id)
+{
+    if (id >= table.size())
+        table.resize(id + 1);
+    return table[id];
+}
+
 } // namespace
 
 SimMonitor::SimMonitor(MonitorConfig config) : config_(std::move(config))
@@ -44,11 +54,10 @@ SimMonitor::sampleSpan(RequestId request) const
 SimMonitor::ServiceSeries &
 SimMonitor::serviceSeries(ServiceId service)
 {
-    auto it = serviceSeries_.find(service);
-    if (it != serviceSeries_.end())
-        return it->second;
+    ServiceSeries &series = slot(serviceSeries_, service);
+    if (series.requests != nullptr)
+        return series;
     const Labels labels = serviceLabels(service);
-    ServiceSeries series;
     series.requests = &registry_.counter("erms_requests_total", labels);
     series.responses = &registry_.counter("erms_responses_total", labels);
     series.failures =
@@ -57,17 +66,16 @@ SimMonitor::serviceSeries(ServiceId service)
         &registry_.counter("erms_sla_violations_total", labels);
     series.latency = &registry_.histogram("erms_request_latency_ms", labels,
                                           config_.latencyBucketsMs);
-    return serviceSeries_.emplace(service, series).first->second;
+    return series;
 }
 
 SimMonitor::MicroserviceSeries &
 SimMonitor::microserviceSeries(MicroserviceId ms)
 {
-    auto it = msSeries_.find(ms);
-    if (it != msSeries_.end())
-        return it->second;
+    MicroserviceSeries &series = slot(msSeries_, ms);
+    if (series.latency != nullptr)
+        return series;
     const Labels labels = microserviceLabels(ms);
-    MicroserviceSeries series;
     series.latency = &registry_.histogram("erms_ms_latency_ms", labels,
                                           config_.latencyBucketsMs);
     series.retries = &registry_.counter("erms_retries_total", labels);
@@ -84,22 +92,21 @@ SimMonitor::microserviceSeries(MicroserviceId ms)
     series.containers = &registry_.gauge("erms_containers", labels);
     series.queueDepth = &registry_.gauge("erms_queue_depth", labels);
     series.busyThreads = &registry_.gauge("erms_busy_threads", labels);
-    return msSeries_.emplace(ms, series).first->second;
+    return series;
 }
 
 SimMonitor::HostSeries &
 SimMonitor::hostSeries(HostId host)
 {
-    auto it = hostSeries_.find(host);
-    if (it != hostSeries_.end())
-        return it->second;
+    HostSeries &series = slot(hostSeries_, host);
+    if (series.cpuUtil != nullptr)
+        return series;
     const Labels labels = hostLabels(host);
-    HostSeries series;
     series.cpuUtil = &registry_.gauge("erms_host_cpu_util", labels);
     series.memUtil = &registry_.gauge("erms_host_mem_util", labels);
     series.slowdownWindows =
         &registry_.counter("erms_slowdown_windows_total", labels);
-    return hostSeries_.emplace(host, series).first->second;
+    return series;
 }
 
 void

@@ -34,8 +34,6 @@
 #ifndef ERMS_TELEMETRY_MONITOR_HPP
 #define ERMS_TELEMETRY_MONITOR_HPP
 
-#include <unordered_map>
-
 #include "telemetry/registry.hpp"
 
 namespace erms::telemetry {
@@ -55,8 +53,10 @@ struct MonitorConfig
 
 /**
  * Telemetry pipeline of one simulation run. Hook methods are cheap
- * (cached handle + one atomic add) and never draw randomness; gauge
- * refresh and snapshotting happen only at scrape instants.
+ * (an id-indexed handle + one atomic add) and never draw randomness;
+ * gauge refresh and snapshotting happen only at scrape instants. An
+ * entity's series register on its first hook call, so a scrape after
+ * that call starts a new schema version.
  */
 class SimMonitor
 {
@@ -138,6 +138,7 @@ class SimMonitor
         Counter *slowdownWindows = nullptr;
     };
 
+    /** The entity's handles, registering its series on first use. */
     ServiceSeries &serviceSeries(ServiceId service);
     MicroserviceSeries &microserviceSeries(MicroserviceId ms);
     HostSeries &hostSeries(HostId host);
@@ -145,9 +146,10 @@ class SimMonitor
     MonitorConfig config_;
     MetricsRegistry registry_;
     std::vector<TelemetrySnapshot> snapshots_;
-    std::unordered_map<ServiceId, ServiceSeries> serviceSeries_;
-    std::unordered_map<MicroserviceId, MicroserviceSeries> msSeries_;
-    std::unordered_map<HostId, HostSeries> hostSeries_;
+    /** Handles indexed by entity id; null handles: not registered yet. */
+    std::vector<ServiceSeries> serviceSeries_;
+    std::vector<MicroserviceSeries> msSeries_;
+    std::vector<HostSeries> hostSeries_;
 };
 
 } // namespace erms::telemetry

@@ -67,12 +67,9 @@ Gauge::unpack(std::uint64_t bits)
 Histogram::Histogram(std::vector<double> boundaries)
     : boundaries_(std::move(boundaries))
 {
-    ERMS_ASSERT_MSG(!boundaries_.empty(), "histogram needs >= 1 boundary");
-    ERMS_ASSERT_MSG(
-        std::is_sorted(boundaries_.begin(), boundaries_.end()) &&
-            std::adjacent_find(boundaries_.begin(), boundaries_.end()) ==
-                boundaries_.end(),
-        "histogram boundaries must be strictly ascending");
+    ERMS_ASSERT_MSG(boundariesProblem(boundaries_).empty(),
+                    "histogram boundaries must be non-empty, strictly "
+                    "ascending and NaN-free");
     for (std::size_t i = 0; i < boundaries_.size() + 1; ++i)
         buckets_.emplace_back(0);
 }
@@ -124,11 +121,16 @@ Histogram::sum() const
 std::vector<std::uint64_t>
 Histogram::bucketCounts() const
 {
-    std::vector<std::uint64_t> counts;
-    counts.reserve(buckets_.size());
-    for (const auto &bucket : buckets_)
-        counts.push_back(bucket.load(std::memory_order_relaxed));
+    std::vector<std::uint64_t> counts(buckets_.size());
+    bucketCounts(counts.data());
     return counts;
+}
+
+void
+Histogram::bucketCounts(std::uint64_t *out) const
+{
+    for (const auto &bucket : buckets_)
+        *out++ = bucket.load(std::memory_order_relaxed);
 }
 
 double
@@ -253,40 +255,240 @@ seriesBefore(const SeriesSnapshot &a, const SeriesSnapshot &b)
     return std::tie(a.name, a.labels) < std::tie(b.name, b.labels);
 }
 
-const SeriesSnapshot *
-TelemetrySnapshot::find(const std::string &name, const Labels &labels) const
+std::string
+labelsToString(const Labels &labels)
+{
+    std::string out;
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+        if (i > 0)
+            out += ';';
+        out += labels[i].first;
+        out += '=';
+        out += labels[i].second;
+    }
+    return out;
+}
+
+std::string
+seriesOrderProblem(const std::vector<SeriesSnapshot> &series)
+{
+    for (std::size_t i = 1; i < series.size(); ++i) {
+        if (seriesBefore(series[i - 1], series[i]))
+            continue;
+        const SeriesSnapshot &s = series[i];
+        return "series " + std::to_string(i) + " (" + s.name + "{" +
+               labelsToString(s.labels) + "}) " +
+               (seriesBefore(s, series[i - 1]) ? "sorts before"
+                                               : "duplicates") +
+               " series " + std::to_string(i - 1) +
+               "; series must be strictly ascending by (name, labels)";
+    }
+    return {};
+}
+
+std::string
+boundariesProblem(const std::vector<double> &boundaries)
+{
+    if (boundaries.empty())
+        return "a histogram needs at least one boundary";
+    for (std::size_t i = 0; i < boundaries.size(); ++i) {
+        if (std::isnan(boundaries[i]))
+            return "boundary " + std::to_string(i) + " is NaN";
+        if (i > 0 && !(boundaries[i - 1] < boundaries[i]))
+            return "boundary " + std::to_string(i) +
+                   " does not exceed boundary " + std::to_string(i - 1) +
+                   "; boundaries must be strictly ascending";
+    }
+    return {};
+}
+
+std::string
+bucketsProblem(const SeriesSnapshot &s)
+{
+    if (s.bucketCounts.size() == s.boundaries.size() + 1)
+        return {};
+    return std::to_string(s.bucketCounts.size()) + " buckets for " +
+           std::to_string(s.boundaries.size()) +
+           " boundaries; a histogram has one bucket more than boundaries";
+}
+
+std::size_t
+valueWords(MetricKind kind, std::size_t boundaries)
+{
+    return kind == MetricKind::Histogram ? 2 + boundaries + 1 : 1;
+}
+
+// ---------------------------------------------------------------------
+// SeriesSchema
+// ---------------------------------------------------------------------
+
+SeriesSchema::SeriesSchema(std::vector<Series> series)
+    : series_(std::move(series))
+{
+    for (std::size_t id = 0; id < series_.size(); ++id) {
+        Series &s = series_[id];
+        ERMS_ASSERT_MSG(id == 0 || std::tie(series_[id - 1].name,
+                                            series_[id - 1].labels) <
+                                       std::tie(s.name, s.labels),
+                        "schema series must be strictly ascending");
+        ERMS_ASSERT_MSG(s.kind == MetricKind::Histogram
+                            ? boundariesProblem(s.boundaries).empty()
+                            : s.boundaries.empty(),
+                        "schema histogram ladder is invalid");
+        s.offset = valueCount_;
+        valueCount_ += valueWords(s.kind, s.boundaries.size());
+    }
+}
+
+std::size_t
+SeriesSchema::find(const std::string &name, const Labels &labels) const
 {
     const auto key = std::tie(name, labels);
     const auto it = std::lower_bound(
-        series.begin(), series.end(), key,
-        [](const SeriesSnapshot &s, const auto &k) {
+        series_.begin(), series_.end(), key,
+        [](const Series &s, const auto &k) {
             return std::tie(s.name, s.labels) < k;
         });
-    if (it == series.end() || std::tie(it->name, it->labels) != key)
-        return nullptr;
-    return &*it;
+    if (it == series_.end() || std::tie(it->name, it->labels) != key)
+        return series_.size();
+    return static_cast<std::size_t>(it - series_.begin());
 }
 
-std::span<const SeriesSnapshot>
-TelemetrySnapshot::named(const std::string &name) const
+std::pair<std::size_t, std::size_t>
+SeriesSchema::named(const std::string &name) const
 {
     const auto first = std::lower_bound(
-        series.begin(), series.end(), name,
-        [](const SeriesSnapshot &s, const std::string &n) {
-            return s.name < n;
-        });
+        series_.begin(), series_.end(), name,
+        [](const Series &s, const std::string &n) { return s.name < n; });
     const auto last = std::upper_bound(
-        first, series.end(), name,
-        [](const std::string &n, const SeriesSnapshot &s) {
-            return n < s.name;
-        });
-    return {first, last};
+        first, series_.end(), name,
+        [](const std::string &n, const Series &s) { return n < s.name; });
+    return {static_cast<std::size_t>(first - series_.begin()),
+            static_cast<std::size_t>(last - series_.begin())};
+}
+
+bool
+SeriesSchema::operator==(const SeriesSchema &other) const
+{
+    return std::equal(series_.begin(), series_.end(), other.series_.begin(),
+                      other.series_.end(),
+                      [](const Series &a, const Series &b) {
+                          return a.name == b.name && a.labels == b.labels &&
+                                 a.kind == b.kind &&
+                                 sameBits(a.boundaries, b.boundaries);
+                      });
+}
+
+// ---------------------------------------------------------------------
+// SeriesRef
+// ---------------------------------------------------------------------
+
+SeriesSnapshot
+SeriesRef::expand() const
+{
+    SeriesSnapshot s;
+    s.name = name();
+    s.labels = labels();
+    s.kind = kind();
+    s.counterValue = counterValue();
+    s.gaugeValue = gaugeValue();
+    s.count = count();
+    s.sum = sum();
+    s.boundaries = boundaries();
+    const auto buckets = bucketCounts();
+    s.bucketCounts.assign(buckets.begin(), buckets.end());
+    return s;
+}
+
+// ---------------------------------------------------------------------
+// TelemetrySnapshot
+// ---------------------------------------------------------------------
+
+TelemetrySnapshot
+TelemetrySnapshot::fromSeries(SimTime at, std::vector<SeriesSnapshot> series)
+{
+    if (std::string problem = seriesOrderProblem(series); !problem.empty())
+        throw ErmsError(problem);
+    std::vector<SeriesSchema::Series> identities;
+    identities.reserve(series.size());
+    for (std::size_t i = 0; i < series.size(); ++i) {
+        SeriesSnapshot &s = series[i];
+        if (s.kind == MetricKind::Histogram) {
+            std::string problem = boundariesProblem(s.boundaries);
+            if (problem.empty())
+                problem = bucketsProblem(s);
+            if (!problem.empty())
+                throw ErmsError("series " + std::to_string(i) + " (" +
+                                s.name + "{" + labelsToString(s.labels) +
+                                "}): " + problem);
+        } else {
+            s.boundaries.clear();
+        }
+        identities.push_back({std::move(s.name), std::move(s.labels), s.kind,
+                              std::move(s.boundaries)});
+    }
+    TelemetrySnapshot snap;
+    snap.at = at;
+    snap.schema = std::make_shared<const SeriesSchema>(std::move(identities));
+    snap.values.reserve(snap.schema->valueCount());
+    for (const SeriesSnapshot &s : series) {
+        switch (s.kind) {
+          case MetricKind::Counter:
+            snap.values.push_back(s.counterValue);
+            break;
+          case MetricKind::Gauge:
+            snap.values.push_back(std::bit_cast<std::uint64_t>(s.gaugeValue));
+            break;
+          case MetricKind::Histogram:
+            snap.values.push_back(s.count);
+            snap.values.push_back(std::bit_cast<std::uint64_t>(s.sum));
+            snap.values.insert(snap.values.end(), s.bucketCounts.begin(),
+                               s.bucketCounts.end());
+            break;
+        }
+    }
+    return snap;
+}
+
+SeriesSnapshot
+TelemetrySnapshot::series(std::size_t id) const
+{
+    return (*this)[id].expand();
+}
+
+std::vector<SeriesSnapshot>
+TelemetrySnapshot::expand() const
+{
+    std::vector<SeriesSnapshot> out;
+    out.reserve(size());
+    for (std::size_t id = 0; id < size(); ++id)
+        out.push_back(series(id));
+    return out;
+}
+
+std::optional<SeriesRef>
+TelemetrySnapshot::find(const std::string &name, const Labels &labels) const
+{
+    if (!schema)
+        return std::nullopt;
+    const std::size_t id = schema->find(name, labels);
+    if (id == schema->size())
+        return std::nullopt;
+    return (*this)[id];
 }
 
 bool
 TelemetrySnapshot::operator==(const TelemetrySnapshot &other) const
 {
-    return at == other.at && series == other.series;
+    // Equal identities lay out equal values identically, so the value
+    // words (doubles as bit patterns) decide the rest.
+    if (at != other.at || values != other.values)
+        return false;
+    if (schema == other.schema)
+        return true;
+    if (size() != other.size())
+        return false;
+    return size() == 0 || *schema == *other.schema;
 }
 
 // ---------------------------------------------------------------------
@@ -299,20 +501,13 @@ MetricsRegistry::findOrCreate(const std::string &name, const Labels &labels,
 {
     Labels sorted = labels;
     std::sort(sorted.begin(), sorted.end());
-    const auto key = std::make_pair(name, sorted);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-        ERMS_ASSERT_MSG(it->second->kind == kind,
-                        "metric re-registered with a different kind");
-        return *it->second;
-    }
-    entries_.emplace_back();
-    Entry &entry = entries_.back();
-    entry.name = name;
-    entry.labels = std::move(sorted);
-    entry.kind = kind;
-    index_.emplace(key, &entry);
-    return entry;
+    auto [it, inserted] =
+        index_.try_emplace(std::make_pair(name, std::move(sorted)));
+    if (inserted)
+        it->second.kind = kind;
+    ERMS_ASSERT_MSG(it->second.kind == kind,
+                    "metric re-registered with a different kind");
+    return it->second;
 }
 
 Counter &
@@ -354,38 +549,48 @@ std::size_t
 MetricsRegistry::seriesCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
+    return index_.size();
 }
 
 TelemetrySnapshot
 MetricsRegistry::snapshot(SimTime at) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    // Series are never removed, so a size change means a registration:
+    // the next schema version, in index_'s (name, labels) order.
+    if (!schema_ || schema_->size() != index_.size()) {
+        std::vector<SeriesSchema::Series> series;
+        series.reserve(index_.size());
+        order_.clear();
+        for (const auto &[key, entry] : index_) {
+            series.push_back(
+                {key.first, key.second, entry.kind,
+                 entry.histogram ? entry.histogram->boundaries()
+                                 : std::vector<double>{}});
+            order_.push_back(&entry);
+        }
+        schema_ = std::make_shared<const SeriesSchema>(std::move(series));
+    }
     TelemetrySnapshot snap;
     snap.at = at;
-    snap.series.reserve(entries_.size());
-    // index_ is an ordered map over (name, labels): iteration yields the
-    // deterministic export order regardless of registration order.
-    for (const auto &[key, entry] : index_) {
-        SeriesSnapshot s;
-        s.name = entry->name;
-        s.labels = entry->labels;
-        s.kind = entry->kind;
-        switch (entry->kind) {
+    snap.schema = schema_;
+    snap.values.resize(schema_->valueCount());
+    for (std::size_t id = 0; id < order_.size(); ++id) {
+        const Entry &entry = *order_[id];
+        std::uint64_t *out = snap.values.data() + (*schema_)[id].offset;
+        switch (entry.kind) {
           case MetricKind::Counter:
-            s.counterValue = entry->counter->value();
+            out[0] = entry.counter->value();
             break;
           case MetricKind::Gauge:
-            s.gaugeValue = entry->gauge->value();
+            out[0] = std::bit_cast<std::uint64_t>(entry.gauge->value());
             break;
           case MetricKind::Histogram:
-            s.count = entry->histogram->count();
-            s.sum = entry->histogram->sum();
-            s.boundaries = entry->histogram->boundaries();
-            s.bucketCounts = entry->histogram->bucketCounts();
+            out[0] = entry.histogram->count();
+            out[1] = std::bit_cast<std::uint64_t>(entry.histogram->sum());
+            entry.histogram->bucketCounts(out + 2);
             break;
         }
-        snap.series.push_back(std::move(s));
     }
     return snap;
 }

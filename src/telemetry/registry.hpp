@@ -18,11 +18,14 @@
 #define ERMS_TELEMETRY_REGISTRY_HPP
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <ranges>
 #include <span>
 #include <string>
 #include <utility>
@@ -101,6 +104,8 @@ class Histogram
 
     /** Per-bucket counts, finite buckets first, +inf bucket last. */
     std::vector<std::uint64_t> bucketCounts() const;
+    /** The same counts written to `out` (boundaries + 1 words). */
+    void bucketCounts(std::uint64_t *out) const;
 
     /** Estimated quantile (q in [0, 1]); 0 when empty. */
     double quantile(double q) const;
@@ -129,7 +134,8 @@ double histogramQuantile(const std::vector<double> &boundaries,
 /** Latency bucket ladder used by the simulator series (ms). */
 std::vector<double> defaultLatencyBucketsMs();
 
-/** Exported state of one series at one scrape. */
+/** Exported state of one series at one scrape: the expanded form of
+ *  one snapshot series, as files store it and fixtures build it. */
 struct SeriesSnapshot
 {
     std::string name;
@@ -147,25 +153,193 @@ struct SeriesSnapshot
     bool operator==(const SeriesSnapshot &other) const;
 };
 
-/** The (name, labels) order of TelemetrySnapshot::series. */
+/** The (name, labels) order of every snapshot's series. */
 bool seriesBefore(const SeriesSnapshot &a, const SeriesSnapshot &b);
+
+/** "key=value;key=value". */
+std::string labelsToString(const Labels &labels);
+
+/** Why `series` is not strictly ascending by seriesBefore (naming the
+ *  first duplicated or out-of-order entry), or an empty string. */
+std::string seriesOrderProblem(const std::vector<SeriesSnapshot> &series);
+
+/** Why `boundaries` cannot be a histogram ladder (empty, NaN, or not
+ *  strictly ascending), or an empty string. */
+std::string boundariesProblem(const std::vector<double> &boundaries);
+
+/** Why a histogram's bucket list does not fit its ladder (one bucket
+ *  more than boundaries), or an empty string. */
+std::string bucketsProblem(const SeriesSnapshot &s);
+
+/**
+ * Immutable identity list of a snapshot's series: name, labels, kind
+ * and histogram boundaries, with dense ids in (name, labels) order, and
+ * where each id's values sit in a snapshot's flat value array. A
+ * registry hands one schema to every snapshot it takes until a new
+ * series registers, so a scrape stores its values and nothing else.
+ */
+class SeriesSchema
+{
+  public:
+    /** One series' identity. */
+    struct Series
+    {
+        std::string name;
+        Labels labels;
+        MetricKind kind = MetricKind::Counter;
+        std::vector<double> boundaries; ///< Histogram ladder only
+        /** First value word: a counter's value or a gauge's bits; a
+         *  histogram's count, sum bits, then boundaries + 1 buckets. */
+        std::size_t offset = 0;
+    };
+
+    /** Identities strictly ascending by (name, labels), histograms with
+     *  a valid ladder (asserted); the offsets are assigned here. */
+    explicit SeriesSchema(std::vector<Series> series);
+
+    std::size_t size() const { return series_.size(); }
+    const Series &operator[](std::size_t id) const { return series_[id]; }
+
+    /** Value words of one snapshot of this schema. */
+    std::size_t valueCount() const { return valueCount_; }
+
+    /** Id of (name, labels) by binary search, or size() when absent. */
+    std::size_t find(const std::string &name, const Labels &labels) const;
+
+    /** The ids named `name`, [first, last) in label order. */
+    std::pair<std::size_t, std::size_t> named(const std::string &name) const;
+
+    /** Same identities (boundaries compared by bit pattern). */
+    bool operator==(const SeriesSchema &other) const;
+
+  private:
+    std::vector<Series> series_;
+    std::size_t valueCount_ = 0;
+};
+
+/** Value words one series of `kind` takes: one for a counter or gauge,
+ *  count + sum + boundaries + 1 buckets for a histogram. */
+std::size_t valueWords(MetricKind kind, std::size_t boundaries);
+
+/** One series of one snapshot, by reference: its identity in the
+ *  schema and its values. Valid while the snapshot lives unchanged. */
+class SeriesRef
+{
+  public:
+    SeriesRef(const SeriesSchema::Series &series,
+              const std::uint64_t *values)
+        : series_(&series), values_(values)
+    {}
+
+    const std::string &name() const { return series_->name; }
+    const Labels &labels() const { return series_->labels; }
+    MetricKind kind() const { return series_->kind; }
+    const std::vector<double> &boundaries() const
+    {
+        return series_->boundaries;
+    }
+
+    /** Counter value (0 for other kinds). */
+    std::uint64_t
+    counterValue() const
+    {
+        return kind() == MetricKind::Counter ? values_[0] : 0;
+    }
+    /** Gauge value (0 for other kinds). */
+    double
+    gaugeValue() const
+    {
+        return kind() == MetricKind::Gauge ? std::bit_cast<double>(values_[0])
+                                           : 0.0;
+    }
+    /** Histogram observations and sum (0 for other kinds). */
+    std::uint64_t
+    count() const
+    {
+        return kind() == MetricKind::Histogram ? values_[0] : 0;
+    }
+    double
+    sum() const
+    {
+        return kind() == MetricKind::Histogram
+                   ? std::bit_cast<double>(values_[1])
+                   : 0.0;
+    }
+    /** Histogram buckets, finite first, +inf last (empty for other
+     *  kinds). */
+    std::span<const std::uint64_t>
+    bucketCounts() const
+    {
+        if (kind() != MetricKind::Histogram)
+            return {};
+        return {values_ + 2, boundaries().size() + 1};
+    }
+
+    SeriesSnapshot expand() const;
+
+    /** The same series of the same snapshot. */
+    bool operator==(const SeriesRef &other) const = default;
+
+  private:
+    const SeriesSchema::Series *series_;
+    const std::uint64_t *values_;
+};
 
 /** All series captured at one scrape instant (sim time in µs). */
 struct TelemetrySnapshot
 {
     SimTime at = 0;
-    /** Strictly ascending by seriesBefore: every producer keeps this
-     *  order (registry snapshots, shard merges, perturbation, the JSON
-     *  reader), and the lookups below rely on it. */
-    std::vector<SeriesSnapshot> series;
+    /** Identities of the series, shared with every snapshot of the same
+     *  registry version; null means no series. */
+    std::shared_ptr<const SeriesSchema> schema;
+    /** Every series' values in id order, at the schema's offsets;
+     *  doubles are stored as their bit patterns. */
+    std::vector<std::uint64_t> values;
 
-    /** Series lookup by binary search; nullptr when absent. */
-    const SeriesSnapshot *find(const std::string &name,
-                               const Labels &labels) const;
+    /**
+     * A snapshot holding `series`, which must be strictly ascending by
+     * seriesBefore with every histogram on a valid ladder and
+     * boundaries + 1 buckets. Only the fields of each series' kind are
+     * kept. @throws ErmsError naming the first problem.
+     */
+    static TelemetrySnapshot fromSeries(SimTime at,
+                                        std::vector<SeriesSnapshot> series);
+
+    /** Number of series. */
+    std::size_t size() const { return schema ? schema->size() : 0; }
+    bool empty() const { return size() == 0; }
+
+    /** Series `id` by reference. */
+    SeriesRef operator[](std::size_t id) const
+    {
+        const SeriesSchema::Series &s = (*schema)[id];
+        return {s, values.data() + s.offset};
+    }
+
+    /** Series `id` expanded. */
+    SeriesSnapshot series(std::size_t id) const;
+
+    /** Every series expanded, in id order. */
+    std::vector<SeriesSnapshot> expand() const;
+
+    /** Series lookup by binary search; nullopt when absent. */
+    std::optional<SeriesRef> find(const std::string &name,
+                                  const Labels &labels) const;
 
     /** Every series named `name`, in label order (empty when none). */
-    std::span<const SeriesSnapshot> named(const std::string &name) const;
+    auto
+    named(const std::string &name) const
+    {
+        const auto [first, last] =
+            schema ? schema->named(name)
+                   : std::pair<std::size_t, std::size_t>{};
+        return std::views::iota(first, last) |
+               std::views::transform(
+                   [this](std::size_t id) { return (*this)[id]; });
+    }
 
+    /** Expanded content equality (doubles by bit pattern); snapshots
+     *  sharing one schema compare their values alone. */
     bool operator==(const TelemetrySnapshot &other) const;
 };
 
@@ -187,14 +361,13 @@ class MetricsRegistry
     std::size_t seriesCount() const;
 
     /** Capture every series, deterministically ordered by
-     *  (name, labels). */
+     *  (name, labels). The snapshot shares the schema of the previous
+     *  one unless a series registered since. */
     TelemetrySnapshot snapshot(SimTime at) const;
 
   private:
     struct Entry
     {
-        std::string name;
-        Labels labels;
         MetricKind kind = MetricKind::Counter;
         std::unique_ptr<Counter> counter;
         std::unique_ptr<Gauge> gauge;
@@ -205,8 +378,13 @@ class MetricsRegistry
                         MetricKind kind);
 
     mutable std::mutex mutex_;
-    std::deque<Entry> entries_;
-    std::map<std::pair<std::string, Labels>, Entry *> index_;
+    /** Every series by (name, labels): the keys are the only copy of
+     *  the identity strings outside the schemas. */
+    std::map<std::pair<std::string, Labels>, Entry> index_;
+    /** The schema of the last snapshot and its entries in id order;
+     *  rebuilt by the next snapshot once a series registers. */
+    mutable std::shared_ptr<const SeriesSchema> schema_;
+    mutable std::vector<const Entry *> order_;
 };
 
 } // namespace erms::telemetry

@@ -34,17 +34,17 @@ SnapshotTelemetryView::observedRate(ServiceId service) const
     if (now == nullptr || prev == nullptr || now->at <= prev->at)
         return 0.0;
     const Labels labels{{"service", std::to_string(service)}};
-    const SeriesSnapshot *cur_s = now->find("erms_requests_total", labels);
-    if (cur_s == nullptr)
+    const auto cur_s = now->find("erms_requests_total", labels);
+    if (!cur_s)
         return 0.0;
-    const SeriesSnapshot *prev_s =
-        prev->find("erms_requests_total", labels);
-    const std::uint64_t before = prev_s ? prev_s->counterValue : 0;
-    if (cur_s->counterValue <= before)
+    const auto prev_s = prev->find("erms_requests_total", labels);
+    const std::uint64_t before = prev_s ? prev_s->counterValue() : 0;
+    const std::uint64_t current = cur_s->counterValue();
+    if (current <= before)
         return 0.0; // no arrivals, or a counter regression (reset)
     const double window_min =
         toMillis(now->at - prev->at) / (60.0 * 1000.0);
-    return static_cast<double>(cur_s->counterValue - before) / window_min;
+    return static_cast<double>(current - before) / window_min;
 }
 
 Interference
@@ -59,10 +59,10 @@ SnapshotTelemetryView::clusterInterference() const
     if (hosts == 0)
         return avg;
     double cpu = 0.0, mem = 0.0;
-    for (const SeriesSnapshot &s : cpu_series)
-        cpu += s.gaugeValue;
-    for (const SeriesSnapshot &s : now->named("erms_host_mem_util"))
-        mem += s.gaugeValue;
+    for (const SeriesRef s : cpu_series)
+        cpu += s.gaugeValue();
+    for (const SeriesRef s : now->named("erms_host_mem_util"))
+        mem += s.gaugeValue();
     avg.cpuUtil = cpu / static_cast<double>(hosts);
     avg.memUtil = mem / static_cast<double>(hosts);
     return avg;
@@ -78,28 +78,30 @@ SnapshotTelemetryView::histogramDeltaQuantile(const std::string &name,
         snaps.empty() ? nullptr : &snaps.back();
     if (now == nullptr)
         return 0.0;
-    const SeriesSnapshot *cur_s = now->find(name, labels);
-    if (cur_s == nullptr || cur_s->bucketCounts.empty() ||
-        cur_s->boundaries.empty() ||
-        cur_s->bucketCounts.size() != cur_s->boundaries.size() + 1)
+    // Only a histogram has buckets, and every histogram's ladder is
+    // valid (registries and fromSeries both enforce it).
+    const auto cur_s = now->find(name, labels);
+    if (!cur_s || cur_s->kind() != MetricKind::Histogram)
         return 0.0;
-    std::vector<std::uint64_t> delta = cur_s->bucketCounts;
+    const auto cur_buckets = cur_s->bucketCounts();
+    std::vector<std::uint64_t> delta(cur_buckets.begin(), cur_buckets.end());
     const TelemetrySnapshot *prev =
         snaps.size() < 2 ? nullptr : &snaps[snaps.size() - 2];
     if (prev != nullptr) {
-        const SeriesSnapshot *prev_s = prev->find(name, labels);
-        if (prev_s != nullptr &&
-            prev_s->bucketCounts.size() == delta.size()) {
+        const auto prev_s = prev->find(name, labels);
+        const auto prev_buckets =
+            prev_s ? prev_s->bucketCounts() : std::span<const std::uint64_t>{};
+        if (prev_buckets.size() == delta.size()) {
             // Clamp bucket regressions to an empty delta instead of
             // letting the subtraction wrap: a perturbed pipeline can
             // report fewer cumulative observations than the previous
             // scrape (partial scrape, restarted exporter), and a wrapped
             // uint64 would turn into an astronomically heavy bucket.
             for (std::size_t i = 0; i < delta.size(); ++i)
-                delta[i] -= std::min(delta[i], prev_s->bucketCounts[i]);
+                delta[i] -= std::min(delta[i], prev_buckets[i]);
         }
     }
-    return histogramQuantile(cur_s->boundaries, delta, q);
+    return histogramQuantile(cur_s->boundaries(), delta, q);
 }
 
 double
@@ -124,11 +126,11 @@ SnapshotTelemetryView::containerCount(MicroserviceId ms) const
     const TelemetrySnapshot *now = latest();
     if (now == nullptr)
         return -1;
-    const SeriesSnapshot *s = now->find(
-        "erms_containers", {{"microservice", std::to_string(ms)}});
-    if (s == nullptr)
+    const auto s = now->find("erms_containers",
+                             {{"microservice", std::to_string(ms)}});
+    if (!s)
         return -1;
-    return static_cast<int>(s->gaugeValue);
+    return static_cast<int>(s->gaugeValue());
 }
 
 double

@@ -5,12 +5,17 @@
 #include <cstdio>
 #include <sstream>
 
+#include "apps/applications.hpp"
 #include "bench_util.hpp"
+#include "common/rng.hpp"
 #include "core/controllers.hpp"
 #include "core/profiling_pipeline.hpp"
 #include "fault/campaign.hpp"
+#include "fault/telemetry_fault.hpp"
 #include "market/market.hpp"
 #include "scaling/multiplexing.hpp"
+#include "shard/merge.hpp"
+#include "telemetry/exporters.hpp"
 #include "telemetry/guarded_view.hpp"
 #include "telemetry/monitor.hpp"
 #include "telemetry/view.hpp"
@@ -454,7 +459,7 @@ chaosCampaignImpl()
     out << "perturbed_scrapes " << result.perturbedHistory.size() << '\n';
     std::size_t series = 0;
     for (const auto &snap : result.perturbedHistory)
-        series += snap.series.size();
+        series += snap.size();
     out << "perturbed_series_total " << series << '\n';
     return out.str();
 }
@@ -644,6 +649,264 @@ plannerImpl()
     return out.str();
 }
 
+// ---------------------------------------------------------------------
+// telemetry: scrape histories, perturbed streams, shard merges, archive
+// ---------------------------------------------------------------------
+
+constexpr SimTime kSecondUs = 1000ULL * 1000ULL;
+
+/** FNV-1a of `text` as 16 hex digits. */
+std::string
+digestOf(const std::string &text)
+{
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(fnv1a(text)));
+    return buf;
+}
+
+/** Digest of the JSON export of a scrape stream. */
+std::string
+scrapesDigest(const std::vector<telemetry::TelemetrySnapshot> &snaps)
+{
+    return digestOf(telemetry::toJson(snaps));
+}
+
+/** Hotel Reservation and Social Network on six hosts for four minutes,
+ *  with crashes, stragglers, transient failures, retries, timeouts and
+ *  hedges. The t=0 scrape runs before any arrival, so every service
+ *  registers its series late; service 6 sends nothing before minute 2,
+ *  so its series register two scrape generations later still. */
+std::vector<telemetry::TelemetrySnapshot>
+deathstarScrapes()
+{
+    MicroserviceCatalog catalog;
+    const Application hotel = makeHotelReservation(catalog, 0);
+    const Application social = makeSocialNetwork(catalog, 4);
+    SimConfig config;
+    config.hostCount = 6;
+    config.horizonMinutes = 4;
+    config.seed = 17;
+    Simulation sim(catalog, config);
+    telemetry::SimMonitor monitor;
+    sim.setMonitor(&monitor);
+    FaultConfig faults;
+    faults.crashesPerMinute = 2.0;
+    faults.slowdownsPerMinute = 1.0;
+    faults.callFailureProbability = 0.01;
+    sim.setFaultConfig(faults);
+    ResilienceConfig resilience;
+    resilience.maxRetries = 1;
+    resilience.timeoutMs = 400.0;
+    resilience.hedgeDelayMs = 150.0;
+    sim.setResilienceConfig(resilience);
+    sim.setBackgroundLoadAll(0.3, 0.2);
+    for (const Application *app : {&hotel, &social}) {
+        for (const DependencyGraph &graph : app->graphs) {
+            ServiceWorkload svc;
+            svc.id = graph.service();
+            svc.graph = &graph;
+            svc.slaMs = 200.0;
+            svc.rateSeries = svc.id == 6
+                                 ? std::vector<double>{0.0, 0.0, 240.0}
+                                 : std::vector<double>{240.0};
+            sim.addService(svc);
+            for (MicroserviceId ms : graph.nodes())
+                sim.setContainerCount(ms, 2);
+        }
+    }
+    sim.run();
+    return monitor.snapshots();
+}
+
+/** One synthetic scrape of a four-host cluster; service 2 first sends
+ *  at scrape 4, so its series register late. */
+void
+scrapeSyntheticCluster(telemetry::SimMonitor &monitor, int scrape)
+{
+    for (int i = 0; i < 40 + 10 * scrape; ++i) {
+        for (ServiceId service : {0u, 1u, 2u}) {
+            if (service == 2 && scrape < 4)
+                continue;
+            monitor.onRequestArrival(service);
+            monitor.onRequestComplete(service,
+                                      8.0 + 9.0 * service + scrape + i % 7,
+                                      i % 9 == 0, i % 3 == 0);
+        }
+        monitor.onMicroserviceLatency(3, 4.0 + scrape + i % 5, i % 3 == 0);
+        if (i % 11 == 0)
+            monitor.onRetry(3);
+    }
+    for (HostId host = 0; host < 4; ++host)
+        monitor.recordHostUtil(host, 0.2 + 0.05 * host + 0.01 * scrape,
+                               0.4 + 0.02 * host);
+    monitor.recordDeployment(3, 4 + scrape % 3, scrape % 4, 2);
+    monitor.recordFaultSchedule(3, 1);
+    monitor.takeSnapshot(static_cast<SimTime>(scrape + 1) * 30 *
+                         kSecondUs);
+}
+
+/** Every observability fault class at once: drops, 1-3-interval delays,
+ *  blackouts, AZ windows, span loss, outliers, counter drops and clock
+ *  jitter. */
+TelemetryFaultConfig
+everyTelemetryFault(std::uint64_t seed)
+{
+    TelemetryFaultConfig faults;
+    faults.seed = deriveRunSeed(0x7e1e, seed);
+    faults.scrapeDropProbability = 0.15;
+    faults.scrapeDelayProbability = 0.3;
+    faults.scrapeDelayMs = 30000.0 * (1.0 + static_cast<double>(seed % 3));
+    faults.blackoutsPerMinute = 1.5;
+    faults.blackoutDurationMs = 45000.0;
+    faults.spanLossProbability = 0.4;
+    faults.outlierProbability = 0.25;
+    faults.counterDropProbability = 0.2;
+    faults.clockJitterMs = 12000.0;
+    faults.azEvents.seed = deriveRunSeed(0xa2e, seed);
+    faults.azEvents.eventsPerMinute = 0.8;
+    faults.azEvents.eventDurationMs = 60000.0;
+    faults.azEvents.azCount = 2;
+    faults.azEvents.scrapeDropProbability = 0.3;
+    faults.azEvents.scrapeDelayProbability = 0.5;
+    faults.azEvents.scrapeDelayMs = 60000.0;
+    return faults;
+}
+
+/** One randomized observation batch per shard monitor, routed as the
+ *  sharded simulator routes it: hosts shard-local, each service and
+ *  microservice on its owner shard, and the label-free fault-schedule
+ *  gauges on every shard (the series that collide in the merge). From
+ *  generation 1 on, every shard's last service starts sending, so its
+ *  series register late. */
+void
+recordShardObservations(Rng &rng, std::vector<telemetry::SimMonitor> &parts,
+                        const shard::ShardPlan &plan, int generation)
+{
+    constexpr int kServicesPerShard = 3;
+    for (int k = 0; k < plan.shardCount; ++k) {
+        parts[k].recordFaultSchedule(rng.next() % 7, rng.next() % 5);
+        for (int s = 0; s < kServicesPerShard; ++s) {
+            if (s == kServicesPerShard - 1 && generation == 0)
+                continue;
+            const ServiceId svc =
+                static_cast<ServiceId>(k * kServicesPerShard + s);
+            const MicroserviceId ms = static_cast<MicroserviceId>(svc);
+            const int arrivals = 1 + static_cast<int>(rng.next() % 40);
+            for (int a = 0; a < arrivals; ++a) {
+                parts[k].onRequestArrival(svc);
+                const double latency = 1.0 + 80.0 * rng.uniform();
+                const bool sampled = (rng.next() & 3) == 0;
+                parts[k].onRequestComplete(svc, latency, latency > 40.0,
+                                           sampled);
+                parts[k].onMicroserviceLatency(ms, latency * 0.5, sampled);
+            }
+            parts[k].recordDeployment(ms, 2 + s, arrivals % 5, s);
+        }
+        for (int h = 0; h < plan.shards[k].hostCount; ++h)
+            parts[k].recordHostUtil(static_cast<HostId>(h), rng.uniform(),
+                                    rng.uniform());
+    }
+}
+
+std::string
+telemetryImpl()
+{
+    std::ostringstream out;
+    out << "golden telemetry: FNV-1a digests of telemetry::toJson\n";
+
+    // (a) A simulator-fed monitor history.
+    const std::vector<telemetry::TelemetrySnapshot> scrapes =
+        deathstarScrapes();
+    out << "deathstar scrapes " << scrapes.size() << " series_first "
+        << digestOf(telemetry::toJson({scrapes.front()})) << " digest "
+        << scrapesDigest(scrapes) << '\n';
+
+    // (b) Perturbed histories under every fault class, per corruption
+    // mode, digested at every scrape generation (the view's cache must
+    // answer each generation as the whole-stream reference would).
+    std::vector<telemetry::TelemetrySnapshot> archived;
+    for (std::uint64_t seed = 0; seed < 3; ++seed) {
+        for (const auto mode : {SeriesCorruptionConfig::Mode::None,
+                                SeriesCorruptionConfig::Mode::Scaled,
+                                SeriesCorruptionConfig::Mode::Frozen,
+                                SeriesCorruptionConfig::Mode::Negated}) {
+            SeriesCorruptionConfig corruption;
+            corruption.mode = mode;
+            corruption.service = static_cast<ServiceId>(seed % 3);
+            corruption.scale = 0.4;
+            telemetry::SimMonitor monitor;
+            const FaultyTelemetryView view(monitor,
+                                           everyTelemetryFault(seed), 4,
+                                           10 * 60 * kSecondUs, corruption);
+            out << "faulty seed " << seed << " mode "
+                << static_cast<int>(mode) << ':';
+            for (int scrape = 0; scrape < 14; ++scrape) {
+                scrapeSyntheticCluster(monitor, scrape);
+                out << ' ' << scrapesDigest(view.perturbedHistory());
+            }
+            out << " visible " << view.perturbedHistory().size() << '\n';
+            archived = view.perturbedHistory();
+        }
+    }
+
+    // (c) Shard merges over K in {2, 3, 4}, three generations each.
+    for (int shard_count : {2, 3, 4}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            shard::ShardPlan plan;
+            plan.shardCount = shard_count;
+            plan.shards.resize(shard_count);
+            for (int k = 0; k < shard_count; ++k) {
+                plan.shards[k].index = k;
+                plan.shards[k].hostCount = 4 + k;
+                plan.shards[k].hostOffset = k == 0
+                                                ? 0
+                                                : plan.shards[k - 1].hostOffset +
+                                                      plan.shards[k - 1].hostCount;
+            }
+            std::vector<telemetry::SimMonitor> parts(shard_count);
+            Rng rng(deriveRunSeed(0x3e76e, seed));
+            std::vector<telemetry::TelemetrySnapshot> merged;
+            for (int generation = 0; generation < 3; ++generation) {
+                recordShardObservations(rng, parts, plan, generation);
+                std::vector<const telemetry::TelemetrySnapshot *> snaps;
+                for (telemetry::SimMonitor &part : parts) {
+                    part.takeSnapshot(static_cast<SimTime>(generation) * 30 *
+                                      kSecondUs);
+                    snaps.push_back(&part.snapshots().back());
+                }
+                merged.push_back(shard::mergeTelemetrySnapshots(snaps, plan));
+            }
+            out << "merge K " << shard_count << " seed " << seed
+                << " series " << merged.back().size() << " digest "
+                << scrapesDigest(merged) << '\n';
+        }
+    }
+
+    // (d) A campaign archive around the last perturbed history.
+    CampaignResult result;
+    result.minutes = {{0, 12, 1.5, 80.25, 0}, {1, 13, 0.0, 77.5, 2}};
+    result.violationPct = 0.75;
+    result.worstP95Ms = 80.25;
+    result.containerMinutes = 25.0;
+    result.perturbedHistory = archived;
+    out << "archive digest "
+        << digestOf(archiveCampaign(makeCampaignArm("med", "erms", true),
+                                    result))
+        << '\n';
+
+    // One small scrape in full.
+    telemetry::SimMonitor small;
+    small.onRequestArrival(0);
+    small.onRequestComplete(0, 12.5, false, true);
+    small.onMicroserviceLatency(1, 3.25, true);
+    small.recordHostUtil(0, 0.5, 0.25);
+    small.recordDeployment(1, 2, 0, 1);
+    small.takeSnapshot(30 * kSecondUs);
+    out << telemetry::toJson(small.snapshots());
+    return out.str();
+}
+
 } // namespace
 
 std::string
@@ -682,6 +945,12 @@ plannerGolden()
     return plannerImpl();
 }
 
+std::string
+telemetryGolden()
+{
+    return telemetryImpl();
+}
+
 const std::vector<Scenario> &
 scenarios()
 {
@@ -692,6 +961,7 @@ scenarios()
         {"market.txt", &marketGolden},
         {"chaos_campaign.txt", &chaosCampaignGolden},
         {"planner.txt", &plannerGolden},
+        {"telemetry.txt", &telemetryGolden},
     };
     return kScenarios;
 }

@@ -60,6 +60,15 @@ std::string chaosCampaignGolden();
  *  summary line and row digest per plan; full rows for one plan. */
 std::string plannerGolden();
 
+/** Telemetry data path: FNV-1a digests of the JSON export of a
+ *  simulator-fed Hotel + Social monitor history, of faulty-view
+ *  perturbed histories under every fault class and corruption mode
+ *  (one digest per scrape generation), of shard merges over K in
+ *  {2, 3, 4}, and of one campaign archive, plus one small scrape's
+ *  full JSON. Pins the series identities and values every scrape
+ *  stream carries, byte for byte. */
+std::string telemetryGolden();
+
 /** All golden scenarios in regeneration order. */
 const std::vector<Scenario> &scenarios();
 

@@ -217,7 +217,7 @@ TEST(CampaignCorruption, OnlyTargetServiceCounterSeriesLie)
     // The fixture must actually contain target and bystander counters,
     // or the test would pass vacuously.
     std::size_t targeted = 0, bystanders = 0;
-    for (const SeriesSnapshot &s : honest.back().series) {
+    for (const SeriesSnapshot &s : honest.back().expand()) {
         if (isServiceCounter(s, 0))
             ++targeted;
         else
@@ -239,11 +239,11 @@ TEST(CampaignCorruption, OnlyTargetServiceCounterSeriesLie)
         ASSERT_EQ(lying.size(), honest.size());
 
         for (std::size_t i = 0; i < honest.size(); ++i) {
-            ASSERT_EQ(lying[i].series.size(), honest[i].series.size());
+            ASSERT_EQ(lying[i].size(), honest[i].size());
             EXPECT_EQ(lying[i].at, honest[i].at);
-            for (std::size_t s = 0; s < honest[i].series.size(); ++s) {
-                const SeriesSnapshot &truth = honest[i].series[s];
-                const SeriesSnapshot &seen = lying[i].series[s];
+            for (std::size_t s = 0; s < honest[i].size(); ++s) {
+                const SeriesSnapshot truth = honest[i].series(s);
+                const SeriesSnapshot seen = lying[i].series(s);
                 if (!isServiceCounter(truth, 0)) {
                     // Bystanders — every other series of every other
                     // service — stay bit-identical.
@@ -251,7 +251,7 @@ TEST(CampaignCorruption, OnlyTargetServiceCounterSeriesLie)
                     continue;
                 }
                 const std::uint64_t anchor =
-                    honest.front().series[s].counterValue;
+                    honest.front().series(s).counterValue;
                 switch (mode) {
                 case SeriesCorruptionConfig::Mode::Scaled:
                     EXPECT_EQ(seen.counterValue,
@@ -702,6 +702,41 @@ class RandomFields
         describe(*this, value);
     }
 
+    /** A scrape the reader accepts: random series, sorted by
+     *  (name, labels) and de-duplicated, each histogram's ladder made
+     *  strictly ascending and NaN-free with one bucket more. */
+    void
+    draw(TelemetrySnapshot &scrape)
+    {
+        SimTime at = 0;
+        draw(at);
+        std::vector<SeriesSnapshot> series;
+        draw(series);
+        const auto same_key = [](const SeriesSnapshot &a,
+                                 const SeriesSnapshot &b) {
+            return !telemetry::seriesBefore(a, b);
+        };
+        std::sort(series.begin(), series.end(), telemetry::seriesBefore);
+        series.erase(std::unique(series.begin(), series.end(), same_key),
+                     series.end());
+        for (SeriesSnapshot &s : series) {
+            if (s.kind != telemetry::MetricKind::Histogram)
+                continue;
+            std::erase_if(s.boundaries, [](double b) { return std::isnan(b); });
+            std::sort(s.boundaries.begin(), s.boundaries.end());
+            s.boundaries.erase(
+                std::unique(s.boundaries.begin(), s.boundaries.end()),
+                s.boundaries.end());
+            if (s.boundaries.empty())
+                s.boundaries.push_back(1.0);
+            const std::size_t buckets = s.bucketCounts.size();
+            s.bucketCounts.resize(s.boundaries.size() + 1);
+            for (std::size_t b = buckets; b < s.bucketCounts.size(); ++b)
+                draw(s.bucketCounts[b]);
+        }
+        scrape = TelemetrySnapshot::fromSeries(at, std::move(series));
+    }
+
     Rng rng_;
 };
 
@@ -710,19 +745,9 @@ TEST(CampaignArchive, RandomArchivesRoundTripBitExact)
     for (std::uint64_t seed = 0; seed < 20; ++seed) {
         CampaignArchive original;
         RandomFields random(deriveRunSeed(0xa7c4, seed));
+        // Scrapes are drawn as the reader takes them (see
+        // RandomFields::draw).
         describe(random, original);
-        // The reader takes scrape series only strictly ascending by
-        // (name, labels), the order every producer keeps.
-        const auto same_key = [](const SeriesSnapshot &a,
-                                 const SeriesSnapshot &b) {
-            return !telemetry::seriesBefore(a, b);
-        };
-        for (TelemetrySnapshot &scrape : original.result.perturbedHistory) {
-            auto &series = scrape.series;
-            std::sort(series.begin(), series.end(), telemetry::seriesBefore);
-            series.erase(std::unique(series.begin(), series.end(), same_key),
-                         series.end());
-        }
         const std::string text =
             archiveCampaign(original.config, original.result);
         const CampaignArchive parsed = parseCampaignArchive(text);
@@ -1000,6 +1025,36 @@ TEST(CampaignArchiveRegression, DuplicateKeyThrowsInsteadOfFirstWins)
                   "campaign.horizon_minutes: duplicate key"),
               std::string::npos)
         << parseError(archive);
+}
+
+TEST(CampaignArchiveRegression, HistogramShortOfABucketThrowsNamingThePath)
+{
+    // A histogram one bucket short of its ladder used to load, and every
+    // quantile read from it came out as 0.
+    json::Value doc = json::parse(fuzzArchive());
+    std::string path;
+    for (auto &[key, value] : doc.members) {
+        if (key != "scrapes")
+            continue;
+        for (auto &[field, series] : value.items[0].members) {
+            if (field != "series")
+                continue;
+            for (std::size_t i = 0; i < series.items.size() && path.empty();
+                 ++i) {
+                for (auto &[name, member] : series.items[i].members) {
+                    if (name == "buckets") {
+                        member.items.pop_back();
+                        path = "json: scrapes[0].series[" +
+                               std::to_string(i) + "].buckets: ";
+                    }
+                }
+            }
+        }
+    }
+    ASSERT_FALSE(path.empty());
+    const std::string archive = json::write(doc);
+    EXPECT_NE(parseError(archive).find(path), std::string::npos)
+        << path << " -> '" << parseError(archive) << "'";
 }
 
 TEST(CampaignArchiveRegression, TrailingBytesThrow)

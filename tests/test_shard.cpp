@@ -289,14 +289,53 @@ TEST(ShardMerge, MergedSnapshotEqualsWholeClusterSnapshot)
                 << "K=" << shard_count << " seed " << seed;
             for (const char *name : {"erms_fault_planned_crashes",
                                      "erms_fault_planned_slowdowns"}) {
-                const telemetry::SeriesSnapshot *folded =
-                    merged.find(name, {});
-                ASSERT_NE(folded, nullptr) << name;
-                EXPECT_EQ(folded->gaugeValue,
-                          reference.find(name, {})->gaugeValue)
+                const auto folded = merged.find(name, {});
+                ASSERT_NE(folded, std::nullopt) << name;
+                EXPECT_EQ(folded->gaugeValue(),
+                          reference.find(name, {})->gaugeValue())
                     << name << " K=" << shard_count << " seed " << seed;
             }
         }
+    }
+}
+
+TEST(ShardMerge, UnionSchemaBuiltOncePerVersion)
+{
+    // The union of the shard schemas depends on their versions alone:
+    // generations that register no series reuse it, and every merged
+    // generation still equals both the one-shot merge and the
+    // whole-cluster scrape.
+    for (int shard_count : {2, 3, 4}) {
+        const ShardPlan plan = syntheticPlan(shard_count, 4);
+        telemetry::SimMonitor whole;
+        std::vector<telemetry::SimMonitor> parts(shard_count);
+        Rng rng(7);
+        shard::TelemetryMerger merger;
+        std::vector<telemetry::TelemetrySnapshot> merged;
+        // Three generations over one set of series, then two with one
+        // more service on each shard.
+        for (int g = 0; g < 5; ++g) {
+            recordRandomObservations(rng, whole, parts, plan, 2);
+            for (int k = 0; g >= 3 && k < shard_count; ++k) {
+                const ServiceId late = static_cast<ServiceId>(100 + k);
+                whole.onRequestArrival(late);
+                parts[k].onRequestArrival(late);
+            }
+            const SimTime at = static_cast<SimTime>(g + 1) * 30'000'000;
+            whole.takeSnapshot(at);
+            const auto generation = scrapeShards(parts, at);
+            merged.push_back(merger.merge(generation, plan));
+            EXPECT_EQ(merged.back(), whole.snapshots().back())
+                << "K=" << shard_count << " generation " << g;
+            EXPECT_EQ(merged.back(),
+                      shard::mergeTelemetrySnapshots(generation, plan))
+                << "K=" << shard_count << " generation " << g;
+        }
+        EXPECT_EQ(merger.unionsBuilt(), 2u) << "K=" << shard_count;
+        EXPECT_EQ(merged[0].schema, merged[1].schema);
+        EXPECT_EQ(merged[1].schema, merged[2].schema);
+        EXPECT_NE(merged[2].schema, merged[3].schema);
+        EXPECT_EQ(merged[3].schema, merged[4].schema);
     }
 }
 

@@ -182,15 +182,15 @@ TEST(TelemetryRegistry, RegistrationIsIdempotentAndSnapshotOrdered)
 
     const TelemetrySnapshot snap = registry.snapshot(123);
     EXPECT_EQ(snap.at, 123u);
-    ASSERT_EQ(snap.series.size(), 4u);
+    ASSERT_EQ(snap.size(), 4u);
     // Deterministic (name, labels) order regardless of registration
     // order.
-    EXPECT_EQ(snap.series[0].name, "alpha_total");
-    EXPECT_EQ(snap.series[1].name, "mid_gauge");
-    EXPECT_EQ(snap.series[2].name, "zeta_total");
-    EXPECT_EQ(snap.series[2].labels,
+    EXPECT_EQ(snap[0].name(), "alpha_total");
+    EXPECT_EQ(snap[1].name(), "mid_gauge");
+    EXPECT_EQ(snap[2].name(), "zeta_total");
+    EXPECT_EQ(snap[2].labels(),
               (Labels{{"svc", "0"}}));
-    EXPECT_EQ(snap.series[3].labels,
+    EXPECT_EQ(snap[3].labels(),
               (Labels{{"svc", "1"}}));
 }
 
@@ -215,9 +215,9 @@ TEST(TelemetryRegistry, SnapshotFreezesValues)
     const TelemetrySnapshot before = registry.snapshot(1);
     c.add(3);
     const TelemetrySnapshot after = registry.snapshot(2);
-    EXPECT_EQ(before.find("c_total", {})->counterValue, 7u);
-    EXPECT_EQ(after.find("c_total", {})->counterValue, 10u);
-    EXPECT_EQ(before.find("missing", {}), nullptr);
+    EXPECT_EQ(before.find("c_total", {})->counterValue(), 7u);
+    EXPECT_EQ(after.find("c_total", {})->counterValue(), 10u);
+    EXPECT_EQ(before.find("missing", {}), std::nullopt);
 }
 
 TEST(TelemetryRegistry, FindHitsEverySeriesAndMissesEveryOtherKey)
@@ -231,35 +231,170 @@ TEST(TelemetryRegistry, FindHitsEverySeriesAndMissesEveryOtherKey)
     registry.counter("erms_requests_total", {{"service", "1"}});
     registry.counter("erms_requests_total", {{"service", "3"}});
     const TelemetrySnapshot snap = registry.snapshot(0);
-    ASSERT_EQ(snap.series.size(), 6u);
-    for (const telemetry::SeriesSnapshot &s : snap.series)
-        EXPECT_EQ(snap.find(s.name, s.labels), &s) << s.name;
+    ASSERT_EQ(snap.size(), 6u);
+    for (std::size_t id = 0; id < snap.size(); ++id)
+        EXPECT_EQ(snap.find(snap[id].name(), snap[id].labels()), snap[id])
+            << snap[id].name();
 
     // Keys sorting before the first series, between two, after the last.
-    EXPECT_EQ(snap.find("", {}), nullptr);
-    EXPECT_EQ(snap.find("erms_a", {}), nullptr);
-    EXPECT_EQ(snap.find("erms_host_cpu_util", {{"host", "1"}}), nullptr);
-    EXPECT_EQ(snap.find("erms_i", {}), nullptr);
-    EXPECT_EQ(snap.find("erms_requests_total", {{"service", "2"}}), nullptr);
-    EXPECT_EQ(snap.find("erms_requests_total", {{"service", "4"}}), nullptr);
-    EXPECT_EQ(snap.find("zzz", {}), nullptr);
+    EXPECT_EQ(snap.find("", {}), std::nullopt);
+    EXPECT_EQ(snap.find("erms_a", {}), std::nullopt);
+    EXPECT_EQ(snap.find("erms_host_cpu_util", {{"host", "1"}}), std::nullopt);
+    EXPECT_EQ(snap.find("erms_i", {}), std::nullopt);
+    EXPECT_EQ(snap.find("erms_requests_total", {{"service", "2"}}), std::nullopt);
+    EXPECT_EQ(snap.find("erms_requests_total", {{"service", "4"}}), std::nullopt);
+    EXPECT_EQ(snap.find("zzz", {}), std::nullopt);
     // Known names with other labels.
-    EXPECT_EQ(snap.find("erms_host_cpu_util", {}), nullptr);
-    EXPECT_EQ(snap.find("erms_host_cpu_util", {{"service", "0"}}), nullptr);
+    EXPECT_EQ(snap.find("erms_host_cpu_util", {}), std::nullopt);
+    EXPECT_EQ(snap.find("erms_host_cpu_util", {{"service", "0"}}), std::nullopt);
     EXPECT_EQ(snap.find("erms_fault_planned_crashes", {{"host", "0"}}),
-              nullptr);
+              std::nullopt);
     EXPECT_EQ(snap.find("erms_requests_total",
                         {{"host", "0"}, {"service", "1"}}),
-              nullptr);
-    EXPECT_EQ(TelemetrySnapshot{}.find("erms_host_cpu_util", {}), nullptr);
+              std::nullopt);
+    EXPECT_EQ(TelemetrySnapshot{}.find("erms_host_cpu_util", {}), std::nullopt);
 
     // named() is the run of one name, in label order.
     const auto hosts = snap.named("erms_host_cpu_util");
     ASSERT_EQ(hosts.size(), 2u);
-    EXPECT_EQ(&hosts[0], snap.find("erms_host_cpu_util", {{"host", "0"}}));
-    EXPECT_EQ(&hosts[1], snap.find("erms_host_cpu_util", {{"host", "2"}}));
+    EXPECT_EQ(hosts[0], snap.find("erms_host_cpu_util", {{"host", "0"}}));
+    EXPECT_EQ(hosts[1], snap.find("erms_host_cpu_util", {{"host", "2"}}));
     EXPECT_TRUE(snap.named("erms_i").empty());
     EXPECT_TRUE(snap.named("zzz").empty());
+}
+
+// ---------------------------------------------------------------------
+// Series schemas
+// ---------------------------------------------------------------------
+
+TEST(TelemetrySchema, UnchangedRegistrySharesOneSchema)
+{
+    MetricsRegistry registry;
+    Counter &requests = registry.counter("erms_requests_total",
+                                         {{"service", "0"}});
+    Histogram &latency = registry.histogram(
+        "erms_request_latency_ms", {{"service", "0"}}, {1.0, 10.0});
+    requests.add(3);
+    const TelemetrySnapshot a = registry.snapshot(1);
+    requests.add(4);
+    latency.observe(5.0);
+    // Recording through existing handles registers nothing.
+    registry.counter("erms_requests_total", {{"service", "0"}}).inc();
+    const TelemetrySnapshot b = registry.snapshot(2);
+
+    ASSERT_NE(a.schema, nullptr);
+    EXPECT_EQ(a.schema, b.schema);
+    EXPECT_EQ(a.values.size(), a.schema->valueCount());
+    EXPECT_EQ(a.find("erms_requests_total", {{"service", "0"}})
+                  ->counterValue(),
+              3u);
+    EXPECT_EQ(b.find("erms_requests_total", {{"service", "0"}})
+                  ->counterValue(),
+              8u);
+    EXPECT_EQ(b.find("erms_request_latency_ms", {{"service", "0"}})
+                  ->count(),
+              1u);
+    EXPECT_FALSE(a == b);
+    // Shared-schema equality is value equality.
+    TelemetrySnapshot c = b;
+    EXPECT_TRUE(c == b);
+    c.values.back() += 1;
+    EXPECT_FALSE(c == b);
+}
+
+TEST(TelemetrySchema, LateRegistrationStartsANewVersion)
+{
+    MetricsRegistry registry;
+    registry.gauge("erms_host_cpu_util", {{"host", "0"}}).set(0.25);
+    registry.counter("erms_retries_total", {{"microservice", "2"}}).add(5);
+    const TelemetrySnapshot before = registry.snapshot(10);
+    const std::vector<telemetry::SeriesSnapshot> expanded = before.expand();
+    const auto first_schema = before.schema;
+
+    registry.counter("erms_requests_total", {{"service", "1"}}).add(9);
+    registry.gauge("erms_host_cpu_util", {{"host", "0"}}).set(0.75);
+    const TelemetrySnapshot after = registry.snapshot(20);
+
+    // The old snapshot keeps its own version and expands as before.
+    EXPECT_EQ(before.schema, first_schema);
+    EXPECT_NE(after.schema, before.schema);
+    EXPECT_EQ(before.size(), 2u);
+    EXPECT_EQ(before.expand(), expanded);
+    EXPECT_EQ(before.series(0).gaugeValue, 0.25);
+    EXPECT_EQ(before.find("erms_requests_total", {{"service", "1"}}),
+              std::nullopt);
+
+    ASSERT_EQ(after.size(), 3u);
+    EXPECT_EQ(after.find("erms_requests_total", {{"service", "1"}})
+                  ->counterValue(),
+              9u);
+    EXPECT_EQ(after.find("erms_host_cpu_util", {{"host", "0"}})
+                  ->gaugeValue(),
+              0.75);
+    // The next scrape without a registration reuses the new version.
+    EXPECT_EQ(registry.snapshot(30).schema, after.schema);
+}
+
+TEST(TelemetrySchema, FromSeriesKeepsTheReadersRules)
+{
+    telemetry::SeriesSnapshot a;
+    a.name = "a";
+    a.kind = MetricKind::Counter;
+    a.counterValue = 4;
+    telemetry::SeriesSnapshot h;
+    h.name = "h";
+    h.kind = MetricKind::Histogram;
+    h.count = 1;
+    h.sum = 2.0;
+    h.boundaries = {1.0, 5.0};
+    h.bucketCounts = {0, 1, 0};
+
+    const TelemetrySnapshot snap = TelemetrySnapshot::fromSeries(7, {a, h});
+    EXPECT_EQ(snap.at, 7u);
+    EXPECT_EQ(snap.expand(), (std::vector<telemetry::SeriesSnapshot>{a, h}));
+
+    const auto problem = [](std::vector<telemetry::SeriesSnapshot> series) {
+        try {
+            TelemetrySnapshot::fromSeries(0, std::move(series));
+        } catch (const ErmsError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    EXPECT_NE(problem({h, a}).find("series 1 (a{}) sorts before"),
+              std::string::npos);
+    EXPECT_NE(problem({a, a}).find("series 1 (a{}) duplicates"),
+              std::string::npos);
+    for (const auto &[boundaries, buckets] :
+         std::vector<std::pair<std::vector<double>, std::size_t>>{
+             {{1.0, 2.0}, 1},
+             {{2.0, 1.0}, 3},
+             {{}, 1},
+             {{std::numeric_limits<double>::quiet_NaN(), 2.0}, 3}}) {
+        telemetry::SeriesSnapshot bad = h;
+        bad.boundaries = boundaries;
+        bad.bucketCounts.assign(buckets, 0);
+        EXPECT_NE(problem({a, bad}).find("series 1 (h{}): "),
+                  std::string::npos)
+            << boundaries.size() << " boundaries, " << buckets << " buckets";
+    }
+}
+
+TEST(TelemetrySchema, ReaderSharesSchemasAcrossEqualScrapes)
+{
+    // Three scrapes: two with the same identities, then one more series.
+    MetricsRegistry registry;
+    registry.counter("erms_requests_total", {{"service", "0"}}).add(1);
+    std::vector<TelemetrySnapshot> snaps{registry.snapshot(0),
+                                         registry.snapshot(1)};
+    registry.counter("erms_requests_total", {{"service", "1"}}).add(2);
+    snaps.push_back(registry.snapshot(2));
+
+    const auto parsed = telemetry::fromJson(telemetry::toJson(snaps));
+    ASSERT_EQ(parsed.size(), 3u);
+    EXPECT_TRUE(parsed == snaps);
+    EXPECT_EQ(parsed[0].schema, parsed[1].schema);
+    EXPECT_NE(parsed[1].schema, parsed[2].schema);
 }
 
 // ---------------------------------------------------------------------
@@ -332,8 +467,6 @@ TEST(TelemetryExporters, EmptyDocuments)
 
 TEST(TelemetryExporters, NonFiniteValuesRoundTripExactly)
 {
-    std::vector<TelemetrySnapshot> snaps(1);
-    snaps[0].at = 42;
     telemetry::SeriesSnapshot nan_gauge;
     nan_gauge.name = "g_nan";
     nan_gauge.kind = MetricKind::Gauge;
@@ -349,7 +482,8 @@ TEST(TelemetryExporters, NonFiniteValuesRoundTripExactly)
     hist.sum = -std::numeric_limits<double>::infinity();
     hist.boundaries = {1.0, 2.0};
     hist.bucketCounts = {1, 1, 0};
-    snaps[0].series = {inf_gauge, nan_gauge, hist};
+    const std::vector<TelemetrySnapshot> snaps{
+        TelemetrySnapshot::fromSeries(42, {inf_gauge, nan_gauge, hist})};
 
     const auto via_json = telemetry::fromJson(telemetry::toJson(snaps));
     ASSERT_EQ(via_json.size(), 1u);
@@ -430,6 +564,20 @@ TEST(TelemetryExporters, CorruptValuesThrowNamingTheirPath)
         {replaced("\"gauge\"", "\"gauges\""), "[0].series[0].kind"},
         {replaced("\"count\": 3", "\"count\": -3"), "[0].series[1].count"},
         {replaced("\"buckets\"", "\"bucket\""), "[0].series[1].buckets"},
+        // Histograms no Histogram could have used to load: a bucket
+        // missing, a descending, an empty and a NaN ladder.
+        {replaced("[1,2.5,10], \"buckets\": [1,0,1,1]",
+                  "[1,2], \"buckets\": [1]"),
+         "[0].series[1].buckets"},
+        {replaced("[1,2.5,10], \"buckets\": [1,0,1,1]",
+                  "[2,1], \"buckets\": [1,0,1]"),
+         "[0].series[1].boundaries"},
+        {replaced("[1,2.5,10], \"buckets\": [1,0,1,1]",
+                  "[], \"buckets\": [1]"),
+         "[0].series[1].boundaries"},
+        {replaced("[1,2.5,10], \"buckets\": [1,0,1,1]",
+                  "[NaN,2], \"buckets\": [1,0,1]"),
+         "[0].series[1].boundaries"},
         {replaced("\"at_us\": 0", "\"at_us\": 0, \"at_us\": 1"), "[0].at_us"},
         {good + "]", "document"},
     };

@@ -232,13 +232,13 @@ TEST(TelemetryChaosInjector, BlackoutsSilenceHostGauges)
     const telemetry::Labels labels = {
         {"host", std::to_string(window.host)}};
     EXPECT_NE(monitor.snapshots()[0].find("erms_host_cpu_util", labels),
-              nullptr);
-    EXPECT_EQ(out[0].find("erms_host_cpu_util", labels), nullptr);
-    EXPECT_EQ(out[0].find("erms_host_mem_util", labels), nullptr);
+              std::nullopt);
+    EXPECT_EQ(out[0].find("erms_host_cpu_util", labels), std::nullopt);
+    EXPECT_EQ(out[0].find("erms_host_mem_util", labels), std::nullopt);
     // The other host's gauges survive.
     const telemetry::Labels other = {
         {"host", std::to_string(1 - window.host)}};
-    EXPECT_NE(out[0].find("erms_host_cpu_util", other), nullptr);
+    EXPECT_NE(out[0].find("erms_host_cpu_util", other), std::nullopt);
 }
 
 TEST(TelemetryChaosInjector, CounterUnderReportNeverYieldsNegativeRates)
@@ -254,14 +254,14 @@ TEST(TelemetryChaosInjector, CounterUnderReportNeverYieldsNegativeRates)
 
     bool any_under = false;
     for (std::size_t i = 0; i < out.size(); ++i) {
-        const auto *true_s = monitor.snapshots()[i].find(
+        const auto true_s = monitor.snapshots()[i].find(
             "erms_requests_total", {{"service", "0"}});
-        const auto *faulty_s =
+        const auto faulty_s =
             out[i].find("erms_requests_total", {{"service", "0"}});
-        ASSERT_NE(true_s, nullptr);
-        ASSERT_NE(faulty_s, nullptr);
-        EXPECT_LE(faulty_s->counterValue, true_s->counterValue);
-        any_under |= faulty_s->counterValue < true_s->counterValue;
+        ASSERT_NE(true_s, std::nullopt);
+        ASSERT_NE(faulty_s, std::nullopt);
+        EXPECT_LE(faulty_s->counterValue(), true_s->counterValue());
+        any_under |= faulty_s->counterValue() < true_s->counterValue();
     }
     EXPECT_TRUE(any_under);
 
@@ -284,14 +284,14 @@ TEST(TelemetryChaosInjector, SpanLossThinsHistograms)
     const auto out = injector.perturb(monitor.snapshots());
     bool any_thinner = false;
     for (std::size_t i = 0; i < out.size(); ++i) {
-        const auto *true_s = monitor.snapshots()[i].find(
+        const auto true_s = monitor.snapshots()[i].find(
             "erms_request_latency_ms", {{"service", "0"}});
-        const auto *faulty_s =
+        const auto faulty_s =
             out[i].find("erms_request_latency_ms", {{"service", "0"}});
-        ASSERT_NE(faulty_s, nullptr);
-        EXPECT_LE(faulty_s->count, true_s->count);
-        EXPECT_LE(faulty_s->sum, true_s->sum);
-        any_thinner |= faulty_s->count < true_s->count;
+        ASSERT_NE(faulty_s, std::nullopt);
+        EXPECT_LE(faulty_s->count(), true_s->count());
+        EXPECT_LE(faulty_s->sum(), true_s->sum());
+        any_thinner |= faulty_s->count() < true_s->count();
     }
     EXPECT_TRUE(any_thinner);
 }

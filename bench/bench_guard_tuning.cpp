@@ -101,6 +101,7 @@ GuardSweepConfig
 makeSweepConfig()
 {
     GuardSweepConfig sweep;
+    sweep.runnerWorkers = runnerOptionsFromEnv().workers;
     // Cells run a shorter horizon than the battery: the curves measure
     // steady-state guard response, not tuner windows.
     sweep.scenarios.push_back({"med", trimmedArm("med", "erms", 8)});
@@ -340,6 +341,7 @@ int
 sweepLiteMode(const std::string &out_path, const char *archive_path)
 {
     GuardSweepConfig sweep;
+    sweep.runnerWorkers = runnerOptionsFromEnv().workers;
     if (archive_path != nullptr) {
         std::ifstream in(archive_path);
         if (!in) {

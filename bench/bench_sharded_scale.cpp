@@ -4,8 +4,8 @@
  * groups of 5 services sharing a db and a cache tier within the group,
  * ~50µs stages) on a 1200-host fleet, executed through the sharded
  * coordinator at K in {1, 2, 4, 8} shards. Measures events/s and
- * resident memory per shard count and writes the trajectory as
- * machine-readable JSON.
+ * resident memory per shard count and prints one row per K to stdout
+ * (progress goes to stderr).
  *
  * Two determinism gates make the numbers comparable (the bench exits
  * nonzero when either fails):
@@ -23,20 +23,21 @@
  * which is monotone across configs within one process — compare rss,
  * read hwm only as the whole-process peak.
  *
- * Usage: bench_sharded_scale [output.json]
- * Default output: BENCH_sharded_scale.json in the current directory.
- * Entry point: scripts/bench_perf.sh (writes to the repo root).
+ * Usage: bench_sharded_scale
+ * The committed BENCH_sharded_scale.json is frozen history of an older
+ * tree; perfbench's taobao_sharded workload is the live measurement of
+ * this fixture (EXPERIMENTS.md).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <iostream>
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
-#include "common/json.hpp"
+#include "common/table.hpp"
 #include "model/catalog.hpp"
 #include "model/latency_model.hpp"
 #include "shard/sharded_sim.hpp"
@@ -205,10 +206,8 @@ runSharded(const Fixture &fx, int shards, int workers)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    const std::string path =
-        argc > 1 ? argv[1] : "BENCH_sharded_scale.json";
     const std::vector<int> shard_counts = {1, 2, 4, 8};
     const std::vector<int> worker_reps = {1, 3};
 
@@ -283,50 +282,33 @@ main(int argc, char **argv)
     }
     const double single = cells.front().best.eventsPerSec();
 
-    json::Writer unsharded;
-    unsharded.field("events", reference.events);
-    unsharded.field("seconds", reference.seconds);
-    unsharded.field("events_per_sec", reference.eventsPerSec());
-    unsharded.field("vm_rss_kb", reference.rssKb);
-    std::vector<json::Value> configs;
+    TextTable table({"config", "events", "best_s", "Mev/s", "rep_events",
+                     "vm_rss_kb", "vm_hwm_kb"});
+    table.row()
+        .cell("unsharded")
+        .cell(static_cast<std::size_t>(reference.events))
+        .cell(reference.seconds)
+        .cell(reference.eventsPerSec() / 1e6)
+        .cell("-")
+        .cell(reference.rssKb)
+        .cell("-");
     for (const Cell &cell : cells) {
-        json::Writer config;
-        config.field("shards", cell.shards);
-        config.field("events", cell.best.events);
-        config.field("best_seconds", cell.best.seconds);
-        config.field("events_per_sec", cell.best.eventsPerSec());
-        config.field("rep_events", cell.repEvents);
-        config.field("vm_rss_kb", cell.best.rssKb);
-        config.field("vm_hwm_kb", cell.hwmKb);
-        configs.push_back(config.take());
+        std::string reps;
+        for (std::uint64_t events : cell.repEvents)
+            reps += (reps.empty() ? "" : "/") + std::to_string(events);
+        table.row()
+            .cell("K=" + std::to_string(cell.shards))
+            .cell(static_cast<std::size_t>(cell.best.events))
+            .cell(cell.best.seconds)
+            .cell(cell.best.eventsPerSec() / 1e6)
+            .cell(reps)
+            .cell(cell.best.rssKb)
+            .cell(cell.hwmKb);
     }
-    json::Writer doc;
-    doc.field("benchmark", "sharded_scale");
-    doc.field("services", fx.services.size());
-    doc.field("microservices", fx.catalog.size());
-    doc.field("hosts", kHosts);
-    doc.field("minutes", kMinutes);
-    doc.field("rate_per_service_per_minute", kRatePerMinute);
-    doc.field("worker_reps", worker_reps);
-    doc.field("unsharded", unsharded.take());
-    doc.field("shard_configs", configs);
-    doc.field("single_shard_events_per_sec", single);
-    doc.field("best_multi_shard_events_per_sec", best_multi);
-    doc.field("multi_vs_single_speedup",
-              single > 0.0 ? best_multi / single : 0.0);
-
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-        return 1;
-    }
-    out << json::write(doc.take());
-    out.close();
-
-    std::fprintf(stderr,
-                 "single shard: %.2fM ev/s; best multi-shard: %.2fM ev/s "
-                 "(%.2fx)\nwrote %s\n",
-                 single / 1e6, best_multi / 1e6,
-                 single > 0.0 ? best_multi / single : 0.0, path.c_str());
+    table.print(std::cout);
+    std::printf("single shard: %.2fM ev/s; best multi-shard: %.2fM ev/s "
+                "(%.2fx)\n",
+                single / 1e6, best_multi / 1e6,
+                single > 0.0 ? best_multi / single : 0.0);
     return gates_ok ? 0 : 1;
 }

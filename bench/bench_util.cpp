@@ -2,12 +2,54 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <optional>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "core/controllers.hpp"
 #include "shard/sharded_sim.hpp"
 
 namespace erms::bench {
+
+namespace {
+
+/** The integer environment variable `name`: nullopt when unset or
+ *  empty, else its whole value as a decimal integer in [lo, hi]; any
+ *  other value throws an ErmsError naming the variable and the value. */
+std::optional<int>
+envInt(const char *name, int lo, int hi)
+{
+    const char *raw = std::getenv(name);
+    if (raw == nullptr || *raw == '\0')
+        return std::nullopt;
+    const std::optional<int> value = parseNumber<int>(raw);
+    if (!value || *value < lo || *value > hi) {
+        throw ErmsError(std::string(name) + "='" + raw +
+                        "': expected a decimal integer in [" +
+                        std::to_string(lo) + ", " + std::to_string(hi) +
+                        "]");
+    }
+    return value;
+}
+
+} // namespace
+
+RunnerOptions
+runnerOptionsFromEnv()
+{
+    return RunnerOptions{
+        envInt("ERMS_RUNNER_THREADS", 1, std::numeric_limits<int>::max())
+            .value_or(0)};
+}
+
+int
+shardsRequested()
+{
+    return envInt("ERMS_SHARDS", 0, std::numeric_limits<int>::max())
+        .value_or(0);
+}
 
 ProgressPrinter::ProgressPrinter(std::string label, int workers)
     : label_(std::move(label)), workers_(workers)
@@ -106,28 +148,29 @@ ValidationResult::meanSloViolationRate() const
 
 namespace {
 
-/**
- * Sharded-coordinator validation path, selected by ERMS_SHARDS: the
- * same deployment sequence as validateImpl, executed across K shard
- * simulations in minute lockstep with merged metrics. ERMS_SHARDS=1 is
- * byte-identical to the unsharded path (the golden differential pins
- * it); K > 1 changes the partition geometry and RNG streams, so it is
- * a different — equally deterministic — experiment at larger scale.
- */
-ValidationResult
-validateSharded(const MicroserviceCatalog &catalog,
-                const std::vector<ServiceSpec> &services,
-                const GlobalPlan &plan, const Interference &itf,
-                const FaultConfig *fault,
-                const ResilienceConfig *resilience, int horizon_minutes,
-                std::uint64_t seed, int shards)
+void
+installCapacityRepair(Simulation &sim, const GlobalPlan &plan)
 {
-    shard::ShardedSimConfig config;
-    config.base.horizonMinutes = horizon_minutes;
-    config.base.warmupMinutes = 1;
-    config.base.seed = seed;
-    config.shards = shards;
-    shard::ShardedSimulation sim(catalog, config);
+    sim.setMinuteCallback(makeCapacityRepairController(plan));
+}
+
+void
+installCapacityRepair(shard::ShardedSimulation &sim, const GlobalPlan &)
+{
+    for (int k = 0; k < sim.shardCount(); ++k)
+        sim.setShardMinuteController(
+            k, makeCapacityRepairController(sim.shardLocalPlan(k)));
+}
+
+/** The one validation body: deploy, optionally inject faults with a
+ *  capacity-repair controller, run, and read the per-service results.
+ *  Sim is a Simulation or a ShardedSimulation. */
+template <class Sim>
+ValidationResult
+runValidation(Sim &sim, const std::vector<ServiceSpec> &services,
+              const GlobalPlan &plan, const Interference &itf,
+              const FaultConfig *fault, const ResilienceConfig *resilience)
+{
     sim.setBackgroundLoadAll(itf.cpuUtil, itf.memUtil);
     for (const ServiceSpec &svc : services) {
         ServiceWorkload workload;
@@ -141,26 +184,33 @@ validateSharded(const MicroserviceCatalog &catalog,
     if (fault != nullptr) {
         sim.setFaultConfig(*fault);
         sim.setResilienceConfig(*resilience);
-        for (int k = 0; k < sim.shardCount(); ++k)
-            sim.setShardMinuteController(
-                k, makeCapacityRepairController(sim.shardLocalPlan(k)));
+        installCapacityRepair(sim, plan);
     }
     sim.run();
 
+    const SimMetrics &metrics = sim.metrics();
     ValidationResult result;
     for (const ServiceSpec &svc : services) {
-        result.p95Ms.push_back(sim.metrics().p95(svc.id));
+        result.p95Ms.push_back(metrics.p95(svc.id));
         result.violationRate.push_back(
-            sim.metrics().violationRate(svc.id, svc.slaMs));
+            metrics.violationRate(svc.id, svc.slaMs));
         result.sloViolationRate.push_back(
-            sim.metrics().sloViolationRate(svc.id, svc.slaMs));
+            metrics.sloViolationRate(svc.id, svc.slaMs));
     }
-    result.requestsCompleted = sim.metrics().requestsCompleted;
-    result.requestsFailed = sim.metrics().requestsFailed;
-    result.faults = sim.metrics().faults;
+    result.requestsCompleted = metrics.requestsCompleted;
+    result.requestsFailed = metrics.requestsFailed;
+    result.faults = metrics.faults;
     return result;
 }
 
+/**
+ * ERMS_SHARDS selects the sharded-coordinator path: the same deployment
+ * sequence executed across K shard simulations in minute lockstep with
+ * merged metrics. ERMS_SHARDS=1 is byte-identical to the unsharded path
+ * (the golden differential pins it); K > 1 changes the partition
+ * geometry and RNG streams, so it is a different — equally
+ * deterministic — experiment at larger scale.
+ */
 ValidationResult
 validateImpl(const MicroserviceCatalog &catalog,
              const std::vector<ServiceSpec> &services, const GlobalPlan &plan,
@@ -168,44 +218,20 @@ validateImpl(const MicroserviceCatalog &catalog,
              const ResilienceConfig *resilience, int horizon_minutes,
              std::uint64_t seed)
 {
-    if (const int shards = shard::shardsRequested(); shards >= 1) {
-        return validateSharded(catalog, services, plan, itf, fault,
-                               resilience, horizon_minutes, seed, shards);
-    }
     SimConfig config;
     config.horizonMinutes = horizon_minutes;
     config.warmupMinutes = 1;
     config.seed = seed;
+    if (const int shards = shardsRequested(); shards >= 1) {
+        shard::ShardedSimConfig sharded;
+        sharded.base = config;
+        sharded.shards = shards;
+        sharded.runner = runnerOptionsFromEnv();
+        shard::ShardedSimulation sim(catalog, sharded);
+        return runValidation(sim, services, plan, itf, fault, resilience);
+    }
     Simulation sim(catalog, config);
-    sim.setBackgroundLoadAll(itf.cpuUtil, itf.memUtil);
-    for (const ServiceSpec &svc : services) {
-        ServiceWorkload workload;
-        workload.id = svc.id;
-        workload.graph = svc.graph;
-        workload.slaMs = svc.slaMs;
-        workload.rate = svc.workload;
-        sim.addService(workload);
-    }
-    sim.applyPlan(plan);
-    if (fault != nullptr) {
-        sim.setFaultConfig(*fault);
-        sim.setResilienceConfig(*resilience);
-        sim.setMinuteCallback(makeCapacityRepairController(plan));
-    }
-    sim.run();
-
-    ValidationResult result;
-    for (const ServiceSpec &svc : services) {
-        result.p95Ms.push_back(sim.metrics().p95(svc.id));
-        result.violationRate.push_back(
-            sim.metrics().violationRate(svc.id, svc.slaMs));
-        result.sloViolationRate.push_back(
-            sim.metrics().sloViolationRate(svc.id, svc.slaMs));
-    }
-    result.requestsCompleted = sim.metrics().requestsCompleted;
-    result.requestsFailed = sim.metrics().requestsFailed;
-    result.faults = sim.metrics().faults;
-    return result;
+    return runValidation(sim, services, plan, itf, fault, resilience);
 }
 
 } // namespace

@@ -45,18 +45,41 @@ class ProgressPrinter : public RunObserver
 };
 
 /**
+ * Runner options from ERMS_RUNNER_THREADS: its value (a positive
+ * decimal integer) as the worker count, or 0 — the hardware count —
+ * when unset or empty. Read at every call, so each sweep or validation
+ * sees the variable as it stands when it starts. The benches and the
+ * golden tests read the process environment only through this function
+ * and shardsRequested(); the library takes every setting through its
+ * config structs.
+ * @throws ErmsError naming the variable and the value when the value
+ *         is not a whole decimal integer in range (parseNumber).
+ */
+RunnerOptions runnerOptionsFromEnv();
+
+/**
+ * Shard count requested via ERMS_SHARDS (read at every call): 0
+ * (sharding off) when unset, empty or "0", otherwise the value.
+ * Anything but a non-negative decimal integer throws ErmsError.
+ * ERMS_SHARDS=1 routes validation through the sharded coordinator with
+ * one shard — the configuration the golden differential pins
+ * byte-identical to the unsharded engine.
+ */
+int shardsRequested();
+
+/**
  * Run a sweep of independent experiment tasks through ParallelRunner
- * (worker count from ERMS_RUNNER_THREADS or the hardware; set
- * ERMS_RUNNER_THREADS=1 for the serial baseline) with per-run progress
- * on stderr. Results come back in task order, so the printed tables are
- * identical however many workers execute the sweep.
+ * (worker count from runnerOptionsFromEnv(); set ERMS_RUNNER_THREADS=1
+ * for the serial baseline) with per-run progress on stderr. Results
+ * come back in task order, so the printed tables are identical however
+ * many workers execute the sweep.
  */
 template <typename Result>
 std::vector<Result>
 runSweep(const std::string &label,
          std::vector<std::function<Result()>> tasks)
 {
-    ParallelRunner runner;
+    ParallelRunner runner(runnerOptionsFromEnv());
     ProgressPrinter progress(label, runner.workerCount());
     runner.setObserver(&progress);
     return runner.runAll(std::move(tasks));
@@ -100,7 +123,11 @@ struct ValidationResult
     double meanSloViolationRate() const;
 };
 
-/** Deploy a plan and replay the workload in the cluster simulator. */
+/**
+ * Deploy a plan and replay the workload in the cluster simulator — or,
+ * when shardsRequested() >= 1, in the sharded coordinator with that
+ * many shards on runnerOptionsFromEnv() workers.
+ */
 ValidationResult validatePlan(const MicroserviceCatalog &catalog,
                               const std::vector<ServiceSpec> &services,
                               const GlobalPlan &plan, const Interference &itf,

@@ -30,13 +30,24 @@
 # stepping suites and the strict CSV rate reader under ASan and UBSan;
 # and the interned telemetry schemas: the sharded coordinator suite
 # (whose union-schema cache outlives rounds) under ASan and UBSan as
-# well as TSan, and the telemetry golden under UBSan.
+# well as TSan, and the telemetry golden under UBSan; and the event
+# queue: its unit tests (EventQueue*) under ASan and the whole event
+# engine suite, reference fuzz included, under UBSan. A first gate
+# keeps the library free of environment reads: settings reach src/
+# only through config structs, and the benches and golden tests read
+# ERMS_* variables at their edge (bench/bench_util).
 #
 # Usage: scripts/check.sh [jobs]   (default: 2)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-2}"
+
+echo "== library reads no environment: no getenv under src/ =="
+if grep -rnw getenv src; then
+    echo "src/ must take settings through config structs, not getenv" >&2
+    exit 1
+fi
 
 echo "== tier-1: configure + build + ctest (build/) =="
 cmake -B build -S .
@@ -55,7 +66,7 @@ cmake --build build-asan -j"$JOBS" \
     --gtest_filter='Json*:DependencyGraph*'
 ./build-asan/tests/erms_tests_scaling
 ./build-asan/tests/erms_tests_sim \
-    --gtest_filter='Fault*:Resilience*'
+    --gtest_filter='Fault*:Resilience*:EventQueue*'
 ./build-asan/tests/erms_tests_runner
 ./build-asan/tests/erms_tests_golden
 ./build-asan/tests/erms_tests_system \
@@ -88,7 +99,7 @@ cmake --build build-ubsan -j"$JOBS" \
     --target erms_tests_foundation erms_tests_system erms_tests_telemetry \
              erms_tests_chaos erms_tests_campaign erms_tests_sim \
              erms_tests_tuning erms_tests_scaling erms_tests_golden \
-             erms_tests_shard
+             erms_tests_shard erms_tests_event_engine
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_foundation \
     --gtest_filter='Json*:DependencyGraph*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_system \
@@ -106,16 +117,16 @@ UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_sim \
     --gtest_filter='Fault*:Resilience*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_tuning \
     --gtest_filter='AdaptiveTuner.*:TunerConfigValidation.*:GuardrailConfigValidation.*:SweepReduction.*:SweepConfigValidation.*:GuardMetrics.*:GuardRetune.*:SelfTuningDeterminism.SelfTunedCampaignReplaysExactly'
+UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_event_engine
 
-echo "== tsan: parallel runner + event engine + snapshot path (build-tsan/) =="
+echo "== tsan: parallel runner + event engine + shard coordinator (build-tsan/) =="
 cmake -B build-tsan -S . -DERMS_SANITIZE=thread
 cmake --build build-tsan -j"$JOBS" \
     --target erms_tests_runner erms_tests_event_engine erms_tests_shard
 ./build-tsan/tests/erms_tests_runner
-# erms_tests_event_engine includes SnapshotThreads.*, which hammers the
-# double-buffered Simulation::clusterSnapshot() path from reader
-# threads while run() executes — the cross-thread surface the dispatch
-# refactor introduced.
+# erms_tests_event_engine includes EventEngineThreads.*, which drains
+# independent queues concurrently on runner workers: no hidden shared
+# state between engine instances.
 ./build-tsan/tests/erms_tests_event_engine
 # The sharded coordinator's cross-thread surface: lockstep rounds run
 # shard resumes on runner workers while every shard's minute controller

@@ -211,10 +211,6 @@ validateGuardrailConfig(const GuardrailConfig &config)
         throw ErmsError(
             "GuardrailConfig: maxScaleStepFraction must be positive "
             "(a zero step bound would freeze every rate-limited up-step)");
-    if (!std::isfinite(config.scaleDownHoldFraction) ||
-        config.scaleDownHoldFraction < 0.0)
-        throw ErmsError(
-            "GuardrailConfig: scaleDownHoldFraction must be >= 0");
     if (!std::isfinite(config.fallbackOverProvisionFactor) ||
         config.fallbackOverProvisionFactor < 1.0)
         throw ErmsError(
@@ -284,9 +280,8 @@ makeGuardedController(std::function<void(Simulation &, int)> inner,
         // even though the machine still reads NORMAL.
         const bool clean_cycle = doctored() == doctored_before;
 
-        const bool limited = mode != telemetry::GuardMode::Normal ||
-                             !clean_cycle ||
-                             config.applyLimitsInNormalMode;
+        const bool limited =
+            mode != telemetry::GuardMode::Normal || !clean_cycle;
         if (limited && stats != nullptr)
             ++stats->limitedCycles;
         if (!limited) {
@@ -320,17 +315,9 @@ makeGuardedController(std::function<void(Simulation &, int)> inner,
                 if (target < now && stats != nullptr)
                     ++stats->upStepClamps;
             } else if (now < was) {
-                const int hold_band = static_cast<int>(std::ceil(
-                    was * config.scaleDownHoldFraction));
-                const bool small_shrink = was - now <= hold_band;
-                const bool allow_down =
-                    mode == telemetry::GuardMode::Suspect &&
-                    config.allowScaleDownInSuspect;
-                if (!allow_down || small_shrink) {
-                    target = was; // hysteresis: hold
-                    if (stats != nullptr)
-                        ++stats->scaleDownReverts;
-                }
+                target = was; // hold: never shed capacity on doubt
+                if (stats != nullptr)
+                    ++stats->scaleDownReverts;
             }
             if (mode == telemetry::GuardMode::Fallback) {
                 const auto it = state->lastGood.find(ms);

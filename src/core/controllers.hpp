@@ -106,18 +106,11 @@ makeControllerByName(
  */
 struct GuardrailConfig
 {
-    /** Max fractional up-step per cycle while rate-limited (SUSPECT or
-     *  `applyLimitsInNormalMode`): a microservice may grow by at most
-     *  ceil(before * fraction) containers (always at least one). */
+    /** Max fractional up-step per cycle while rate-limited (the mode is
+     *  not NORMAL, or the cycle's queries were doctored): a
+     *  microservice may grow by at most ceil(before * fraction)
+     *  containers (always at least one). */
     double maxScaleStepFraction = 0.5;
-    /** Hysteresis: scale-downs smaller than this fraction of the
-     *  current count are reverted while rate-limited — churn this small
-     *  is noise, not signal, when telemetry is suspect. */
-    double scaleDownHoldFraction = 0.10;
-    /** Permit (large) scale-downs in SUSPECT mode. Off by default:
-     *  releasing capacity on evidence from a suspect pipeline is the
-     *  failure mode this layer exists to prevent. */
-    bool allowScaleDownInSuspect = false;
     /** FALLBACK over-provision: hold each managed microservice at
      *  ceil(last-known-good * factor) containers. */
     double fallbackOverProvisionFactor = 1.25;
@@ -128,16 +121,13 @@ struct GuardrailConfig
     double fallbackEscalationPerCycle = 0.25;
     /** Ceiling of the escalated over-provision factor. */
     double fallbackMaxOverProvisionFactor = 2.5;
-    /** Apply the rate limits even in NORMAL mode (breaks the
-     *  transparency contract; for experiments only). */
-    bool applyLimitsInNormalMode = false;
 };
 
 /**
  * Reject nonsensical guardrail combinations loudly at construction:
- * non-positive step fractions, a negative hold band, an over-provision
- * factor below 1 (a fallback floor that *removes* capacity), negative
- * escalation, or a ceiling below the base factor
+ * non-positive step fractions, an over-provision factor below 1 (a
+ * fallback floor that *removes* capacity), negative escalation, or a
+ * ceiling below the base factor
  * (`fallbackMaxOverProvisionFactor < fallbackOverProvisionFactor`).
  * @throws ErmsError naming the offending knob.
  */
@@ -149,12 +139,12 @@ struct GuardrailStats
 {
     /** Cycles the wrapper ran (= inner controller invocations). */
     std::uint64_t cycles = 0;
-    /** Cycles where limits applied (mode, doctored queries, or
-     *  applyLimitsInNormalMode). */
+    /** Cycles where limits applied (mode not NORMAL, or doctored
+     *  queries). */
     std::uint64_t limitedCycles = 0;
     /** Up-steps clamped to the per-cycle step bound. */
     std::uint64_t upStepClamps = 0;
-    /** Scale-downs reverted (hysteresis hold). */
+    /** Scale-downs reverted (every limited scale-down is). */
     std::uint64_t scaleDownReverts = 0;
     /** Container counts raised by the FALLBACK over-provision floor. */
     std::uint64_t fallbackHolds = 0;
@@ -165,13 +155,17 @@ struct GuardrailStats
  * driven by a GuardedTelemetryView's degraded-mode state machine:
  *
  *  - NORMAL:   run the inner controller unmodified and record each
- *              managed microservice's count as last-known-good;
- *  - SUSPECT:  run the inner controller, then rate-limit its decisions
- *              (bounded up-steps, scale-downs reverted by default);
- *  - FALLBACK: skip the inner controller entirely and hold every
- *              managed microservice at its last-known-good count times
- *              `fallbackOverProvisionFactor` (hold current counts when
- *              no good cycle has been observed yet).
+ *              managed microservice's count as last-known-good — unless
+ *              its queries tripped the guard this cycle, which limits
+ *              the cycle as in SUSPECT;
+ *  - SUSPECT:  run the inner controller, then limit its decisions:
+ *              up-steps bounded by `maxScaleStepFraction`, every
+ *              scale-down reverted;
+ *  - FALLBACK: SUSPECT's limits, plus a floor at each managed
+ *              microservice's last-known-good count times an
+ *              over-provision factor that escalates from
+ *              `fallbackOverProvisionFactor` with every consecutive
+ *              blind cycle (no floor before the first good cycle).
  *
  * Recovery re-validates through SUSPECT (see GuardedTelemetryView), so
  * one clean scrape after an incident resumes rate-limited — not

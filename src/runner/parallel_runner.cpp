@@ -2,11 +2,9 @@
 
 #include <chrono>
 #include <exception>
-#include <limits>
 #include <mutex>
 #include <thread>
 
-#include "common/parse.hpp"
 #include "thread_pool.hpp"
 
 namespace erms {
@@ -16,9 +14,6 @@ resolveWorkerCount(int requested)
 {
     if (requested > 0)
         return requested;
-    if (const std::optional<int> env = envInt(
-            "ERMS_RUNNER_THREADS", 1, std::numeric_limits<int>::max()))
-        return *env;
     const unsigned hardware = std::thread::hardware_concurrency();
     return hardware > 0 ? static_cast<int>(hardware) : 1;
 }

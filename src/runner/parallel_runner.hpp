@@ -11,11 +11,10 @@
  * workers) produce byte-identical per-run results; only wall-clock time
  * and the interleaving of observer callbacks differ.
  *
- * Worker count resolution, in order of precedence:
- *   1. RunnerOptions::workers when > 0;
- *   2. the ERMS_RUNNER_THREADS environment variable when set and not
- *      empty (it must then be a positive decimal integer);
- *   3. std::thread::hardware_concurrency().
+ * Worker count resolution: RunnerOptions::workers when > 0, else
+ * std::thread::hardware_concurrency() (at least 1). The library reads
+ * no environment; binaries that take a worker count from one parse it
+ * into RunnerOptions themselves (bench/bench_util.hpp).
  */
 
 #ifndef ERMS_RUNNER_PARALLEL_RUNNER_HPP
@@ -33,7 +32,7 @@ class ThreadPool;
 /** Configuration of one ParallelRunner. */
 struct RunnerOptions
 {
-    /** Worker threads; 0 = resolve from env / hardware (see file doc). */
+    /** Worker threads; 0 = hardware (see file doc). */
     int workers = 0;
 };
 
@@ -66,12 +65,8 @@ class RunObserver
     }
 };
 
-/**
- * Resolve an effective worker count from a requested value, the
- * ERMS_RUNNER_THREADS environment variable and the hardware (see file
- * doc for precedence). Always >= 1. Throws ErmsError when the variable
- * is set to anything but a positive decimal integer.
- */
+/** Resolve an effective worker count: `requested` when > 0, else the
+ *  hardware concurrency. Always >= 1. */
 int resolveWorkerCount(int requested);
 
 /** Executes batches of independent tasks on a fixed-size thread pool. */

@@ -172,45 +172,6 @@ mergeTelemetrySnapshots(const std::vector<const TelemetrySnapshot *> &parts,
     return TelemetryMerger().merge(parts, plan);
 }
 
-ClusterSnapshot
-mergeClusterSnapshots(const std::vector<ClusterSnapshot> &parts,
-                      const ShardPlan &plan)
-{
-    ERMS_ASSERT_MSG(parts.size() ==
-                        static_cast<std::size_t>(plan.shardCount),
-                    "one cluster snapshot per shard required");
-    ClusterSnapshot merged;
-    bool first = true;
-    for (int k = 0; k < plan.shardCount; ++k) {
-        const ClusterSnapshot &part = parts[k];
-        merged.at = std::max(merged.at, part.at);
-        merged.sequence = first
-                              ? part.sequence
-                              : std::min(merged.sequence, part.sequence);
-        first = false;
-        const HostId offset =
-            static_cast<HostId>(plan.shards[k].hostOffset);
-        for (ClusterSnapshot::HostSample host : part.hosts) {
-            host.id += offset;
-            merged.hosts.push_back(host);
-        }
-        for (const ClusterSnapshot::DeploymentSample &dep :
-             part.deployments)
-            merged.deployments.push_back(dep);
-    }
-    std::sort(merged.hosts.begin(), merged.hosts.end(),
-              [](const ClusterSnapshot::HostSample &a,
-                 const ClusterSnapshot::HostSample &b) {
-                  return a.id < b.id;
-              });
-    std::sort(merged.deployments.begin(), merged.deployments.end(),
-              [](const ClusterSnapshot::DeploymentSample &a,
-                 const ClusterSnapshot::DeploymentSample &b) {
-                  return a.ms < b.ms;
-              });
-    return merged;
-}
-
 SimMetrics
 mergeMetrics(const std::vector<const SimMetrics *> &parts)
 {

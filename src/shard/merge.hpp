@@ -1,8 +1,8 @@
 /**
  * @file
- * Cluster-wide merging of per-shard state: telemetry snapshots, cluster
- * snapshots and simulation metrics from K independent shard simulations
- * combine into one view of the whole cluster.
+ * Cluster-wide merging of per-shard state: telemetry snapshots and
+ * simulation metrics from K independent shard simulations combine into
+ * one view of the whole cluster.
  *
  * Every merge rides the library's already-proven-associative paths —
  * counter addition, Histogram bucket addition (property-pinned
@@ -28,7 +28,6 @@
 
 #include "shard/partition.hpp"
 #include "sim/metrics.hpp"
-#include "sim/simulation.hpp"
 #include "telemetry/registry.hpp"
 
 namespace erms::shard {
@@ -105,17 +104,6 @@ telemetry::TelemetrySnapshot
 mergeTelemetrySnapshots(
     const std::vector<const telemetry::TelemetrySnapshot *> &parts,
     const ShardPlan &plan);
-
-/**
- * Merge per-shard cluster snapshots into a whole-cluster snapshot:
- * hosts remap by hostOffset and concatenate (id ascending), deployment
- * samples concatenate (microservice ascending; disjoint across shards).
- * `sequence` is the minimum across shards (0 until every shard has
- * published) and `at` the newest shard publish time.
- */
-ClusterSnapshot
-mergeClusterSnapshots(const std::vector<ClusterSnapshot> &parts,
-                      const ShardPlan &plan);
 
 /**
  * Merge per-shard run metrics into whole-cluster metrics: per-service

@@ -1,11 +1,9 @@
 #include "partition.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 
 #include "common/error.hpp"
-#include "common/parse.hpp"
 #include "common/rng.hpp"
 
 namespace erms::shard {
@@ -214,13 +212,6 @@ planShards(const std::vector<ServiceWorkload> &services, int total_hosts,
                                                   static_cast<std::size_t>(k));
     }
     return plan;
-}
-
-int
-shardsRequested()
-{
-    return envInt("ERMS_SHARDS", 0, std::numeric_limits<int>::max())
-        .value_or(0);
 }
 
 } // namespace erms::shard

@@ -78,16 +78,6 @@ ShardPlan planShards(const std::vector<ServiceWorkload> &services,
                      int total_hosts, int shard_count,
                      std::uint64_t base_seed);
 
-/**
- * Shard count requested via the ERMS_SHARDS environment variable:
- * 0 (sharding off) when unset, empty or "0", otherwise the value.
- * Anything but a non-negative decimal integer throws ErmsError.
- * ERMS_SHARDS=1 routes execution through the sharded coordinator with
- * one shard — the configuration the golden differential pins
- * byte-identical to the unsharded engine.
- */
-int shardsRequested();
-
 } // namespace erms::shard
 
 #endif // ERMS_SHARD_PARTITION_HPP

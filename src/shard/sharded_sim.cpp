@@ -236,7 +236,7 @@ ShardedSimulation::run()
     ran_ = true;
 
     // Serial setup: beginRun seeds arrivals and the first boundary and
-    // publishes the initial snapshot/scrape per shard.
+    // takes the t=0 baseline scrape per shard.
     for (auto &sim : sims_) {
         sim->setCoordinatedPause(true);
         sim->beginRun();
@@ -280,17 +280,6 @@ ShardedSimulation::metrics() const
 {
     ERMS_ASSERT_MSG(metricsMerged_, "metrics() requires a completed run()");
     return mergedMetrics_;
-}
-
-ClusterSnapshot
-ShardedSimulation::clusterSnapshot() const
-{
-    ERMS_ASSERT_MSG(finalized_, "clusterSnapshot() requires finalization");
-    std::vector<ClusterSnapshot> parts;
-    parts.reserve(sims_.size());
-    for (const auto &sim : sims_)
-        parts.push_back(sim->clusterSnapshot());
-    return mergeClusterSnapshots(parts, plan_);
 }
 
 std::uint64_t

@@ -61,7 +61,7 @@ struct ShardedSimConfig
     SimConfig base{};
     /** Requested shard count (clamped to the component count). */
     int shards = 1;
-    /** Worker pool the lockstep rounds run on (0 = env/hardware). */
+    /** Worker pool the lockstep rounds run on (0 = hardware). */
     RunnerOptions runner{};
     /** Attach a SimMonitor per shard and merge scrapes into the
      *  cluster-wide telemetry view. */
@@ -173,10 +173,6 @@ class ShardedSimulation
 
     /** Merged cluster-wide metrics (after run()). */
     const SimMetrics &metrics() const;
-
-    /** Merged cluster-wide snapshot of the latest published per-shard
-     *  snapshots (host ids remapped to cluster-wide). */
-    ClusterSnapshot clusterSnapshot() const;
 
     /** Total events dispatched across shards (after run()). */
     std::uint64_t eventsDispatched() const;

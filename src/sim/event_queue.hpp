@@ -330,13 +330,11 @@ EventQueue::peekTime(SimTime &t)
                 pourFar(); // farMin_ lands inside the new window
                 continue;
             }
+            // A wheel record sits in a later bucket of the window:
+            // buckets before the cursor are empty and spill records
+            // belong to the cursor's bucket, so the cursor never runs
+            // off the end of the window.
             ++cursor_;
-            if (cursor_ == bucketCount_) {
-                windowStart_ += span_;
-                cursor_ = 0;
-                if (!far_.empty())
-                    pourFar();
-            }
             continue;
         }
         if (!activeSorted_) {

@@ -1639,67 +1639,37 @@ Simulation::installFaultSchedule(SimTime horizon)
 // Telemetry scraping
 // ---------------------------------------------------------------------
 
-// Fill the back buffer from live dispatch state and swap it to the
-// front. The only writer, and it runs on the simulation thread; readers
-// copy the front buffer under the mutex (clusterSnapshot), so the hot
-// structures themselves are never shared across threads.
+// Record the gauge series straight from live state, on the simulation
+// thread: hosts in id order, then every microservice ever deployed in
+// id order with live, busy and queued summed over its non-draining
+// slots. Strictly read-only with respect to simulation state: no RNG
+// draws, no request events — attaching a monitor cannot change what the
+// simulation computes, only what observers get to see.
 void
-Simulation::publishSnapshot()
+Simulation::scrapeTelemetry()
 {
-    ClusterSnapshot &snap = snapBuffers_[1 - snapFront_];
-    snap.at = now();
-    snap.sequence = snapBuffers_[snapFront_].sequence + 1;
-    snap.hosts.clear();
-    for (const HostState &host : hosts_) {
-        snap.hosts.push_back(ClusterSnapshot::HostSample{
-            host.id, hostCpuUtil(host), hostMemUtil(host)});
-    }
-    snap.deployments.clear();
+    ERMS_ASSERT(monitor_ != nullptr);
+    for (const HostState &host : hosts_)
+        monitor_->recordHostUtil(host.id, hostCpuUtil(host),
+                                 hostMemUtil(host));
     for (MicroserviceId ms = 0;
          static_cast<std::size_t>(ms) < deployments_.size(); ++ms) {
         const Deployment &dep = deployments_[ms];
         if (!dep.everDeployed)
             continue;
-        ClusterSnapshot::DeploymentSample sample;
-        sample.ms = ms;
+        int live = 0;
+        int busy = 0;
+        std::size_t queued = 0;
         for (const ContainerState *container : dep.slots) {
             if (container->draining)
                 continue;
-            ++sample.live;
-            sample.busy += container->busy;
-            sample.queued += container->queuedTotal;
+            ++live;
+            busy += container->busy;
+            queued += container->queuedTotal;
         }
-        snap.deployments.push_back(sample);
+        monitor_->recordDeployment(ms, live, queued, busy);
     }
-    std::lock_guard<std::mutex> lock(snapMutex_);
-    snapFront_ = 1 - snapFront_;
-}
-
-ClusterSnapshot
-Simulation::clusterSnapshot() const
-{
-    std::lock_guard<std::mutex> lock(snapMutex_);
-    return snapBuffers_[snapFront_];
-}
-
-// Freeze the gauge series into the monitor from the published snapshot
-// (never the live dispatch structures). Strictly read-only with respect
-// to simulation state: no RNG draws, no request events — attaching a
-// monitor cannot change what the simulation computes, only what
-// observers get to see.
-void
-Simulation::scrapeTelemetry()
-{
-    ERMS_ASSERT(monitor_ != nullptr);
-    publishSnapshot();
-    // Reading the front buffer without the lock is safe here: this is
-    // the writer thread, so no swap can happen concurrently.
-    const ClusterSnapshot &snap = snapBuffers_[snapFront_];
-    for (const ClusterSnapshot::HostSample &host : snap.hosts)
-        monitor_->recordHostUtil(host.id, host.cpuUtil, host.memUtil);
-    for (const ClusterSnapshot::DeploymentSample &dep : snap.deployments)
-        monitor_->recordDeployment(dep.ms, dep.live, dep.queued, dep.busy);
-    monitor_->takeSnapshot(snap.at);
+    monitor_->takeSnapshot(now());
 }
 
 void
@@ -1782,8 +1752,6 @@ Simulation::onMinuteBoundary()
 
     lastMinuteArrivalsByIndex_ = arrivalsByIndex_;
     std::fill(arrivalsByIndex_.begin(), arrivalsByIndex_.end(), 0);
-
-    publishSnapshot();
 
     const int ended_minute = currentMinute_;
     ++currentMinute_;
@@ -1965,8 +1933,6 @@ Simulation::beginRun()
             1, toSimTime(monitor_->config().scrapeIntervalSec * 1000.0));
         scheduleScrape(interval, runHorizon_);
     }
-
-    publishSnapshot();
 }
 
 void

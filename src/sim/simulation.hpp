@@ -34,7 +34,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -116,38 +115,6 @@ struct ContainerView
     bool crashed = false;
     /** Simulated time the container starts accepting work. */
     SimTime readyAt = 0;
-};
-
-/**
- * Read-only cross-thread snapshot of hot-loop cluster state, published
- * by the simulation thread at minute boundaries and telemetry scrapes
- * through a double buffer. Observers (dashboards, controllers polling
- * from other threads, the SimMonitor scrape path) read this instead of
- * the live dispatch structures, so a scrape can never race the event
- * loop.
- */
-struct ClusterSnapshot
-{
-    struct HostSample
-    {
-        HostId id = kInvalidHost;
-        double cpuUtil = 0.0;
-        double memUtil = 0.0;
-    };
-    struct DeploymentSample
-    {
-        MicroserviceId ms = kInvalidMicroservice;
-        int live = 0;
-        int busy = 0;
-        std::uint64_t queued = 0;
-    };
-
-    SimTime at = 0;
-    /** Monotonic publish counter (0 = never published). */
-    std::uint64_t sequence = 0;
-    std::vector<HostSample> hosts;
-    /** Every microservice ever deployed, id ascending. */
-    std::vector<DeploymentSample> deployments;
 };
 
 /** The cluster simulator. */
@@ -252,7 +219,7 @@ class Simulation
      * Enable minute-pause mode (before beginRun()): instead of invoking
      * the minute callback inline, the drain loop returns control to the
      * caller at every minute boundary — after that minute's metrics
-     * flush and snapshot publish, but *before* the callback slot and the
+     * flush, but *before* the callback slot and the
      * next boundary post. A shard coordinator uses the pause to merge
      * cross-shard telemetry and run controllers at exactly the point in
      * the event sequence where an inline callback would have run, so a
@@ -262,8 +229,9 @@ class Simulation
 
     /**
      * Setup phase of run(): installs the fault schedule, seeds arrivals,
-     * posts the first minute boundary and scrape, publishes the initial
-     * snapshot. Counts as the one permitted run() call.
+     * posts the first minute boundary and, with a monitor attached,
+     * takes the t=0 baseline scrape and posts the next. Counts as the
+     * one permitted run() call.
      */
     void beginRun();
 
@@ -308,15 +276,6 @@ class Simulation
      *  < the deployment's container-object count once any RoundRobin
      *  dispatch happened; 0 when untouched). Test/debug observability. */
     std::size_t roundRobinCursor(MicroserviceId ms) const;
-
-    /**
-     * Copy of the most recently published cluster snapshot. Thread-safe:
-     * may be called from any thread while run() executes — readers copy
-     * the front buffer under a mutex while the simulation thread fills
-     * the back buffer and swaps at publish points (minute boundaries and
-     * telemetry scrapes). sequence == 0 until the first publish.
-     */
-    ClusterSnapshot clusterSnapshot() const;
 
   private:
     struct HostState;
@@ -405,9 +364,6 @@ class Simulation
     // telemetry internals
     void scheduleScrape(SimTime at, SimTime horizon);
     void scrapeTelemetry();
-    /** Fill the back snapshot buffer from live state and swap it to the
-     *  front (the only writer; runs on the simulation thread). */
-    void publishSnapshot();
 
     // time bookkeeping
     void onMinuteBoundary();
@@ -477,11 +433,6 @@ class Simulation
     /** Dense per-service arrival counters (index = service index). */
     std::vector<std::uint64_t> arrivalsByIndex_;
     std::vector<std::uint64_t> lastMinuteArrivalsByIndex_;
-
-    // double-buffered observer snapshot (see clusterSnapshot())
-    ClusterSnapshot snapBuffers_[2];
-    int snapFront_ = 0;
-    mutable std::mutex snapMutex_;
 
     RequestId nextRequest_ = 1;
     ContainerId nextContainer_ = 1;

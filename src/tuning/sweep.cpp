@@ -275,8 +275,7 @@ runGuardSweep(const GuardSweepConfig &config)
 
     // Fan out every (grid, value, scenario) cell; runAll returns results
     // in task order regardless of worker count, so the cell vector — and
-    // everything reduced from it — is byte-stable across
-    // ERMS_RUNNER_THREADS.
+    // everything reduced from it — is byte-stable across runnerWorkers.
     std::vector<std::function<SweepCell()>> tasks;
     for (const KnobGrid &grid : config.grids)
         for (double value : grid.values)

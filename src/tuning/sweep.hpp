@@ -20,7 +20,7 @@
  * (runCampaign is a pure function of its config), tasks land in (grid,
  * value, scenario) order regardless of worker count, and the reduction
  * is order-stable — so sweepToJson() output is byte-identical across
- * ERMS_RUNNER_THREADS (gated in scripts/check.sh via the bench's
+ * runner worker counts (gated in scripts/check.sh via the bench's
  * sweep-lite mode).
  */
 
@@ -82,7 +82,7 @@ struct GuardSweepConfig
     /** Safe-bounds slack: values whose cost is within this much of the
      *  knee's cost stay inside the online tuner's bounds. */
     double safeCostSlack = 0.10;
-    /** ParallelRunner workers (0 = env/hardware default). */
+    /** ParallelRunner workers (0 = hardware). */
     int runnerWorkers = 0;
 };
 

@@ -18,21 +18,15 @@
  *    draining/crashing containers) so AddressSanitizer can prove the
  *    queue-scan removal in dequeueAttempt and the stale-id skips in
  *    popQueuedJob/reassignQueue never double-release a pooled
- *    CallContext (scripts/check.sh runs this binary under ASan);
- *  - a concurrent-scrape test hammers Simulation::clusterSnapshot()
- *    from reader threads while run() executes, exercising the
- *    double-buffered snapshot swap (scripts/check.sh runs this binary
- *    under TSan).
+ *    CallContext (scripts/check.sh runs this binary under ASan).
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -340,73 +334,6 @@ TEST(PoolLifetime, StaleQueueEntriesSurviveScaleChurn)
     EXPECT_GT(metrics.faults.callTimeouts, 0u);
     EXPECT_GT(metrics.faults.hedgesLaunched, 0u);
     EXPECT_GT(metrics.faults.containerCrashes, 0u);
-}
-
-/**
- * Double-buffered snapshot path under concurrent readers (the TSan
- * target in scripts/check.sh): reader threads copy the published
- * front buffer while the simulation thread fills the back buffer and
- * swaps at minute boundaries. Sequence numbers must be monotone from
- * any single reader's perspective, and readers must never observe a
- * torn buffer (hosts vector sized to the cluster).
- */
-TEST(SnapshotThreads, ConcurrentScrapesDuringRun)
-{
-    const FuzzWorkload w = buildWorkload(11);
-
-    SimConfig config;
-    config.hostCount = 4;
-    config.horizonMinutes = 3;
-    config.warmupMinutes = 0;
-    config.seed = 11;
-    Simulation sim(w.catalog, config);
-
-    for (std::size_t i = 0; i < w.graphs.size(); ++i) {
-        ServiceWorkload svc;
-        svc.id = w.serviceIds[i];
-        svc.graph = w.graphs[i].get();
-        svc.rate = w.rates[i];
-        sim.addService(svc);
-    }
-    for (MicroserviceId ms : w.microservices)
-        sim.setContainerCount(ms, 2);
-    sim.setMinuteCallback([ids = w.microservices](Simulation &s, int m) {
-        for (MicroserviceId ms : ids)
-            s.setContainerCount(ms, 1 + (m + static_cast<int>(ms)) % 3);
-    });
-
-    std::atomic<bool> done{false};
-    std::atomic<std::uint64_t> lastSequence{0};
-    std::atomic<bool> torn{false};
-    auto reader = [&] {
-        std::uint64_t prev = 0;
-        while (!done.load(std::memory_order_acquire)) {
-            const ClusterSnapshot snap = sim.clusterSnapshot();
-            if (snap.sequence < prev)
-                torn.store(true, std::memory_order_relaxed);
-            prev = snap.sequence;
-            if (snap.sequence > 0 &&
-                snap.hosts.size() !=
-                    static_cast<std::size_t>(config.hostCount))
-                torn.store(true, std::memory_order_relaxed);
-        }
-        std::uint64_t seen = lastSequence.load();
-        while (prev > seen &&
-               !lastSequence.compare_exchange_weak(seen, prev)) {
-        }
-    };
-
-    std::thread r1(reader), r2(reader);
-    sim.run();
-    done.store(true, std::memory_order_release);
-    r1.join();
-    r2.join();
-
-    EXPECT_FALSE(torn.load());
-    // run() publishes at every minute boundary, so readers racing a
-    // 3-minute run must have observed at least one published snapshot.
-    EXPECT_GE(sim.clusterSnapshot().sequence, 1u);
-    EXPECT_GE(lastSequence.load(), 1u);
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the sharded execution layer (src/shard): partition
- * correctness and determinism, telemetry/cluster-snapshot/metrics
- * merging against whole-cluster references, coordinated minute
- * stepping, and the sharded coordinator's determinism contracts
+ * correctness and determinism, telemetry and metrics merging against
+ * whole-cluster references, coordinated minute stepping, and the
+ * sharded coordinator's determinism contracts
  * (K=1 byte-identity, worker-count invariance, repeat-run identity).
  * The ShardCoordinator*Concurrent* tests also serve as the TSan target
  * for the coordinator's merge path (scripts/check.sh).
@@ -11,12 +11,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "apps/applications.hpp"
-#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "model/catalog.hpp"
 #include "shard/merge.hpp"
@@ -157,26 +155,6 @@ TEST(ShardPartition, PlanIsDeterministic)
         EXPECT_EQ(a.shards[k].hostOffset, b.shards[k].hostOffset);
         EXPECT_EQ(a.shards[k].seed, b.shards[k].seed);
     }
-}
-
-TEST(ShardPartition, ShardsRequestedReadsEnvironment)
-{
-    unsetenv("ERMS_SHARDS");
-    EXPECT_EQ(shard::shardsRequested(), 0);
-    setenv("ERMS_SHARDS", "", 1);
-    EXPECT_EQ(shard::shardsRequested(), 0);
-    setenv("ERMS_SHARDS", "4", 1);
-    EXPECT_EQ(shard::shardsRequested(), 4);
-    setenv("ERMS_SHARDS", "0", 1);
-    EXPECT_EQ(shard::shardsRequested(), 0); // explicit off
-    // Anything but a whole non-negative decimal integer is an error,
-    // never a silent fallback to unsharded execution.
-    for (const char *bad : {"garbage", "x", "2x", "-1", "+2", " 2", "2 ",
-                            "1.5", "99999999999"}) {
-        setenv("ERMS_SHARDS", bad, 1);
-        EXPECT_THROW(shard::shardsRequested(), ErmsError) << bad;
-    }
-    unsetenv("ERMS_SHARDS");
 }
 
 // --------------------------------------------------------------------
@@ -622,32 +600,6 @@ TEST(ShardCoordinator, RepeatRunsAreByteIdentical)
     EXPECT_EQ(runDigest(fx1, first.metrics()),
               runDigest(fx2, second.metrics()));
     EXPECT_EQ(first.eventsDispatched(), second.eventsDispatched());
-}
-
-TEST(ShardCoordinator, MergedClusterSnapshotCoversAllHostsAndDeployments)
-{
-    ThreeComponentFixture fx;
-    ShardedSimulation sim(fx.catalog, fixtureConfig(3));
-    deployAll(fx, sim);
-    sim.run();
-
-    const ClusterSnapshot snap = sim.clusterSnapshot();
-    EXPECT_GT(snap.sequence, 0u);
-    ASSERT_EQ(snap.hosts.size(), 12u);
-    for (std::size_t h = 0; h < snap.hosts.size(); ++h)
-        EXPECT_EQ(snap.hosts[h].id, static_cast<HostId>(h));
-    std::size_t distinct = 0;
-    for (const ServiceWorkload &svc : fx.services)
-        distinct += svc.graph->nodes().size();
-    // Deployments cover every deployed microservice exactly once.
-    std::vector<MicroserviceId> seen;
-    for (const auto &dep : snap.deployments) {
-        EXPECT_GT(dep.live, 0);
-        seen.push_back(dep.ms);
-    }
-    std::sort(seen.begin(), seen.end());
-    EXPECT_TRUE(std::adjacent_find(seen.begin(), seen.end()) ==
-                seen.end());
 }
 
 TEST(ShardCoordinator, ShardControllersScaleOwnedMicroservices)

@@ -7,15 +7,14 @@
  * harness, the guard's first-class metrics, and the campaign-level
  * transparency contracts: a disabled tuner is byte-identical to the
  * static guarded stack, a clean stream leaves an enabled tuner provably
- * inert, and self-tuned runs replay identically across
- * ERMS_RUNNER_THREADS over 20 seeds.
+ * inert, and self-tuned runs replay identically across runner worker
+ * counts over 20 seeds.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
@@ -348,7 +347,6 @@ TEST(GuardrailConfigValidation, RejectsNonsensicalKnobs)
     expectThrow([](auto &c) {
         c.maxScaleStepFraction = std::numeric_limits<double>::infinity();
     });
-    expectThrow([](auto &c) { c.scaleDownHoldFraction = -0.1; });
     expectThrow([](auto &c) { c.fallbackOverProvisionFactor = 0.9; });
     expectThrow([](auto &c) { c.fallbackEscalationPerCycle = -0.25; });
     expectThrow([](auto &c) { c.fallbackMaxOverProvisionFactor = 1.0; });
@@ -632,10 +630,9 @@ TEST(SelfTuningDeterminism, TwentySeedsByteIdenticalAcrossRunnerThreads)
     const Application app = makeMotivationShared(catalog, 0);
     ErmsController controller(catalog, ErmsConfig{});
 
-    const auto sweep = [&](const char *threads, int expect_workers) {
-        EXPECT_EQ(setenv("ERMS_RUNNER_THREADS", threads, 1), 0);
-        ParallelRunner runner;
-        EXPECT_EQ(runner.workerCount(), expect_workers);
+    const auto sweep = [&](int workers) {
+        ParallelRunner runner(RunnerOptions{workers});
+        EXPECT_EQ(runner.workerCount(), workers);
         std::vector<std::function<TunedRunResult()>> tasks;
         for (std::uint64_t i = 0; i < 20; ++i)
             tasks.push_back([&, i] {
@@ -645,9 +642,8 @@ TEST(SelfTuningDeterminism, TwentySeedsByteIdenticalAcrossRunnerThreads)
         return runner.runAll(std::move(tasks));
     };
 
-    const std::vector<TunedRunResult> serial = sweep("1", 1);
-    const std::vector<TunedRunResult> threaded = sweep("3", 3);
-    unsetenv("ERMS_RUNNER_THREADS");
+    const std::vector<TunedRunResult> serial = sweep(1);
+    const std::vector<TunedRunResult> threaded = sweep(3);
 
     ASSERT_EQ(serial.size(), threaded.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {

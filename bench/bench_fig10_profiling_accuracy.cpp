@@ -87,6 +87,7 @@ collectAppSamples(const Application &app, MicroserviceCatalog &catalog,
     ProfilingSweepConfig sweep;
     sweep.ratePerService = 8000.0;
     sweep.minutesPerCell = 2;
+    sweep.runner = runnerOptionsFromEnv();
     const auto samples = collectProfilingSamples(catalog, graphs, sweep);
 
     std::vector<std::vector<ProfilingSample>> result;

@@ -325,7 +325,8 @@ int
 writeScenarioMode(const std::string &path, const std::string &intensity)
 {
     const CampaignConfig config = trimmedArm(intensity, "erms", 5);
-    const CampaignResult result = runCampaign(config);
+    const CampaignResult result =
+        runCampaign(config, runnerOptionsFromEnv());
     std::ofstream out(path);
     if (!out) {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());

@@ -306,7 +306,8 @@ runCampaignBattery(const std::string &json_path)
     const std::size_t pick = 8 + 2 * 0 + 1; // med / erms / guarded
     const std::string archive =
         archiveCampaign(arms[pick].config, arms[pick].result);
-    const CampaignReplay replay = replayCampaign(archive);
+    const CampaignReplay replay =
+        replayCampaign(archive, runnerOptionsFromEnv());
     std::printf("archive replay (med/erms/guarded): rows %s, "
                 "scrapes %s\n",
                 replay.minutesIdentical ? "identical" : "MISMATCH",

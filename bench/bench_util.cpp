@@ -111,6 +111,7 @@ profileApplication(MicroserviceCatalog &catalog, const Application &app,
     sweep.ratePerService = rate_per_service;
     sweep.minutesPerCell = minutes_per_cell;
     sweep.seed = seed;
+    sweep.runner = runnerOptionsFromEnv();
     const auto samples = collectProfilingSamples(catalog, graphs, sweep);
     return fitAndAttachModels(catalog, samples);
 }

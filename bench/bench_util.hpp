@@ -95,8 +95,9 @@ makeServices(const Application &app, const std::vector<double> &sla_ms,
              const std::vector<double> &workloads);
 
 /**
- * Offline profiling for an application: run the sweep and attach fitted
- * models to the catalog. Returns per-microservice training accuracy.
+ * Offline profiling for an application: run the sweep (on
+ * runnerOptionsFromEnv() workers) and attach fitted models to the
+ * catalog. Returns per-microservice training accuracy.
  */
 std::unordered_map<MicroserviceId, double>
 profileApplication(MicroserviceCatalog &catalog, const Application &app,

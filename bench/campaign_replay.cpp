@@ -10,7 +10,9 @@
  * reruns the campaign from the archived config alone, and byte-compares
  * the per-minute rows and the perturbed scrape history. Exit status is
  * nonzero on any mismatch, so scripts/check.sh uses a write-then-replay
- * round trip (serial vs parallel runner env) as a determinism gate.
+ * round trip (serial vs parallel runner env) as a determinism gate:
+ * both modes calibrate the campaign's models on ERMS_RUNNER_THREADS
+ * workers (bench::runnerOptionsFromEnv).
  */
 
 #include <cstdio>
@@ -20,6 +22,7 @@
 #include <sstream>
 #include <string>
 
+#include "bench_util.hpp"
 #include "common/error.hpp"
 #include "fault/campaign.hpp"
 
@@ -38,7 +41,8 @@ writeArchive(const std::string &path, const std::string &intensity,
     }
     const CampaignConfig config =
         makeCampaignArm(intensity, controller, arm == "guarded");
-    const CampaignResult result = runCampaign(config);
+    const CampaignResult result =
+        runCampaign(config, bench::runnerOptionsFromEnv());
     std::ofstream out(path, std::ios::binary);
     if (!out) {
         std::cerr << "cannot open " << path << " for writing\n";
@@ -65,7 +69,8 @@ replayArchive(const std::string &path)
     std::ostringstream buffer;
     buffer << in.rdbuf();
 
-    const CampaignReplay replay = replayCampaign(buffer.str());
+    const CampaignReplay replay =
+        replayCampaign(buffer.str(), bench::runnerOptionsFromEnv());
     std::printf("replayed %s/%s/%s: %zu minutes (%s), %zu scrapes (%s)\n",
                 replay.config.controller.c_str(),
                 replay.config.guarded ? "guarded" : "naive",

@@ -8,9 +8,10 @@
 # over the numeric-heavy telemetry/guard/chaos/tuning paths (quantile
 # interpolation, counter deltas, NaN/Inf guards, feedback-rule
 # streak arithmetic), a ThreadSanitizer pass over the
-# parallel runner, the event engine, and the sharded coordinator's
-# merge path (concurrent shard controllers reading the merged
-# telemetry view), determinism passes (the golden tables must come out
+# parallel runner, the profiling sweep's concurrent cells, the event
+# engine, and the sharded coordinator's merge path (concurrent shard
+# controllers reading the merged telemetry view), determinism passes
+# (the golden tables must come out
 # identical with one worker vs the hardware default, and through the
 # K=1 sharded coordinator vs the unsharded path; the tenant-market
 # bench table must come out identical with one runner worker vs the
@@ -119,11 +120,15 @@ UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_tuning \
     --gtest_filter='AdaptiveTuner.*:TunerConfigValidation.*:GuardrailConfigValidation.*:SweepReduction.*:SweepConfigValidation.*:GuardMetrics.*:GuardRetune.*:SelfTuningDeterminism.SelfTunedCampaignReplaysExactly'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_event_engine
 
-echo "== tsan: parallel runner + event engine + shard coordinator (build-tsan/) =="
+echo "== tsan: parallel runner + profiling sweep + event engine + shard coordinator (build-tsan/) =="
 cmake -B build-tsan -S . -DERMS_SANITIZE=thread
 cmake --build build-tsan -j"$JOBS" \
-    --target erms_tests_runner erms_tests_event_engine erms_tests_shard
+    --target erms_tests_runner erms_tests_system erms_tests_event_engine \
+             erms_tests_shard
 ./build-tsan/tests/erms_tests_runner
+# The profiling sweep's cells run concurrently on runner workers over
+# one shared const catalog and graph set.
+./build-tsan/tests/erms_tests_system --gtest_filter='ProfilingPipeline.*'
 # erms_tests_event_engine includes EventEngineThreads.*, which drains
 # independent queues concurrently on runner workers: no hidden shared
 # state between engine instances.

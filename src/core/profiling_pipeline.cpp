@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/error.hpp"
 #include "sim/simulation.hpp"
@@ -36,31 +37,38 @@ collectProfilingSamples(const MicroserviceCatalog &catalog,
     ERMS_ASSERT(!config.interferenceLevels.empty());
     ERMS_ASSERT(config.ratePerService > 0.0);
 
-    std::unordered_map<MicroserviceId, std::vector<ProfilingSample>> samples;
-    std::uint64_t seed = config.seed;
+    // Aggregate per-microservice workload over all services, so shared
+    // microservices get one consistent container count.
+    std::unordered_map<MicroserviceId, double> total_gamma;
+    for (const DependencyGraph *graph : graphs)
+        for (const auto &[id, gamma] :
+             graph->workloads(config.ratePerService))
+            total_gamma[id] += gamma;
 
-    for (const auto &[cpu_bg, mem_bg] : config.interferenceLevels) {
-        for (double fraction : config.loadFractions) {
+    // One task per cell; the tasks share only const inputs.
+    const std::size_t fractions = config.loadFractions.size();
+    const std::size_t cells = config.interferenceLevels.size() * fractions;
+    std::vector<std::function<std::vector<ProfilingRecord>()>> tasks;
+    tasks.reserve(cells);
+    for (std::size_t cell = 0; cell < cells; ++cell) {
+        tasks.push_back([&, cell] {
+            const auto [cpu_bg, mem_bg] =
+                config.interferenceLevels[cell / fractions];
+            const double fraction = config.loadFractions[cell % fractions];
             SimConfig sim_config;
             sim_config.hostCount = config.hostCount;
             sim_config.horizonMinutes = config.minutesPerCell + 1;
             sim_config.warmupMinutes = 1;
-            sim_config.seed = seed++;
+            sim_config.seed = config.seed + cell;
             Simulation sim(catalog, sim_config);
             sim.setBackgroundLoadAll(cpu_bg, mem_bg);
 
-            // Aggregate per-microservice workload over all services, so
-            // shared microservices get one consistent container count.
-            std::unordered_map<MicroserviceId, double> total_gamma;
             for (const DependencyGraph *graph : graphs) {
                 ServiceWorkload svc;
                 svc.id = graph->service();
                 svc.graph = graph;
                 svc.rate = config.ratePerService;
                 sim.addService(svc);
-                for (const auto &[id, gamma] :
-                     graph->workloads(config.ratePerService))
-                    total_gamma[id] += gamma;
             }
             for (const auto &[id, gamma] : total_gamma) {
                 const double knee =
@@ -74,18 +82,25 @@ collectProfilingSamples(const MicroserviceCatalog &catalog,
                 sim.setContainerCount(id, containers);
             }
             sim.run();
+            return sim.metrics().profiling;
+        });
+    }
+    ParallelRunner runner(
+        RunnerOptions{resolveWorkerCount(config.runner.workers, cells)});
+    const std::vector<std::vector<ProfilingRecord>> records =
+        runner.runAll(std::move(tasks));
 
-            for (const ProfilingRecord &record :
-                 sim.metrics().profiling) {
-                if (record.minute == 0)
-                    continue; // warmup minute
-                ProfilingSample s;
-                s.latencyMs = record.tailLatencyMs;
-                s.gamma = record.perContainerCalls;
-                s.cpuUtil = record.cpuUtil;
-                s.memUtil = record.memUtil;
-                samples[record.microservice].push_back(s);
-            }
+    std::unordered_map<MicroserviceId, std::vector<ProfilingSample>> samples;
+    for (const std::vector<ProfilingRecord> &cell_records : records) {
+        for (const ProfilingRecord &record : cell_records) {
+            if (record.minute == 0)
+                continue; // warmup minute
+            ProfilingSample s;
+            s.latencyMs = record.tailLatencyMs;
+            s.gamma = record.perContainerCalls;
+            s.cpuUtil = record.cpuUtil;
+            s.memUtil = record.memUtil;
+            samples[record.microservice].push_back(s);
         }
     }
     return samples;

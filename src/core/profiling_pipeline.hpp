@@ -5,7 +5,8 @@
  * collect per-minute samples d_i^j for every microservice, fit the
  * piecewise latency model of Eq. (15), and attach the fitted models to a
  * catalog. This is the paper's multi-day DeathStarBench profiling run,
- * compressed into simulated minutes.
+ * compressed into simulated minutes. The sweep's cells are independent
+ * simulations, so they fan out over a ParallelRunner.
  */
 
 #ifndef ERMS_CORE_PROFILING_PIPELINE_HPP
@@ -18,6 +19,7 @@
 #include "model/catalog.hpp"
 #include "profiling/piecewise_fit.hpp"
 #include "profiling/sample.hpp"
+#include "runner/parallel_runner.hpp"
 
 namespace erms {
 
@@ -42,12 +44,20 @@ struct ProfilingSweepConfig
     /** Simulated minutes per (fraction, interference) cell. */
     int minutesPerCell = 3;
     int hostCount = 20;
+    /** Cell c (interference-major, c = 0, 1, ...) simulates with seed
+     *  `seed + c`. */
     std::uint64_t seed = 11;
+    /** Workers that run the cells (0 = hardware), capped at the cell
+     *  count. The samples do not depend on it. */
+    RunnerOptions runner{};
 };
 
 /**
- * Run the sweep for a set of services over one catalog. Returns the
- * collected per-minute samples per microservice.
+ * Run the sweep for a set of services over one catalog: one runner task
+ * per (interference, load fraction) cell, each with its own Simulation.
+ * Returns the collected per-minute samples per microservice, appended
+ * in cell order and, within a cell, in record order, so they are the
+ * same at every worker count. Every call runs the whole sweep.
  */
 std::unordered_map<MicroserviceId, std::vector<ProfilingSample>>
 collectProfilingSamples(const MicroserviceCatalog &catalog,

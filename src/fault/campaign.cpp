@@ -62,7 +62,7 @@ campaignTraceConfig()
 }
 
 CampaignResult
-runCampaign(const CampaignConfig &config)
+runCampaign(const CampaignConfig &config, const RunnerOptions &calibration)
 {
     // Named as the archive spells them: an archived config arrives here
     // unchecked from replayCampaign().
@@ -97,6 +97,7 @@ runCampaign(const CampaignConfig &config)
         ProfilingSweepConfig sweep;
         sweep.hostCount = config.hostCount;
         sweep.minutesPerCell = 2;
+        sweep.runner = calibration;
         fitAndAttachModels(
             trace.catalog,
             collectProfilingSamples(trace.catalog, graph_ptrs, sweep));
@@ -332,7 +333,8 @@ campaignConfigFromArchive(const std::string &archive_json)
 }
 
 CampaignReplay
-replayCampaign(const std::string &archive_json)
+replayCampaign(const std::string &archive_json,
+               const RunnerOptions &calibration)
 {
     CampaignArchive archived = parseCampaignArchive(archive_json);
     CampaignReplay replay;
@@ -340,7 +342,7 @@ replayCampaign(const std::string &archive_json)
     replay.archivedMinutes = std::move(archived.result.minutes);
     replay.archivedScrapes = archived.result.perturbedHistory.size();
 
-    replay.replayed = runCampaign(replay.config);
+    replay.replayed = runCampaign(replay.config, calibration);
 
     replay.minutesIdentical =
         replay.replayed.minutes.size() == replay.archivedMinutes.size() &&

@@ -42,6 +42,7 @@
 #include "core/controllers.hpp"
 #include "fault/fault.hpp"
 #include "fault/telemetry_fault.hpp"
+#include "runner/parallel_runner.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/guarded_view.hpp"
 #include "tuning/adaptive.hpp"
@@ -151,9 +152,13 @@ struct CampaignResult
 };
 
 /** Run one campaign. Pure function of the config (see file doc).
+ *  `calibration` sizes the runner of the in-run profiling sweep; it is
+ *  not part of the config or the archive, since no result depends on
+ *  it.
  *  @throws ErmsError on a config it cannot run (horizon_minutes <= 0,
  *  warmup_minutes < 0, host_count <= 0, self-tuned without guarded). */
-CampaignResult runCampaign(const CampaignConfig &config);
+CampaignResult runCampaign(const CampaignConfig &config,
+                           const RunnerOptions &calibration = {});
 
 /**
  * The named arms of the cross-controller resilience battery
@@ -400,11 +405,13 @@ struct CampaignReplay
 
 /**
  * Parse an archive produced by archiveCampaign(), rerun the campaign
- * from the archived config, and byte-compare rows and scrape history.
+ * from the archived config (calibrating on `calibration` workers, see
+ * runCampaign), and byte-compare rows and scrape history.
  * @throws ErmsError on a malformed document or an archived config
  * runCampaign() rejects.
  */
-CampaignReplay replayCampaign(const std::string &archive_json);
+CampaignReplay replayCampaign(const std::string &archive_json,
+                              const RunnerOptions &calibration = {});
 
 /**
  * The config of an archive (parseCampaignArchive().config) — the entry

@@ -1,5 +1,6 @@
 #include "parallel_runner.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <mutex>
@@ -10,16 +11,20 @@
 namespace erms {
 
 int
-resolveWorkerCount(int requested)
+resolveWorkerCount(int requested, std::size_t tasks)
 {
-    if (requested > 0)
-        return requested;
     const unsigned hardware = std::thread::hardware_concurrency();
-    return hardware > 0 ? static_cast<int>(hardware) : 1;
+    const int workers = requested > 0  ? requested
+                        : hardware > 0 ? static_cast<int>(hardware)
+                                       : 1;
+    return static_cast<int>(std::clamp<std::size_t>(
+        tasks, 1, static_cast<std::size_t>(workers)));
 }
 
 ParallelRunner::ParallelRunner(RunnerOptions options)
-    : workers_(resolveWorkerCount(options.workers))
+    : workers_(ThreadPool::onWorkerThread()
+                   ? 1
+                   : resolveWorkerCount(options.workers))
 {
     if (workers_ > 1)
         pool_ = std::make_unique<ThreadPool>(workers_);

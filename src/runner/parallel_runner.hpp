@@ -14,7 +14,14 @@
  * Worker count resolution: RunnerOptions::workers when > 0, else
  * std::thread::hardware_concurrency() (at least 1). The library reads
  * no environment; binaries that take a worker count from one parse it
- * into RunnerOptions themselves (bench/bench_util.hpp).
+ * into RunnerOptions themselves (bench/bench_util.hpp). A runner whose
+ * batches have a known size caps its workers at it through
+ * resolveWorkerCount(requested, tasks).
+ *
+ * Nesting: a ParallelRunner constructed on a ThreadPool worker thread
+ * runs its tasks inline on that thread, whatever its options ask for,
+ * so pools never nest: a sweep cell that profiles a catalog or runs a
+ * sharded simulation uses the outer pool's threads and starts none.
  */
 
 #ifndef ERMS_RUNNER_PARALLEL_RUNNER_HPP
@@ -22,6 +29,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -66,8 +74,11 @@ class RunObserver
 };
 
 /** Resolve an effective worker count: `requested` when > 0, else the
- *  hardware concurrency. Always >= 1. */
-int resolveWorkerCount(int requested);
+ *  hardware concurrency, capped at `tasks` so that a pool is no larger
+ *  than its work. Always >= 1. */
+int resolveWorkerCount(
+    int requested,
+    std::size_t tasks = std::numeric_limits<std::size_t>::max());
 
 /** Executes batches of independent tasks on a fixed-size thread pool. */
 class ParallelRunner
@@ -82,6 +93,7 @@ class ParallelRunner
     /** Attach a progress observer (not owned; may be null). */
     void setObserver(RunObserver *observer) { observer_ = observer; }
 
+    /** Resolved worker count; 1 on a pool worker thread (file doc). */
     int workerCount() const { return workers_; }
 
     /**

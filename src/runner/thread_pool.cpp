@@ -5,6 +5,20 @@
 
 namespace erms {
 
+namespace {
+
+/** Set by each pool worker when it starts; never cleared, since the
+ *  thread runs nothing but the worker loop. */
+thread_local bool tlPoolWorker = false;
+
+} // namespace
+
+bool
+ThreadPool::onWorkerThread()
+{
+    return tlPoolWorker;
+}
+
 ThreadPool::ThreadPool(int workers)
 {
     const int count = std::max(1, workers);
@@ -46,6 +60,7 @@ ThreadPool::waitIdle()
 void
 ThreadPool::workerLoop()
 {
+    tlPoolWorker = true;
     for (;;) {
         std::function<void()> job;
         {

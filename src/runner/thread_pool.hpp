@@ -52,6 +52,10 @@ class ThreadPool
 
     int workerCount() const { return static_cast<int>(threads_.size()); }
 
+    /** True on a worker thread of any ThreadPool. ParallelRunner reads
+     *  it so that pools never nest (see parallel_runner.hpp). */
+    static bool onWorkerThread();
+
   private:
     void workerLoop();
 

@@ -243,8 +243,10 @@ ShardedSimulation::run()
     }
     mergeNewTelemetry(); // the t=0 baseline scrapes
 
-    ParallelRunner runner(config_.runner);
+    // A round has at most one task per shard.
     const std::size_t shard_count = sims_.size();
+    ParallelRunner runner(RunnerOptions{
+        resolveWorkerCount(config_.runner.workers, shard_count)});
     std::vector<int> paused(shard_count, 0);
     bool anyRunning = true;
     while (anyRunning) {

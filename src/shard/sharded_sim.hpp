@@ -61,7 +61,8 @@ struct ShardedSimConfig
     SimConfig base{};
     /** Requested shard count (clamped to the component count). */
     int shards = 1;
-    /** Worker pool the lockstep rounds run on (0 = hardware). */
+    /** Worker pool the lockstep rounds run on (0 = hardware), capped
+     *  at the shard count. */
     RunnerOptions runner{};
     /** Attach a SimMonitor per shard and merge scrapes into the
      *  cluster-wide telemetry view. */

@@ -70,6 +70,7 @@ fig12Impl()
     sweep.minutesPerCell = 1;
     sweep.ratePerService = 6000.0;
     sweep.seed = 11;
+    sweep.runner = bench::runnerOptionsFromEnv();
     fitAndAttachModels(catalog,
                        collectProfilingSamples(catalog, graphs, sweep));
 
@@ -433,7 +434,8 @@ chaosCampaignImpl()
     config.trace.workloadLow = 30000.0;
     config.trace.workloadHigh = 40000.0;
 
-    const CampaignResult result = runCampaign(config);
+    const CampaignResult result =
+        runCampaign(config, bench::runnerOptionsFromEnv());
 
     std::ostringstream out;
     out << "golden chaos campaign (trimmed): med/erms/guarded, "

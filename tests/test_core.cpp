@@ -1,15 +1,20 @@
 /**
  * @file
  * Tests for the top-level ErmsController, the offline profiling
- * pipeline, and the closed-loop controllers.
+ * pipeline (including its worker-count invariance), and the closed-loop
+ * controllers.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <sstream>
 
 #include "apps/applications.hpp"
 #include "core/controllers.hpp"
 #include "core/erms.hpp"
 #include "core/profiling_pipeline.hpp"
+#include "io/serialization.hpp"
 
 namespace erms {
 namespace {
@@ -136,6 +141,79 @@ TEST_F(CoreTest, FittedModelsReplaceBootstrapAndAreUsable)
     const GlobalPlan plan = controller.plan(services, {0.3, 0.3});
     EXPECT_TRUE(plan.feasible);
     EXPECT_GT(plan.totalContainers, 0);
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool
+sameSample(const ProfilingSample &a, const ProfilingSample &b)
+{
+    return sameBits(a.latencyMs, b.latencyMs) && sameBits(a.gamma, b.gamma) &&
+           sameBits(a.cpuUtil, b.cpuUtil) && sameBits(a.memUtil, b.memUtil);
+}
+
+/** The model file of every microservice fitAndAttachModels would fit. */
+std::string
+fittedModels(const std::unordered_map<MicroserviceId,
+                                      std::vector<ProfilingSample>> &samples)
+{
+    const PiecewiseFitConfig fit;
+    std::unordered_map<MicroserviceId, StoredModel> models;
+    for (const auto &[id, ms_samples] : samples)
+        if (ms_samples.size() >= 2 * fit.minIntervalSamples)
+            models.emplace(id,
+                           storedFromFit(fitPiecewiseModel(ms_samples, fit)));
+    EXPECT_FALSE(models.empty());
+    std::ostringstream out;
+    writeModels(out, models);
+    return out.str();
+}
+
+TEST(ProfilingPipeline, SamplesIdenticalAcrossWorkerCounts)
+{
+    // The cells are independent simulations seeded by their index, and
+    // their records are appended in cell order, so neither the samples
+    // nor the models fitted from them may depend on the worker count.
+    MicroserviceCatalog catalog;
+    const Application app = makeMotivationShared(catalog, 0);
+    std::vector<const DependencyGraph *> graphs;
+    for (const auto &g : app.graphs)
+        graphs.push_back(&g);
+    ProfilingSweepConfig sweep;
+    sweep.loadFractions = {0.25, 0.5, 0.75, 1.0};
+    sweep.interferenceLevels = {{0.1, 0.1}, {0.45, 0.35}};
+    sweep.minutesPerCell = 1;
+    sweep.ratePerService = 6000.0;
+    sweep.hostCount = 8;
+    const auto collect = [&](int workers) {
+        ProfilingSweepConfig config = sweep;
+        config.runner.workers = workers;
+        return collectProfilingSamples(catalog, graphs, config);
+    };
+
+    const auto serial = collect(1);
+    const std::string serial_models = fittedModels(serial);
+    for (int workers : {2, 3, 0}) {
+        const auto parallel = collect(workers);
+        ASSERT_EQ(parallel.size(), serial.size()) << workers << " workers";
+        for (const auto &[id, expected] : serial) {
+            const auto it = parallel.find(id);
+            ASSERT_NE(it, parallel.end())
+                << catalog.name(id) << ", " << workers << " workers";
+            ASSERT_EQ(it->second.size(), expected.size())
+                << catalog.name(id) << ", " << workers << " workers";
+            for (std::size_t i = 0; i < expected.size(); ++i)
+                EXPECT_TRUE(sameSample(it->second[i], expected[i]))
+                    << catalog.name(id) << " sample " << i << ", "
+                    << workers << " workers";
+        }
+        EXPECT_EQ(fittedModels(parallel), serial_models)
+            << workers << " workers";
+    }
 }
 
 TEST_F(CoreTest, FirmReactiveControllerRespondsToViolations)

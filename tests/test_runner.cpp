@@ -2,8 +2,10 @@
  * @file
  * Tests for the parallel experiment runner: thread-pool execution,
  * ordered result collection, observer accounting, exception propagation,
- * worker-count resolution, and the determinism contract (serial and
- * parallel sweeps of real simulations produce identical metrics).
+ * worker-count resolution and its cap at the task count, the nesting
+ * rule (a runner built on a pool worker runs inline), and the
+ * determinism contract (serial and parallel sweeps of real simulations
+ * produce identical metrics).
  */
 
 #include <gtest/gtest.h>
@@ -155,6 +157,66 @@ TEST(ParallelRunner, WorkerCountResolution)
     EXPECT_EQ(resolveWorkerCount(0),
               static_cast<int>(
                   std::max(1u, std::thread::hardware_concurrency())));
+}
+
+TEST(ParallelRunner, WorkerCountIsCappedAtTheTaskCount)
+{
+    // A pool is no larger than its work, and never empty.
+    EXPECT_EQ(resolveWorkerCount(4, 2), 2);
+    EXPECT_EQ(resolveWorkerCount(4, 4), 4);
+    EXPECT_EQ(resolveWorkerCount(2, 20), 2);
+    EXPECT_EQ(resolveWorkerCount(3, 1), 1);
+    EXPECT_EQ(resolveWorkerCount(3, 0), 1);
+    EXPECT_EQ(resolveWorkerCount(0, 1), 1);
+    EXPECT_EQ(resolveWorkerCount(0, 1000), resolveWorkerCount(0));
+}
+
+TEST(ParallelRunner, RunnerBuiltOnAWorkerRunsInline)
+{
+    // Pools never nest: a runner constructed inside another runner's
+    // task resolves to one worker and runs its tasks on the outer
+    // task's own thread, whatever its options ask for.
+    struct Inner
+    {
+        int workers = 0;
+        bool onTaskThread = false;
+        std::vector<int> results;
+    };
+    ParallelRunner outer(RunnerOptions{3});
+    ASSERT_EQ(outer.workerCount(), 3);
+    std::vector<std::function<Inner()>> tasks;
+    for (int t = 0; t < 6; ++t) {
+        tasks.push_back([t] {
+            ParallelRunner inner(RunnerOptions{4});
+            const std::thread::id self = std::this_thread::get_id();
+            std::atomic<bool> same_thread{true};
+            std::vector<std::function<int()>> subtasks;
+            for (int i = 0; i < 5; ++i)
+                subtasks.push_back([&same_thread, self, t, i] {
+                    if (std::this_thread::get_id() != self)
+                        same_thread = false;
+                    return 10 * t + i;
+                });
+            Inner out;
+            out.workers = inner.workerCount();
+            out.results = inner.runAll(std::move(subtasks));
+            out.onTaskThread = same_thread.load();
+            return out;
+        });
+    }
+    const std::vector<Inner> inner = outer.runAll(std::move(tasks));
+    for (int t = 0; t < 6; ++t) {
+        const Inner &out = inner[static_cast<std::size_t>(t)];
+        EXPECT_EQ(out.workers, 1) << t;
+        EXPECT_TRUE(out.onTaskThread) << t;
+        EXPECT_EQ(out.results, (std::vector<int>{10 * t, 10 * t + 1,
+                                                 10 * t + 2, 10 * t + 3,
+                                                 10 * t + 4}))
+            << t;
+    }
+    // The caller's thread is no pool worker: a runner built here after
+    // the nested batch still gets the workers it asks for.
+    EXPECT_EQ(ParallelRunner(RunnerOptions{3}).workerCount(), 3);
 }
 
 TEST(ParallelRunner, DefaultIgnoresEnvironment)

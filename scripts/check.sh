@@ -26,7 +26,9 @@
 # property, mutation fuzz and parser regressions, and the io tests; and
 # the planner: the dependency-graph and scaling suites under ASan and
 # UBSan, plus the critical-path, end-to-end latency, solver and
-# multiplexing properties and the planner golden under UBSan; and the
+# multiplexing properties and the planner golden under UBSan, with the
+# catalog and the interference-aware placement scorer (checked against
+# its reference scan) under both; and the
 # telemetry read path: the shard merge, partition and coordinated
 # stepping suites and the strict CSV rate reader under ASan and UBSan;
 # and the interned telemetry schemas: the sharded coordinator suite
@@ -64,14 +66,14 @@ cmake --build build-asan -j"$JOBS" \
              erms_tests_queueing erms_tests_market erms_tests_tuning \
              erms_tests_scaling erms_tests_shard
 ./build-asan/tests/erms_tests_foundation \
-    --gtest_filter='Json*:DependencyGraph*'
+    --gtest_filter='Json*:DependencyGraph*:Catalog.*'
 ./build-asan/tests/erms_tests_scaling
 ./build-asan/tests/erms_tests_sim \
     --gtest_filter='Fault*:Resilience*:EventQueue*'
 ./build-asan/tests/erms_tests_runner
 ./build-asan/tests/erms_tests_golden
 ./build-asan/tests/erms_tests_system \
-    --gtest_filter='*Property*:*StatsMerge*:*HistogramMerge*:*TelemetryTransparency*:*Serialization*:CsvRates*'
+    --gtest_filter='*Property*:*StatsMerge*:*HistogramMerge*:*TelemetryTransparency*:*Serialization*:CsvRates*:InterferenceAware.*:BatchPlacement.*'
 ./build-asan/tests/erms_tests_shard \
     --gtest_filter='ShardMerge.*:ShardPartition.*:CoordinatedStepping.*:ShardCoordinator.*'
 ./build-asan/tests/erms_tests_telemetry
@@ -102,9 +104,9 @@ cmake --build build-ubsan -j"$JOBS" \
              erms_tests_tuning erms_tests_scaling erms_tests_golden \
              erms_tests_shard erms_tests_event_engine
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_foundation \
-    --gtest_filter='Json*:DependencyGraph*'
+    --gtest_filter='Json*:DependencyGraph*:Catalog.*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_system \
-    --gtest_filter='*Serialization*:CriticalPaths*:EndToEndLatency*:*SolverProperty*:*MultiplexProperty*:CsvRates*'
+    --gtest_filter='*Serialization*:CriticalPaths*:EndToEndLatency*:*SolverProperty*:*MultiplexProperty*:CsvRates*:InterferenceAware.*:BatchPlacement.*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_shard \
     --gtest_filter='ShardMerge.*:ShardPartition.*:CoordinatedStepping.*:ShardCoordinator.*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_scaling

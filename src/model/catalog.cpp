@@ -10,6 +10,7 @@ MicroserviceCatalog::add(MicroserviceProfile profile)
     const MicroserviceId id =
         static_cast<MicroserviceId>(profiles_.size());
     profiles_.push_back(std::move(profile));
+    models_.emplace_back();
     return id;
 }
 
@@ -45,18 +46,14 @@ MicroserviceCatalog::setModel(MicroserviceId id, PiecewiseLatencyModel model)
 bool
 MicroserviceCatalog::hasModel(MicroserviceId id) const
 {
-    return models_.count(id) > 0;
+    return id < models_.size() && models_[id].has_value();
 }
 
-const PiecewiseLatencyModel &
-MicroserviceCatalog::model(MicroserviceId id) const
+void
+MicroserviceCatalog::throwNoModel(MicroserviceId id) const
 {
-    auto it = models_.find(id);
-    if (it == models_.end()) {
-        throw ErmsError("no latency model attached for microservice " +
-                        std::to_string(id) + " (" + name(id) + ")");
-    }
-    return it->second;
+    throw ErmsError("no latency model attached for microservice " +
+                    std::to_string(id) + " (" + name(id) + ")");
 }
 
 std::vector<MicroserviceId>

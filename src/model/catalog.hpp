@@ -8,9 +8,9 @@
 #ifndef ERMS_MODEL_CATALOG_HPP
 #define ERMS_MODEL_CATALOG_HPP
 
+#include <deque>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -54,7 +54,19 @@ class MicroserviceCatalog
     void setModel(MicroserviceId id, PiecewiseLatencyModel model);
 
     bool hasModel(MicroserviceId id) const;
-    const PiecewiseLatencyModel &model(MicroserviceId id) const;
+
+    /** The attached model. The reference stays valid, and follows later
+     *  setModel calls for the same id, for the catalog's lifetime.
+     *  @throws ErmsError for an unknown id or one without a model. */
+    const PiecewiseLatencyModel &
+    model(MicroserviceId id) const
+    {
+        checkId(id);
+        const std::optional<PiecewiseLatencyModel> &slot = models_[id];
+        if (!slot)
+            throwNoModel(id);
+        return *slot;
+    }
 
     /** All registered ids, ascending. */
     std::vector<MicroserviceId> ids() const;
@@ -68,9 +80,12 @@ class MicroserviceCatalog
     }
 
     [[noreturn]] void throwUnknownId(MicroserviceId id) const;
+    [[noreturn]] void throwNoModel(MicroserviceId id) const;
 
     std::vector<MicroserviceProfile> profiles_;
-    std::unordered_map<MicroserviceId, PiecewiseLatencyModel> models_;
+    /** Indexed by id, parallel to profiles_. A deque, so add() never
+     *  moves a model a caller holds a reference to. */
+    std::deque<std::optional<PiecewiseLatencyModel>> models_;
 };
 
 } // namespace erms

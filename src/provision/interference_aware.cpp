@@ -25,34 +25,88 @@ predictedMem(const HostView &host, double extra_mb = 0.0)
            (host.memAllocatedMb + extra_mb) / host.memCapacityMb;
 }
 
-/** Unbalance of a candidate configuration over hosts [begin, end):
- *  delta_index gets (dcpu, dmem) added. POP restricts both the
- *  candidate set *and* the objective to one group — that locality is
- *  what makes provisioning tractable at fleet scale (§5.4). */
-double
-unbalanceWithDelta(const std::vector<HostView> &hosts, std::size_t begin,
-                   std::size_t end, std::size_t delta_index,
-                   double dcpu_cores, double dmem_mb)
+/**
+ * The unbalance objective over hosts [begin, end), evaluated for one
+ * candidate at a time: host `index` gets (dcpu, dmem) added. POP
+ * restricts both the candidate set *and* the objective to one group —
+ * that locality is what makes provisioning tractable at fleet scale
+ * (§5.4).
+ *
+ * Each host's predicted utilization is computed once. A candidate's
+ * score substitutes its own two terms into the same left folds, in the
+ * same order, as evaluating every host in place, and starts the sum
+ * pass from the fold of the hosts before it. Floating-point addition
+ * does not associate, so the folds are never rearranged: every score is
+ * bit-identical to the direct evaluation.
+ */
+class GroupScorer
 {
-    double cpu_sum = 0.0, mem_sum = 0.0;
-    for (std::size_t i = begin; i < end; ++i) {
-        cpu_sum += predictedCpu(hosts[i], i == delta_index ? dcpu_cores : 0.0);
-        mem_sum += predictedMem(hosts[i], i == delta_index ? dmem_mb : 0.0);
+  public:
+    GroupScorer(const std::vector<HostView> &hosts, std::size_t begin,
+                std::size_t end)
+        : hosts_(hosts), begin_(begin), cpu_(end - begin),
+          mem_(end - begin), cpuPrefix_(end - begin + 1),
+          memPrefix_(end - begin + 1)
+    {
+        for (std::size_t k = 0; k < cpu_.size(); ++k) {
+            cpu_[k] = predictedCpu(hosts[begin + k]);
+            mem_[k] = predictedMem(hosts[begin + k]);
+            cpuPrefix_[k + 1] = cpuPrefix_[k] + cpu_[k];
+            memPrefix_[k + 1] = memPrefix_[k] + mem_[k];
+        }
     }
-    const double n = static_cast<double>(end - begin);
-    const double cpu_mean = cpu_sum / n;
-    const double mem_mean = mem_sum / n;
 
-    double total = 0.0;
-    for (std::size_t i = begin; i < end; ++i) {
-        const double cpu =
-            predictedCpu(hosts[i], i == delta_index ? dcpu_cores : 0.0);
-        const double mem =
-            predictedMem(hosts[i], i == delta_index ? dmem_mb : 0.0);
-        total += std::fabs(cpu - cpu_mean) + std::fabs(mem - mem_mean);
+    double
+    score(std::size_t index, double dcpu_cores, double dmem_mb) const
+    {
+        ERMS_ASSERT(index >= begin_ && index - begin_ < cpu_.size());
+        return substituted(index - begin_,
+                           predictedCpu(hosts_[index], dcpu_cores),
+                           predictedMem(hosts_[index], dmem_mb));
     }
-    return total;
-}
+
+    /** The objective with no host changed. */
+    double
+    score() const
+    {
+        return substituted(0, cpu_[0], mem_[0]);
+    }
+
+  private:
+    double
+    substituted(std::size_t k, double cpu, double mem) const
+    {
+        const std::size_t n = cpu_.size();
+        double cpu_sum = cpuPrefix_[k] + cpu;
+        double mem_sum = memPrefix_[k] + mem;
+        for (std::size_t i = k + 1; i < n; ++i) {
+            cpu_sum += cpu_[i];
+            mem_sum += mem_[i];
+        }
+        const double count = static_cast<double>(n);
+        const double cpu_mean = cpu_sum / count;
+        const double mem_mean = mem_sum / count;
+
+        double total = 0.0;
+        for (std::size_t i = 0; i < k; ++i)
+            total += std::fabs(cpu_[i] - cpu_mean) +
+                     std::fabs(mem_[i] - mem_mean);
+        total += std::fabs(cpu - cpu_mean) + std::fabs(mem - mem_mean);
+        for (std::size_t i = k + 1; i < n; ++i)
+            total += std::fabs(cpu_[i] - cpu_mean) +
+                     std::fabs(mem_[i] - mem_mean);
+        return total;
+    }
+
+    const std::vector<HostView> &hosts_;
+    std::size_t begin_;
+    /** Predicted utilization of hosts[begin_ + k]. */
+    std::vector<double> cpu_;
+    std::vector<double> mem_;
+    /** Left folds, from 0.0, of the first k entries of cpu_ / mem_. */
+    std::vector<double> cpuPrefix_;
+    std::vector<double> memPrefix_;
+};
 
 } // namespace
 
@@ -65,8 +119,7 @@ double
 InterferenceAwarePlacement::unbalance(const std::vector<HostView> &hosts)
 {
     ERMS_ASSERT(!hosts.empty());
-    return unbalanceWithDelta(hosts, 0, hosts.size(), hosts.size(), 0.0,
-                              0.0);
+    return GroupScorer(hosts, 0, hosts.size()).score();
 }
 
 std::size_t
@@ -88,11 +141,12 @@ InterferenceAwarePlacement::placeContainer(const std::vector<HostView> &hosts,
         end = std::min(hosts.size(), begin + config_.popGroupSize);
     }
 
+    const GroupScorer group(hosts, begin, end);
     std::size_t best = begin;
     double best_score = std::numeric_limits<double>::infinity();
     for (std::size_t i = begin; i < end; ++i) {
-        const double score = unbalanceWithDelta(
-            hosts, begin, end, i, cpu_request_cores, mem_request_mb);
+        const double score =
+            group.score(i, cpu_request_cores, mem_request_mb);
         if (score < best_score) {
             best_score = score;
             best = i;
@@ -108,12 +162,12 @@ InterferenceAwarePlacement::evictContainer(
     double mem_request_mb)
 {
     ERMS_ASSERT(!candidates.empty());
+    const GroupScorer fleet(hosts, 0, hosts.size());
     std::size_t best = 0;
     double best_score = std::numeric_limits<double>::infinity();
     for (std::size_t k = 0; k < candidates.size(); ++k) {
-        const double score = unbalanceWithDelta(
-            hosts, 0, hosts.size(), candidates[k], -cpu_request_cores,
-            -mem_request_mb);
+        const double score = fleet.score(candidates[k], -cpu_request_cores,
+                                         -mem_request_mb);
         if (score < best_score) {
             best_score = score;
             best = k;

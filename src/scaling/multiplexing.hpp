@@ -50,7 +50,11 @@ class MultiplexingPlanner
                         ClusterCapacity capacity,
                         SolverOptions options = {});
 
-    /** Produce the global plan under the chosen sharing policy. */
+    /**
+     * Produce the global plan under the chosen sharing policy.
+     * @throws ErmsError for a graph node outside the catalog, and under
+     *         SharingPolicy::Priority for two services with one id.
+     */
     GlobalPlan plan(const std::vector<ServiceSpec> &services,
                     const Interference &itf,
                     SharingPolicy policy = SharingPolicy::Priority) const;

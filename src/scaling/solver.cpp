@@ -50,31 +50,63 @@ ServiceAllocation
 LatencyTargetSolver::solve(const ServiceScalingRequest &request,
                            const Interference &itf) const
 {
+    ServiceAllocation result;
+    result.feasible = solveWith(
+        request, itf, result.infeasibleReason,
+        [&](std::size_t index, const MicroserviceAllocation &alloc) {
+            result.perMicroservice.emplace(request.graph->nodes()[index],
+                                           alloc);
+        });
+    result.service = request.graph->service();
+    result.slaMs = request.slaMs;
+    return result;
+}
+
+IndexedAllocation
+LatencyTargetSolver::solveIndexed(const ServiceScalingRequest &request,
+                                  const Interference &itf) const
+{
+    IndexedAllocation result;
+    result.feasible = solveWith(
+        request, itf, result.infeasibleReason,
+        [&](std::size_t index, const MicroserviceAllocation &alloc) {
+            if (index == 0)
+                result.perIndex.reserve(request.graph->size());
+            result.perIndex.push_back(alloc);
+        });
+    return result;
+}
+
+template <class Sized>
+bool
+LatencyTargetSolver::solveWith(const ServiceScalingRequest &request,
+                               const Interference &itf,
+                               std::string &infeasible_reason,
+                               Sized &&sized) const
+{
     ERMS_ASSERT_MSG(request.graph != nullptr, "request requires a graph");
     const DependencyGraph &graph = *request.graph;
     const std::vector<MicroserviceId> &nodes = graph.nodes();
     const std::size_t n = nodes.size();
 
-    ServiceAllocation result;
-    result.service = graph.service();
-    result.slaMs = request.slaMs;
-
     // Per-microservice inputs, indexed like nodes(). Workloads are
-    // graph-derived, then overridden where the multiplexing planner
-    // injected priority-modified values. Pass 1 starts from interval-2
-    // bands, as the paper does (high-workload regime, cheaper in
-    // resources).
-    std::vector<double> workloads = graph.workloadsByIndex(request.workload);
+    // graph-derived unless the caller passed them. Pass 1 starts from
+    // interval-2 bands, as the paper does (high-workload regime, cheaper
+    // in resources).
+    std::vector<double> derived;
+    if (request.workloadOverride) {
+        ERMS_ASSERT_MSG(request.workloadOverride->size() == n,
+                        "workload override must be indexed like nodes()");
+    } else {
+        derived = graph.workloadsByIndex(request.workload);
+    }
+    const std::vector<double> &workloads =
+        request.workloadOverride ? *request.workloadOverride : derived;
     std::vector<const PiecewiseLatencyModel *> models(n);
     std::vector<BandChoice> bands(n);
     std::vector<MergeParams> params(n);
     for (std::size_t i = 0; i < n; ++i) {
         const MicroserviceId id = nodes[i];
-        if (request.workloadOverride) {
-            const auto it = request.workloadOverride->find(id);
-            if (it != request.workloadOverride->end())
-                workloads[i] = it->second;
-        }
         models[i] = &catalog_.model(id);
         bands[i].band = models[i]->band(itf, Interval::AboveCutoff);
         params[i].R = dominantShare(catalog_.profile(id).resources, capacity_);
@@ -104,9 +136,8 @@ LatencyTargetSolver::solve(const ServiceScalingRequest &request,
             for (const BandChoice &choice : bands)
                 all_below &= choice.interval == Interval::BelowCutoff;
             if (all_below) {
-                result.feasible = false;
-                result.infeasibleReason = err.what();
-                return result;
+                infeasible_reason = err.what();
+                return false;
             }
             // Retry at the conservative (light-load) end.
             for (std::size_t i = 0; i < n; ++i) {
@@ -133,9 +164,8 @@ LatencyTargetSolver::solve(const ServiceScalingRequest &request,
             break;
     }
     if (!have_targets) {
-        result.feasible = false;
-        result.infeasibleReason = "latency target computation diverged";
-        return result;
+        infeasible_reason = "latency target computation diverged";
+        return false;
     }
 
     // Convert targets to container counts. The final check below needs
@@ -158,13 +188,12 @@ LatencyTargetSolver::solve(const ServiceScalingRequest &request,
         double max_load = model.maxLoadForLatency(alloc.latencyTargetMs,
                                                   itf);
         if (max_load <= 0.0) {
-            result.feasible = false;
-            result.infeasibleReason =
+            infeasible_reason =
                 "latency target of " +
                 std::to_string(alloc.latencyTargetMs) +
                 "ms at microservice " + catalog_.name(id) +
                 " lies below its model floor";
-            return result;
+            return false;
         }
         // Linear bands only describe the neighbourhood of the knee; a
         // target bought far beyond it would sit past queueing saturation
@@ -186,7 +215,7 @@ LatencyTargetSolver::solve(const ServiceScalingRequest &request,
                                           1e-9)));
         predicted[i] = model.latency(
             alloc.workload / std::max(1, alloc.containers), itf);
-        result.perMicroservice.emplace(id, alloc);
+        sized(i, alloc);
     }
 
     // Final validation: §5.3.1 allows at most two passes, so a very
@@ -196,16 +225,14 @@ LatencyTargetSolver::solve(const ServiceScalingRequest &request,
     // deployed allocation meets the SLA.
     const double e2e = endToEndLatency(graph, predicted);
     if (e2e > request.slaMs * 1.01 + 1e-9) {
-        result.feasible = false;
-        result.infeasibleReason =
+        infeasible_reason =
             "model-predicted end-to-end latency " + std::to_string(e2e) +
             "ms exceeds the SLA of " + std::to_string(request.slaMs) +
             "ms at the computed allocation";
-        return result;
+        return false;
     }
 
-    result.feasible = true;
-    return result;
+    return true;
 }
 
 } // namespace erms

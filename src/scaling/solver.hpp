@@ -21,7 +21,8 @@
 #ifndef ERMS_SCALING_SOLVER_HPP
 #define ERMS_SCALING_SOLVER_HPP
 
-#include <unordered_map>
+#include <string>
+#include <vector>
 
 #include "graph/dependency_graph.hpp"
 #include "model/catalog.hpp"
@@ -56,13 +57,24 @@ struct ServiceScalingRequest
     /** Request arrival rate at the service's root (requests/minute). */
     RequestsPerMinute workload = 0.0;
     /**
-     * Optional override of per-microservice workloads, used by the
-     * multiplexing planner to inject priority-modified workloads at
-     * shared microservices. Microservices absent from the map fall back
-     * to graph-derived workloads.
+     * Optional per-microservice workloads indexed like graph->nodes(),
+     * used instead of the ones derived from `workload`. The multiplexing
+     * planner passes priority-modified (or FCFS total) workloads at
+     * shared microservices this way. Its length must be graph->size().
      */
-    const std::unordered_map<MicroserviceId, double> *workloadOverride =
-        nullptr;
+    const std::vector<double> *workloadOverride = nullptr;
+};
+
+/** One solve's allocations by graph-local index, before they are keyed
+ *  by microservice id. */
+struct IndexedAllocation
+{
+    bool feasible = false;
+    /** Human-readable reason when infeasible. */
+    std::string infeasibleReason;
+    /** Allocations of graph.nodes()[0, perIndex.size()): every node,
+     *  unless an infeasible solve stopped part-way through sizing. */
+    std::vector<MicroserviceAllocation> perIndex;
 };
 
 /**
@@ -84,7 +96,21 @@ class LatencyTargetSolver
     ServiceAllocation solve(const ServiceScalingRequest &request,
                             const Interference &itf) const;
 
+    /** The same solve with its allocations kept by graph-local index;
+     *  solve() emplaces the same allocations into perMicroservice in
+     *  nodes() order. */
+    IndexedAllocation solveIndexed(const ServiceScalingRequest &request,
+                                   const Interference &itf) const;
+
   private:
+    /** The solve itself: hands each sized microservice's allocation to
+     *  sized(index, allocation) in nodes() order, and returns
+     *  feasibility. */
+    template <class Sized>
+    bool solveWith(const ServiceScalingRequest &request,
+                   const Interference &itf, std::string &infeasible_reason,
+                   Sized &&sized) const;
+
     const MicroserviceCatalog &catalog_;
     ClusterCapacity capacity_;
     SolverOptions options_;

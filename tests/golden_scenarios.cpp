@@ -626,16 +626,12 @@ plannerImpl()
                        literal.plan(servicesAt(0.5), points.back()));
 
     // A single solve with injected workloads, as Step 3 of the priority
-    // planner does: every third microservice doubled, plus an id the
-    // graph does not contain.
+    // planner does: every third microservice doubled.
     const DependencyGraph &graph = trace.graphs.front();
-    std::unordered_map<MicroserviceId, double> injected;
-    const auto derived = graph.workloads(trace.workloads.front());
-    for (std::size_t i = 0; i < graph.nodes().size(); i += 3) {
-        const MicroserviceId id = graph.nodes()[i];
-        injected.emplace(id, 2.0 * derived.at(id));
-    }
-    injected.emplace(kInvalidMicroservice - 1, 1.0);
+    std::vector<double> injected =
+        graph.workloadsByIndex(trace.workloads.front());
+    for (std::size_t i = 0; i < injected.size(); i += 3)
+        injected[i] = 2.0 * injected[i];
     ServiceScalingRequest request;
     request.graph = &graph;
     request.slaMs = trace.slaMs.front();

@@ -182,11 +182,46 @@ TEST(Catalog, ModelAttachment)
     EXPECT_GT(catalog.model(id).cutoff({0.0, 0.0}), 0.0);
 }
 
+TEST(Catalog, ModelReferenceSurvivesLaterRegistrations)
+{
+    MicroserviceCatalog catalog;
+    const MicroserviceId id = catalog.add(testProfile());
+    catalog.setModel(id, approximateModelFromProfile(testProfile()));
+    const PiecewiseLatencyModel &model = catalog.model(id);
+    const Interference itf{0.3, 0.2};
+    const double cutoff = model.cutoff(itf);
+    const double latency = model.latency(0.5 * cutoff, itf);
+
+    // Enough registrations to move any contiguous store several times.
+    SyntheticModelConfig other;
+    other.cutoffAtZero = 2.0 * cutoff;
+    for (int k = 0; k < 1000; ++k) {
+        const MicroserviceId next = catalog.add(testProfile());
+        if (k % 2 == 0)
+            catalog.setModel(next, makeSyntheticModel(other));
+    }
+    catalog.setModel(id + 2, makeSyntheticModel(other));
+
+    ASSERT_EQ(&catalog.model(id), &model);
+    EXPECT_EQ(model.cutoff(itf), cutoff);
+    EXPECT_EQ(model.latency(0.5 * cutoff, itf), latency);
+    EXPECT_TRUE(catalog.hasModel(id + 2));
+    EXPECT_FALSE(catalog.hasModel(id + 4));
+    EXPECT_FALSE(
+        catalog.hasModel(static_cast<MicroserviceId>(catalog.size())));
+
+    // Replacing the model updates the value behind the same reference.
+    catalog.setModel(id, makeSyntheticModel(other));
+    ASSERT_EQ(&catalog.model(id), &model);
+    EXPECT_EQ(model.cutoff(itf), makeSyntheticModel(other).cutoff(itf));
+}
+
 TEST(Catalog, UnknownIdThrows)
 {
     MicroserviceCatalog catalog;
     EXPECT_THROW(catalog.profile(0), ErmsError);
     EXPECT_THROW(catalog.name(5), ErmsError);
+    EXPECT_THROW(catalog.model(0), ErmsError);
 }
 
 TEST(Catalog, IdsAreDense)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/applications.hpp"
+#include "common/error.hpp"
 #include "scaling/multiplexing.hpp"
 
 namespace erms {
@@ -170,6 +171,46 @@ TEST_F(MultiplexingTest, SingleServiceDegeneratesToBasicSolve)
     ASSERT_TRUE(p.feasible);
     EXPECT_TRUE(p.priorityOrder.empty());
     ASSERT_EQ(p.services.size(), 1u);
+}
+
+TEST_F(MultiplexingTest, DuplicateServiceIdRejectedUnderPriority)
+{
+    services[1].id = services[0].id;
+    MultiplexingPlanner planner(catalog, capacity);
+    try {
+        planner.plan(services, {0.3, 0.3}, SharingPolicy::Priority);
+        FAIL() << "duplicate service ids were accepted";
+    } catch (const ErmsError &err) {
+        EXPECT_NE(std::string(err.what()).find(
+                      "service id " + std::to_string(services[0].id) + " "),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
+TEST_F(MultiplexingTest, NodeOutsideCatalogThrows)
+{
+    const MicroserviceId past_end =
+        static_cast<MicroserviceId>(catalog.size());
+    for (MicroserviceId bad : {past_end, kInvalidMicroservice - 1}) {
+        DependencyGraph graph(services.back().id + 1, idU);
+        graph.addCall(idU, bad, 0);
+        ServiceSpec extra;
+        extra.id = graph.service();
+        extra.graph = &graph;
+        extra.slaMs = 300.0;
+        extra.workload = 1000.0;
+        std::vector<ServiceSpec> with_bad = services;
+        with_bad.push_back(extra);
+        MultiplexingPlanner planner(catalog, capacity);
+        for (SharingPolicy policy :
+             {SharingPolicy::Priority, SharingPolicy::FcfsSharing,
+              SharingPolicy::NonSharing}) {
+            EXPECT_THROW(planner.plan(with_bad, {0.3, 0.3}, policy),
+                         ErmsError)
+                << bad;
+        }
+    }
 }
 
 } // namespace

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
+#include "common/rng.hpp"
 #include "model/catalog.hpp"
 #include "provision/batch_placement.hpp"
 #include "provision/interference_aware.hpp"
@@ -109,6 +114,196 @@ TEST(InterferenceAware, PopGroupsRestrictCandidates)
     const std::size_t second = policy.placeContainer(hosts, 1.0, 1000.0);
     EXPECT_LT(first, 2u);
     EXPECT_GE(second, 2u);
+}
+
+/**
+ * The interference-aware scorer as it evaluated every candidate by
+ * recomputing each host's predicted utilization in place: the reference
+ * the hoisted scorer must match pick for pick.
+ */
+class ReferenceScan
+{
+  public:
+    explicit ReferenceScan(std::size_t pop_group_size)
+        : popGroupSize_(pop_group_size)
+    {
+    }
+
+    std::size_t
+    placeContainer(const std::vector<HostView> &hosts,
+                   double cpu_request_cores, double mem_request_mb)
+    {
+        std::size_t begin = 0;
+        std::size_t end = hosts.size();
+        if (popGroupSize_ > 0 && popGroupSize_ < hosts.size()) {
+            const std::size_t groups =
+                (hosts.size() + popGroupSize_ - 1) / popGroupSize_;
+            const std::size_t group = nextGroup_++ % groups;
+            begin = group * popGroupSize_;
+            end = std::min(hosts.size(), begin + popGroupSize_);
+        }
+
+        std::size_t best = begin;
+        double best_score = std::numeric_limits<double>::infinity();
+        for (std::size_t i = begin; i < end; ++i) {
+            const double score = unbalanceWithDelta(
+                hosts, begin, end, i, cpu_request_cores, mem_request_mb);
+            if (score < best_score) {
+                best_score = score;
+                best = i;
+            }
+        }
+        return best;
+    }
+
+    static std::size_t
+    evictContainer(const std::vector<HostView> &hosts,
+                   const std::vector<std::size_t> &candidates,
+                   double cpu_request_cores, double mem_request_mb)
+    {
+        std::size_t best = 0;
+        double best_score = std::numeric_limits<double>::infinity();
+        for (std::size_t k = 0; k < candidates.size(); ++k) {
+            const double score = unbalanceWithDelta(
+                hosts, 0, hosts.size(), candidates[k], -cpu_request_cores,
+                -mem_request_mb);
+            if (score < best_score) {
+                best_score = score;
+                best = k;
+            }
+        }
+        return best;
+    }
+
+    static double
+    unbalance(const std::vector<HostView> &hosts)
+    {
+        return unbalanceWithDelta(hosts, 0, hosts.size(), hosts.size(), 0.0,
+                                  0.0);
+    }
+
+  private:
+    static double
+    predictedCpu(const HostView &host, double extra_cores = 0.0)
+    {
+        return host.backgroundCpuUtil +
+               (host.cpuAllocatedCores + extra_cores) / host.cpuCapacityCores;
+    }
+
+    static double
+    predictedMem(const HostView &host, double extra_mb = 0.0)
+    {
+        return host.backgroundMemUtil +
+               (host.memAllocatedMb + extra_mb) / host.memCapacityMb;
+    }
+
+    static double
+    unbalanceWithDelta(const std::vector<HostView> &hosts,
+                       std::size_t begin, std::size_t end,
+                       std::size_t delta_index, double dcpu_cores,
+                       double dmem_mb)
+    {
+        double cpu_sum = 0.0, mem_sum = 0.0;
+        for (std::size_t i = begin; i < end; ++i) {
+            cpu_sum +=
+                predictedCpu(hosts[i], i == delta_index ? dcpu_cores : 0.0);
+            mem_sum +=
+                predictedMem(hosts[i], i == delta_index ? dmem_mb : 0.0);
+        }
+        const double n = static_cast<double>(end - begin);
+        const double cpu_mean = cpu_sum / n;
+        const double mem_mean = mem_sum / n;
+
+        double total = 0.0;
+        for (std::size_t i = begin; i < end; ++i) {
+            const double cpu =
+                predictedCpu(hosts[i], i == delta_index ? dcpu_cores : 0.0);
+            const double mem =
+                predictedMem(hosts[i], i == delta_index ? dmem_mb : 0.0);
+            total += std::fabs(cpu - cpu_mean) + std::fabs(mem - mem_mean);
+        }
+        return total;
+    }
+
+    std::size_t popGroupSize_;
+    std::size_t nextGroup_ = 0;
+};
+
+/** A fleet of `size` hosts: random loads, or identical hosts whose
+ *  candidates all tie until rounding separates them. */
+std::vector<HostView>
+scorerFleet(std::size_t size, bool tied, Rng &rng)
+{
+    std::vector<HostView> hosts(size);
+    for (std::size_t h = 0; h < size; ++h) {
+        HostView &host = hosts[h];
+        host.id = static_cast<HostId>(h);
+        host.cpuAllocatedCores = tied ? 3.3 : rng.uniform(0.0, 8.0);
+        host.memAllocatedMb = tied ? 7100.0 : rng.uniform(0.0, 16000.0);
+        host.backgroundCpuUtil = tied ? 0.1 : rng.uniform(0.0, 0.5);
+        host.backgroundMemUtil = tied ? 0.7 : rng.uniform(0.0, 0.5);
+    }
+    return hosts;
+}
+
+TEST(InterferenceAware, ScorerMatchesReference)
+{
+    Rng rng(2023);
+    std::size_t compared = 0;
+    for (std::size_t size : {1, 2, 63, 64, 65, 130, 1000}) {
+        for (std::size_t group : {0, 7, 64}) {
+            for (bool tied : {false, true}) {
+                for (bool zero_request : {false, true}) {
+                    auto hosts = scorerFleet(size, tied, rng);
+                    ProvisionConfig config;
+                    config.popGroupSize = group;
+                    InterferenceAwarePlacement policy(config);
+                    ReferenceScan reference(group);
+                    const double cpu = zero_request ? 0.0 : 0.3;
+                    const double mem = zero_request ? 0.0 : 512.0;
+                    // Every group several times over; whole-fleet scans
+                    // of the large fleet cost O(size^2) each.
+                    const std::size_t group_hosts =
+                        group == 0 ? size : std::min(size, group);
+                    const int steps =
+                        group_hosts >= 500 ? 4
+                                           : static_cast<int>(
+                                                 3 * (size / group_hosts) + 5);
+                    for (int step = 0; step < steps; ++step) {
+                        const std::size_t pick =
+                            policy.placeContainer(hosts, cpu, mem);
+                        ASSERT_EQ(pick,
+                                  reference.placeContainer(hosts, cpu, mem))
+                            << "size " << size << " group " << group
+                            << " tied " << tied << " zero " << zero_request
+                            << " step " << step;
+                        hosts[pick].cpuAllocatedCores += cpu;
+                        hosts[pick].memAllocatedMb += mem;
+                        ++compared;
+
+                        // Unsorted candidates, repeats allowed.
+                        std::vector<std::size_t> candidates(
+                            1 + static_cast<std::size_t>(
+                                    rng.uniformInt(0, 11)));
+                        for (std::size_t &c : candidates)
+                            c = static_cast<std::size_t>(rng.uniformInt(
+                                0, static_cast<std::int64_t>(size) - 1));
+                        ASSERT_EQ(policy.evictContainer(hosts, candidates,
+                                                        cpu, mem),
+                                  ReferenceScan::evictContainer(
+                                      hosts, candidates, cpu, mem))
+                            << "size " << size << " group " << group
+                            << " tied " << tied << " zero " << zero_request
+                            << " step " << step;
+                        ++compared;
+                    }
+                    EXPECT_EQ(InterferenceAwarePlacement::unbalance(hosts),
+                              ReferenceScan::unbalance(hosts));
+                }
+            }
+        }
+    }
+    EXPECT_GT(compared, 1000u);
 }
 
 TEST(BinPack, FillsMostAllocatedThatFits)

@@ -171,9 +171,9 @@ TEST_F(SolverTest, WorkloadOverrideChangesSizing)
 
     const auto base = solver.solve(request, {});
 
-    std::unordered_map<MicroserviceId, double> override_map{
-        {idP, 80000.0}};
-    request.workloadOverride = &override_map;
+    std::vector<double> workloads = graph->workloadsByIndex(10000.0);
+    workloads[graph->indexOf(idP)] = 80000.0;
+    request.workloadOverride = &workloads;
     const auto overridden = solver.solve(request, {});
 
     ASSERT_TRUE(base.feasible && overridden.feasible);
@@ -184,16 +184,18 @@ TEST_F(SolverTest, WorkloadOverrideChangesSizing)
     EXPECT_DOUBLE_EQ(overridden.perMicroservice.at(idU).workload, 10000.0);
 }
 
-TEST_F(SolverTest, OverrideForAbsentMicroserviceIgnored)
+TEST_F(SolverTest, OverrideNotIndexedLikeNodesIsInternalError)
 {
     LatencyTargetSolver solver(catalog, capacity);
     ServiceScalingRequest request;
     request.graph = graph.get();
     request.slaMs = 200.0;
     request.workload = 10000.0;
-    std::unordered_map<MicroserviceId, double> override_map{{999, 5.0}};
-    request.workloadOverride = &override_map;
-    EXPECT_TRUE(solver.solve(request, {}).feasible);
+    for (std::size_t size : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+        const std::vector<double> workloads(size, 10000.0);
+        request.workloadOverride = &workloads;
+        EXPECT_THROW(solver.solve(request, {}), std::logic_error) << size;
+    }
 }
 
 TEST_F(SolverTest, TotalsAreConsistent)

@@ -216,8 +216,7 @@ main()
         std::function<void(Simulation &, int)> controller;
         switch (k) {
         case 0:
-            controller =
-                makeDynamicController(erms_controller, services, view);
+            controller = erms_controller.makeAutoscaler(services, view);
             break;
         case 1:
             controller = makeBaselineAutoscaler(

@@ -162,10 +162,9 @@ runArm(const MicroserviceCatalog &catalog, const Application &app,
     if (guarded) {
         guard = std::make_shared<telemetry::GuardedTelemetryView>(view);
         scaling = makeGuardedController(
-            makeDynamicController(controller, services, guard), guard,
-            managed);
+            controller.makeAutoscaler(services, guard), guard, managed);
     } else {
-        scaling = makeDynamicController(controller, services, view);
+        scaling = controller.makeAutoscaler(services, view);
     }
 
     // Shared accounting: container-minutes integrate the deployed

@@ -35,7 +35,9 @@
 # (whose union-schema cache outlives rounds) under ASan and UBSan as
 # well as TSan, and the telemetry golden under UBSan; and the event
 # queue: its unit tests (EventQueue*) under ASan and the whole event
-# engine suite, reference fuzz included, under UBSan. A first gate
+# engine suite, reference fuzz included, under UBSan; and the series
+# value-word fold the shard merge runs (the histogram merge property)
+# under UBSan as well as ASan. A first gate
 # keeps the library free of environment reads: settings reach src/
 # only through config structs, and the benches and golden tests read
 # ERMS_* variables at their edge (bench/bench_util).
@@ -106,7 +108,7 @@ cmake --build build-ubsan -j"$JOBS" \
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_foundation \
     --gtest_filter='Json*:DependencyGraph*:Catalog.*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_system \
-    --gtest_filter='*Serialization*:CriticalPaths*:EndToEndLatency*:*SolverProperty*:*MultiplexProperty*:CsvRates*:InterferenceAware.*:BatchPlacement.*'
+    --gtest_filter='*Serialization*:CriticalPaths*:EndToEndLatency*:*SolverProperty*:*MultiplexProperty*:CsvRates*:InterferenceAware.*:BatchPlacement.*:*HistogramMerge*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_shard \
     --gtest_filter='ShardMerge.*:ShardPartition.*:CoordinatedStepping.*:ShardCoordinator.*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_scaling

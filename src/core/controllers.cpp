@@ -157,14 +157,6 @@ makeCapacityRepairController(
 }
 
 std::function<void(Simulation &, int)>
-makeDynamicController(const ErmsController &controller,
-                      std::vector<ServiceSpec> services,
-                      std::shared_ptr<const telemetry::TelemetryView> view)
-{
-    return controller.makeAutoscaler(std::move(services), std::move(view));
-}
-
-std::function<void(Simulation &, int)>
 makeControllerByName(const std::string &name,
                      const MicroserviceCatalog &catalog,
                      std::vector<ServiceSpec> services,
@@ -495,17 +487,6 @@ makeMarketController(std::function<void(Simulation &, int)> inner,
                 if (count != sim.containerCount(ms))
                     sim.setContainerCount(ms, count);
         }
-    };
-}
-
-std::function<void(Simulation &, int)>
-chainControllers(
-    std::vector<std::function<void(Simulation &, int)>> controllers)
-{
-    return [controllers = std::move(controllers)](Simulation &sim,
-                                                  int minute) {
-        for (const auto &controller : controllers)
-            controller(sim, minute);
     };
 }
 

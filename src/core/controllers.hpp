@@ -72,18 +72,6 @@ makeCapacityRepairController(
     std::shared_ptr<const telemetry::TelemetryView> view = nullptr);
 
 /**
- * The Erms dynamic controller of Fig. 13 driven by scraped telemetry:
- * a named wrapper over ErmsController::makeAutoscaler(services, view)
- * for symmetry with the other controller factories. Passing a null
- * view yields the oracle-observing autoscaler unchanged.
- */
-class ErmsController;
-std::function<void(Simulation &, int)>
-makeDynamicController(
-    const ErmsController &controller, std::vector<ServiceSpec> services,
-    std::shared_ptr<const telemetry::TelemetryView> view = nullptr);
-
-/**
  * Controller registry by name — "erms" (a default-config ErmsController
  * owned by the returned closure), "grandslam"/"rhythm" (baseline
  * autoscalers at the dynamic-operation headroom of 1.2), or "firm"
@@ -267,14 +255,6 @@ std::function<void(Simulation &, int)>
 makeMarketController(std::function<void(Simulation &, int)> inner,
                      std::shared_ptr<market::TenantMarket> tenant_market,
                      std::vector<MarketTenantServices> tenants);
-
-/**
- * Run several minute controllers in sequence (e.g. capacity repair
- * followed by an autoscaler) under one Simulation minute callback.
- */
-std::function<void(Simulation &, int)>
-chainControllers(std::vector<std::function<void(Simulation &, int)>>
-                     controllers);
 
 } // namespace erms
 

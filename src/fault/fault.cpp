@@ -19,7 +19,8 @@ constexpr SimTime kMinuteUs = 60ULL * 1000ULL * 1000ULL;
 constexpr std::uint64_t kCrashStream = 0;
 constexpr std::uint64_t kSlowdownStream = 3;
 
-/** Poisson arrival times on [0, horizon) at `per_minute` events/min. */
+} // namespace
+
 std::vector<SimTime>
 poissonTimes(Rng &rng, double per_minute, SimTime horizon)
 {
@@ -36,8 +37,6 @@ poissonTimes(Rng &rng, double per_minute, SimTime horizon)
     }
     return times;
 }
-
-} // namespace
 
 bool
 FaultConfig::anyFaults() const
@@ -66,6 +65,33 @@ buildAzEventSchedule(const AzEventConfig &config, SimTime horizon)
         events.push_back(event);
     }
     return events;
+}
+
+void
+addAzHostWindows(std::vector<HostWindow> &windows,
+                 const std::vector<AzEvent> &events, int az_count,
+                 int host_count)
+{
+    for (const AzEvent &event : events) {
+        for (HostId host = 0; host < static_cast<HostId>(host_count);
+             ++host) {
+            if (azOfHost(host, az_count) != event.az)
+                continue;
+            HostWindow window;
+            window.start = event.start;
+            window.end = event.end;
+            window.host = host;
+            windows.push_back(window);
+        }
+    }
+    std::sort(windows.begin(), windows.end(),
+              [](const HostWindow &a, const HostWindow &b) {
+                  if (a.start != b.start)
+                      return a.start < b.start;
+                  if (a.end != b.end)
+                      return a.end < b.end;
+                  return a.host < b.host;
+              });
 }
 
 FaultSchedule
@@ -101,27 +127,9 @@ buildFaultSchedule(const FaultConfig &config, int host_count,
         // the struck AZ straggles for the window. The identical event
         // list drives the telemetry plane (buildTelemetryFaultSchedule)
         // when the same AzEventConfig is set there.
-        for (const AzEvent &event :
-             buildAzEventSchedule(config.azEvents, horizon)) {
-            for (HostId host = 0;
-                 host < static_cast<HostId>(host_count); ++host) {
-                if (azOfHost(host, config.azEvents.azCount) != event.az)
-                    continue;
-                SlowdownWindow window;
-                window.start = event.start;
-                window.end = event.end;
-                window.host = host;
-                schedule.slowdowns.push_back(window);
-            }
-        }
-        std::sort(schedule.slowdowns.begin(), schedule.slowdowns.end(),
-                  [](const SlowdownWindow &a, const SlowdownWindow &b) {
-                      if (a.start != b.start)
-                          return a.start < b.start;
-                      if (a.end != b.end)
-                          return a.end < b.end;
-                      return a.host < b.host;
-                  });
+        addAzHostWindows(schedule.slowdowns,
+                         buildAzEventSchedule(config.azEvents, horizon),
+                         config.azEvents.azCount, host_count);
     }
     return schedule;
 }

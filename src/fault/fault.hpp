@@ -30,6 +30,24 @@
 
 namespace erms {
 
+class Rng;
+
+/** Poisson arrival times on [0, horizon) at `per_minute` events/min,
+ *  drawn from `rng`; empty when the rate is not positive. Every fault
+ *  schedule of both planes draws its times here. */
+std::vector<SimTime> poissonTimes(Rng &rng, double per_minute,
+                                  SimTime horizon);
+
+/** One window [start, end) on one host: a straggler on the data plane
+ *  (SlowdownWindow), a gauge blackout on the telemetry plane
+ *  (BlackoutWindow in telemetry_fault.hpp). */
+struct HostWindow
+{
+    SimTime start = 0;
+    SimTime end = 0;
+    HostId host = kInvalidHost;
+};
+
 /**
  * Correlated AZ/host-group events — the failure class where one
  * physical incident (a zone's power feed, a ToR switch) degrades the
@@ -98,6 +116,14 @@ azOfHost(HostId host, int az_count)
  */
 std::vector<AzEvent> buildAzEventSchedule(const AzEventConfig &config,
                                           SimTime horizon);
+
+/** Append to `windows` one window per host of the struck AZ for every
+ *  event, over `host_count` hosts in `az_count` groups, then sort all
+ *  of `windows` by (start, end, host). Both planes expand their AZ
+ *  events here. */
+void addAzHostWindows(std::vector<HostWindow> &windows,
+                      const std::vector<AzEvent> &events, int az_count,
+                      int host_count);
 
 /**
  * Knobs of the fault injector. All rates default to zero: a
@@ -187,12 +213,7 @@ struct CrashEvent
 };
 
 /** One scheduled host slowdown window. */
-struct SlowdownWindow
-{
-    SimTime start = 0;
-    SimTime end = 0;
-    HostId host = kInvalidHost;
-};
+using SlowdownWindow = HostWindow;
 
 /** Precomputed fault schedule of one run (time-ascending). */
 struct FaultSchedule

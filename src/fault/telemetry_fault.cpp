@@ -1,11 +1,8 @@
 #include "telemetry_fault.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <map>
-#include <span>
 #include <string>
 
 #include "common/error.hpp"
@@ -18,8 +15,6 @@ namespace {
 using telemetry::MetricKind;
 using telemetry::SeriesSchema;
 using telemetry::TelemetrySnapshot;
-
-constexpr SimTime kMinuteUs = 60ULL * 1000ULL * 1000ULL;
 
 // Decision-stream indexes of the telemetry fault seed. Each fault class
 // draws from its own derived stream so changing one knob never shifts
@@ -77,42 +72,6 @@ seriesHash(const SeriesSchema::Series &s)
     return h;
 }
 
-/** Poisson arrival times on [0, horizon) at `per_minute` events/min
- *  (mirrors the data-plane schedule builder in fault.cpp). */
-std::vector<SimTime>
-poissonTimes(Rng &rng, double per_minute, SimTime horizon)
-{
-    std::vector<SimTime> times;
-    if (per_minute <= 0.0)
-        return times;
-    const double mean_gap_us = static_cast<double>(kMinuteUs) / per_minute;
-    double t = 0.0;
-    for (;;) {
-        t += std::max(1.0, rng.exponential(mean_gap_us));
-        if (t >= static_cast<double>(horizon))
-            break;
-        times.push_back(static_cast<SimTime>(t));
-    }
-    return times;
-}
-
-bool
-isHostGaugeSeries(const SeriesSchema::Series &s)
-{
-    return s.name == "erms_host_cpu_util" || s.name == "erms_host_mem_util";
-}
-
-HostId
-hostOfSeries(const SeriesSchema::Series &s)
-{
-    for (const auto &[key, value] : s.labels) {
-        if (key == "host")
-            return static_cast<HostId>(std::strtoul(value.c_str(),
-                                                    nullptr, 10));
-    }
-    return kInvalidHost;
-}
-
 } // namespace
 
 bool
@@ -151,26 +110,8 @@ buildTelemetryFaultSchedule(const TelemetryFaultConfig &config,
         // perturb() against this list.
         schedule.azEvents =
             buildAzEventSchedule(config.azEvents, horizon);
-        for (const AzEvent &event : schedule.azEvents) {
-            for (HostId host = 0;
-                 host < static_cast<HostId>(host_count); ++host) {
-                if (azOfHost(host, config.azEvents.azCount) != event.az)
-                    continue;
-                BlackoutWindow window;
-                window.start = event.start;
-                window.end = event.end;
-                window.host = host;
-                schedule.blackouts.push_back(window);
-            }
-        }
-        std::sort(schedule.blackouts.begin(), schedule.blackouts.end(),
-                  [](const BlackoutWindow &a, const BlackoutWindow &b) {
-                      if (a.start != b.start)
-                          return a.start < b.start;
-                      if (a.end != b.end)
-                          return a.end < b.end;
-                      return a.host < b.host;
-                  });
+        addAzHostWindows(schedule.blackouts, schedule.azEvents,
+                         config.azEvents.azCount, host_count);
     }
     return schedule;
 }
@@ -189,7 +130,6 @@ SeriesCorruptor::corrupt(std::vector<TelemetrySnapshot> snaps) const
 
     // The targeted ids of the schema last seen: consecutive scrapes
     // mostly share one, so each run of them works its targets out once.
-    const std::string target = std::to_string(config_.service);
     const SeriesSchema *seen = nullptr;
     std::vector<std::size_t> targets;
     const auto targetsOf = [&](const TelemetrySnapshot &snap)
@@ -200,21 +140,12 @@ SeriesCorruptor::corrupt(std::vector<TelemetrySnapshot> snaps) const
         targets.clear();
         for (std::size_t id = 0; id < snap.size(); ++id) {
             const SeriesSchema::Series &s = (*snap.schema)[id];
-            if (s.kind != MetricKind::Counter)
-                continue;
-            for (const auto &[key, value] : s.labels) {
-                if (key == "service") {
-                    if (value == target)
-                        targets.push_back(id);
-                    break;
-                }
-            }
+            if (s.kind == MetricKind::Counter &&
+                telemetry::labelId(s.labels, telemetry::kServiceLabel) ==
+                    config_.service)
+                targets.push_back(id);
         }
         return targets;
-    };
-    const auto value = [](TelemetrySnapshot &snap,
-                          std::size_t id) -> std::uint64_t & {
-        return snap.values[(*snap.schema)[id].offset];
     };
 
     // Frozen/Negated anchor on the first scrape in which each series
@@ -224,12 +155,13 @@ SeriesCorruptor::corrupt(std::vector<TelemetrySnapshot> snaps) const
     if (config_.mode != SeriesCorruptionConfig::Mode::Scaled) {
         for (TelemetrySnapshot &snap : snaps)
             for (std::size_t id : targetsOf(snap))
-                anchors.emplace((*snap.schema)[id].name, value(snap, id));
+                anchors.emplace((*snap.schema)[id].name,
+                                snap.words(id).counter());
     }
 
     for (TelemetrySnapshot &snap : snaps) {
         for (std::size_t id : targetsOf(snap)) {
-            std::uint64_t &counter = value(snap, id);
+            std::uint64_t &counter = snap.words(id).counter();
             switch (config_.mode) {
             case SeriesCorruptionConfig::Mode::Scaled:
                 counter = static_cast<std::uint64_t>(
@@ -267,8 +199,12 @@ PerturbationCache::facts(const std::shared_ptr<const SeriesSchema> &schema)
         for (std::size_t id = 0; id < schema->size(); ++id) {
             const SeriesSchema::Series &s = (*schema)[id];
             facts.salt.push_back(seriesHash(s));
-            facts.gaugeHost.push_back(isHostGaugeSeries(s) ? hostOfSeries(s)
-                                                           : kInvalidHost);
+            const bool host_gauge = s.name == telemetry::kHostCpuUtil ||
+                                    s.name == telemetry::kHostMemUtil;
+            facts.gaugeHost.push_back(
+                host_gauge ? telemetry::labelId(s.labels, telemetry::kHostLabel)
+                                 .value_or(kInvalidHost)
+                           : kInvalidHost);
         }
     }
     return facts;
@@ -327,14 +263,6 @@ TelemetryFaultInjector::activeAzEvent(SimTime at) const
         if (event.covers(at))
             return true;
     return false;
-}
-
-PerturbedScrape
-TelemetryFaultInjector::perturbScrape(std::size_t i,
-                                      const TelemetrySnapshot &snap) const
-{
-    PerturbationCache cache;
-    return perturbScrape(i, snap, cache);
 }
 
 PerturbedScrape
@@ -426,21 +354,19 @@ TelemetryFaultInjector::perturbScrape(std::size_t i,
     }
     p.schema = dropped.empty() ? snap.schema
                                : cache.subset(snap.schema, dropped);
-    p.values.reserve(p.schema->valueCount());
+    p.values.resize(p.schema->valueCount());
 
     auto next_dropped = dropped.begin();
+    std::size_t kept = 0;
     for (std::size_t id = 0; id < schema.size(); ++id) {
         if (next_dropped != dropped.end() && *next_dropped == id) {
             ++next_dropped;
             continue;
         }
         const SeriesSchema::Series &s = schema[id];
-        const std::size_t first = p.values.size();
-        const std::uint64_t *src = snap.values.data() + s.offset;
-        p.values.insert(p.values.end(), src,
-                        src + telemetry::valueWords(s.kind,
-                                                    s.boundaries.size()));
-        std::uint64_t *v = p.values.data() + first;
+        const auto src = snap[id].words();
+        const auto v = p.words(kept++);
+        std::copy_n(src.data(), src.size(), v.data());
         const std::uint64_t salt = facts.salt[id];
 
         if (s.kind == MetricKind::Counter &&
@@ -454,33 +380,26 @@ TelemetryFaultInjector::perturbScrape(std::size_t i,
                 toUniform(saltWord(counter_word, salt ^ 0x5eedULL));
             const double f = config_.counterDropFloor +
                              u * (0.9 - config_.counterDropFloor);
-            v[0] = static_cast<std::uint64_t>(static_cast<double>(v[0]) * f);
+            v.counter() = static_cast<std::uint64_t>(
+                static_cast<double>(v.counter()) * f);
         }
 
         if (s.kind == MetricKind::Histogram) {
-            // v: count, sum bits, then boundaries + 1 buckets.
-            std::uint64_t &count = v[0];
-            const auto sum = [&v] { return std::bit_cast<double>(v[1]); };
-            const auto setSum = [&v](double x) {
-                v[1] = std::bit_cast<std::uint64_t>(x);
-            };
-            const std::span<std::uint64_t> buckets(v + 2,
-                                                   s.boundaries.size() + 1);
             if (config_.spanLossProbability > 0.0) {
                 // Collector backpressure: a uniform fraction of the
                 // cumulative span mass is gone at this scrape.
                 const double u = toUniform(saltWord(span_word, salt));
                 const double f = 1.0 - config_.spanLossProbability * u;
                 std::uint64_t total = 0;
-                for (std::uint64_t &b : buckets) {
+                for (std::uint64_t &b : v.buckets()) {
                     b = static_cast<std::uint64_t>(
                         static_cast<double>(b) * f);
                     total += b;
                 }
-                count = total;
-                setSum(sum() * f);
+                v.count() = total;
+                v.setSum(v.sum() * f);
             }
-            if (config_.outlierProbability > 0.0 && count > 0 &&
+            if (config_.outlierProbability > 0.0 && v.count() > 0 &&
                 toUniform(saltWord(outlier_word, salt)) <
                     config_.outlierProbability) {
                 // A corrupted batch of spans: phantom mass in the
@@ -488,12 +407,12 @@ TelemetryFaultInjector::perturbScrape(std::size_t i,
                 // boundary.
                 const std::uint64_t phantom = std::max<std::uint64_t>(
                     1, static_cast<std::uint64_t>(
-                           static_cast<double>(count) *
+                           static_cast<double>(v.count()) *
                            config_.outlierFraction));
-                buckets.back() += phantom;
-                count += phantom;
-                setSum(sum() + static_cast<double>(phantom) *
-                                   s.boundaries.back() * 4.0);
+                v.buckets().back() += phantom;
+                v.count() += phantom;
+                v.setSum(v.sum() + static_cast<double>(phantom) *
+                                       s.boundaries.back() * 4.0);
             }
         }
     }

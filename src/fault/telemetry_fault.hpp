@@ -124,12 +124,7 @@ struct TelemetryFaultConfig
 };
 
 /** One scheduled per-host metric blackout window. */
-struct BlackoutWindow
-{
-    SimTime start = 0;
-    SimTime end = 0;
-    HostId host = kInvalidHost;
-};
+using BlackoutWindow = HostWindow;
 
 /** Precomputed blackout + AZ-event schedule of one run. */
 struct TelemetryFaultSchedule
@@ -288,11 +283,6 @@ class TelemetryFaultInjector
     PerturbedScrape perturbScrape(std::size_t index,
                                   const telemetry::TelemetrySnapshot &scrape,
                                   PerturbationCache &cache) const;
-
-    /** perturbScrape() with a cache of its own. */
-    PerturbedScrape perturbScrape(std::size_t index,
-                                  const telemetry::TelemetrySnapshot &scrape)
-        const;
 
     /**
      * The perturbed snapshot stream visible once `true_snaps` have been

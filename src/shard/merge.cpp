@@ -1,65 +1,15 @@
 #include "merge.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <string>
 #include <tuple>
 
 #include "common/error.hpp"
+#include "telemetry/monitor.hpp"
 
 namespace erms::shard {
 
-namespace {
-
-using telemetry::Labels;
-using telemetry::MetricKind;
 using telemetry::SeriesSchema;
 using telemetry::TelemetrySnapshot;
-
-/** Rewrite a shard-local {host=h} label to the cluster-wide id. */
-void
-remapHostLabels(Labels &labels, int host_offset)
-{
-    if (host_offset == 0)
-        return;
-    for (auto &[key, value] : labels) {
-        if (key == "host") {
-            const long local = std::stol(value);
-            value = std::to_string(local + host_offset);
-        }
-    }
-}
-
-/** Add the `words` value words of a part series onto `into` (same
- *  kind and ladder). */
-void
-accumulateValues(std::uint64_t *into, const std::uint64_t *part,
-                 MetricKind kind, std::size_t words)
-{
-    const auto add_double = [](std::uint64_t &a, std::uint64_t b) {
-        a = std::bit_cast<std::uint64_t>(std::bit_cast<double>(a) +
-                                         std::bit_cast<double>(b));
-    };
-    switch (kind) {
-    case MetricKind::Counter:
-        into[0] += part[0];
-        break;
-    case MetricKind::Gauge:
-        // Only cluster-additive gauges (the label-free fault-schedule
-        // sizes) can collide across shards; owned-entity gauges carry
-        // service/microservice/host labels and stay disjoint.
-        add_double(into[0], part[0]);
-        break;
-    case MetricKind::Histogram:
-        for (std::size_t b = 2; b < words; ++b)
-            into[b] += part[b];
-        into[0] += part[0];
-        add_double(into[1], part[1]);
-        break;
-    }
-}
-
-} // namespace
 
 SchemaUnion
 unionSchemas(std::vector<std::shared_ptr<const SeriesSchema>> parts,
@@ -81,7 +31,9 @@ unionSchemas(std::vector<std::shared_ptr<const SeriesSchema>> parts,
         const SeriesSchema &schema = *parts[k];
         for (std::size_t id = 0; id < schema.size(); ++id) {
             Item &item = items.emplace_back(Item{schema[id], k, id});
-            remapHostLabels(item.series.labels, plan.shards[k].hostOffset);
+            telemetry::shiftHostLabel(
+                item.series.labels,
+                static_cast<HostId>(plan.shards[k].hostOffset));
         }
     }
     // Stable, so colliding series keep shard index order; each run of
@@ -126,23 +78,19 @@ foldGeneration(const SchemaUnion &u,
     TelemetrySnapshot merged;
     merged.schema = u.schema;
     merged.values.resize(u.schema->valueCount());
-    const SeriesSchema &into = *u.schema;
     for (std::size_t k = 0; k < parts.size(); ++k) {
         const TelemetrySnapshot &part = *parts[k];
         ERMS_ASSERT_MSG(part.schema == u.parts[k],
                         "snapshot schema differs from the union's part");
         merged.at = std::max(merged.at, part.at);
         for (std::size_t id = 0; id < part.size(); ++id) {
-            const SeriesSchema::Series &s = (*part.schema)[id];
             const std::size_t t = u.target[k][id];
-            const std::size_t words =
-                telemetry::valueWords(s.kind, s.boundaries.size());
-            const std::uint64_t *src = part.values.data() + s.offset;
-            std::uint64_t *dst = merged.values.data() + into[t].offset;
+            const auto src = part[id].words();
+            const auto dst = merged.words(t);
             if (u.firstPart[t] == static_cast<int>(k))
-                std::copy(src, src + words, dst);
+                std::copy_n(src.data(), src.size(), dst.data());
             else
-                accumulateValues(dst, src, s.kind, words);
+                dst.add(src);
         }
     }
     return merged;

@@ -4,14 +4,15 @@
  * simulation metrics from K independent shard simulations combine into
  * one view of the whole cluster.
  *
- * Every merge rides the library's already-proven-associative paths —
- * counter addition, Histogram bucket addition (property-pinned
- * associative/commutative), StreamingStats::merge (Chan's parallel
- * update), SampleSet concatenation — so the merged result is exactly
- * what one monitor observing all shards would have recorded. Host ids
- * are shard-local inside each Simulation; merging remaps them to
- * cluster-wide ids by the shard's hostOffset (docs/sharding.md has the
- * full dataflow diagram).
+ * Telemetry values fold through SeriesValues::add, the registry's own
+ * definition of how two series' words combine (property-pinned
+ * associative and commutative); run metrics merge as disjoint unions of
+ * per-service and per-microservice tables, concatenated profiling
+ * records and added scalar counters. Entity series are disjoint across
+ * shards, so the merged view is what one monitor observing all shards
+ * would have recorded. Host ids are shard-local inside each Simulation;
+ * merging shifts them to cluster-wide ids by the shard's hostOffset
+ * (docs/sharding.md has the full dataflow diagram).
  *
  * Determinism: merges iterate shards in index order and sort outputs by
  * the same (name, labels) / id keys the unsharded paths use, so the
@@ -69,10 +70,10 @@ unionSchemas(std::vector<std::shared_ptr<const telemetry::SeriesSchema>> parts,
 /**
  * Merge one scrape generation (entry k from shard k) whose schemas are
  * `u.parts`: allocate the merged values, then fold each part's values
- * in shard index order. Colliding series combine kind-wise: counters
- * and histogram buckets/sums add, gauges add (every colliding gauge is
- * cluster-additive). The result is stamped with the newest shard
- * scrape time.
+ * in shard index order. The first shard of a merged id copies its
+ * words; later ones fold in by SeriesValues::add (every colliding
+ * gauge is cluster-additive). The result is stamped with the newest
+ * shard scrape time.
  */
 telemetry::TelemetrySnapshot
 foldGeneration(const SchemaUnion &u,

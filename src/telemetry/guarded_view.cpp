@@ -14,7 +14,7 @@ namespace {
 constexpr int kRate = 0;
 constexpr int kServiceP95 = 1;
 constexpr int kMsTail = 2;
-constexpr int kContainers = 3;
+constexpr int kContainerCount = 3;
 constexpr int kItfCpu = 4;
 constexpr int kItfMem = 5;
 
@@ -386,7 +386,7 @@ GuardedTelemetryView::containerCount(MicroserviceId ms) const
     // container counts in large steps, so the outlier gate would
     // misfire on honest scale events.
     const double guarded = guardValue(
-        {kContainers, ms}, static_cast<double>(raw), 1.0e6,
+        {kContainerCount, ms}, static_cast<double>(raw), 1.0e6,
         /*outlier_gate=*/false);
     return static_cast<int>(guarded);
 }

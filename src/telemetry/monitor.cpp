@@ -1,29 +1,52 @@
 #include "monitor.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "trace/span.hpp"
 
 namespace erms::telemetry {
 
-namespace {
-
 Labels
 serviceLabels(ServiceId service)
 {
-    return {{"service", std::to_string(service)}};
+    return {{kServiceLabel, std::to_string(service)}};
 }
 
 Labels
 microserviceLabels(MicroserviceId ms)
 {
-    return {{"microservice", std::to_string(ms)}};
+    return {{kMicroserviceLabel, std::to_string(ms)}};
 }
 
 Labels
 hostLabels(HostId host)
 {
-    return {{"host", std::to_string(host)}};
+    return {{kHostLabel, std::to_string(host)}};
 }
+
+std::optional<std::uint32_t>
+labelId(const Labels &labels, const std::string &key)
+{
+    const auto it = std::ranges::find(labels, key, &Labels::value_type::first);
+    if (it == labels.end())
+        return std::nullopt;
+    return parseNumber<std::uint32_t>(it->second);
+}
+
+void
+shiftHostLabel(Labels &labels, HostId offset)
+{
+    const std::optional<HostId> host = labelId(labels, kHostLabel);
+    if (!host || offset == 0)
+        return;
+    const auto it =
+        std::ranges::find(labels, kHostLabel, &Labels::value_type::first);
+    it->second = std::to_string(*host + offset);
+}
+
+namespace {
 
 /** Slot `id` of an id-indexed handle table, grown on demand. */
 template <class T>
@@ -58,13 +81,13 @@ SimMonitor::serviceSeries(ServiceId service)
     if (series.requests != nullptr)
         return series;
     const Labels labels = serviceLabels(service);
-    series.requests = &registry_.counter("erms_requests_total", labels);
+    series.requests = &registry_.counter(kRequestsTotal, labels);
     series.responses = &registry_.counter("erms_responses_total", labels);
     series.failures =
         &registry_.counter("erms_request_failures_total", labels);
     series.slaViolations =
         &registry_.counter("erms_sla_violations_total", labels);
-    series.latency = &registry_.histogram("erms_request_latency_ms", labels,
+    series.latency = &registry_.histogram(kRequestLatencyMs, labels,
                                           config_.latencyBucketsMs);
     return series;
 }
@@ -76,7 +99,7 @@ SimMonitor::microserviceSeries(MicroserviceId ms)
     if (series.latency != nullptr)
         return series;
     const Labels labels = microserviceLabels(ms);
-    series.latency = &registry_.histogram("erms_ms_latency_ms", labels,
+    series.latency = &registry_.histogram(kMsLatencyMs, labels,
                                           config_.latencyBucketsMs);
     series.retries = &registry_.counter("erms_retries_total", labels);
     series.hedges = &registry_.counter("erms_hedges_total", labels);
@@ -89,7 +112,7 @@ SimMonitor::microserviceSeries(MicroserviceId ms)
         &registry_.counter("erms_container_crashes_total", labels);
     series.containerRestarts =
         &registry_.counter("erms_container_restarts_total", labels);
-    series.containers = &registry_.gauge("erms_containers", labels);
+    series.containers = &registry_.gauge(kContainers, labels);
     series.queueDepth = &registry_.gauge("erms_queue_depth", labels);
     series.busyThreads = &registry_.gauge("erms_busy_threads", labels);
     return series;
@@ -102,8 +125,8 @@ SimMonitor::hostSeries(HostId host)
     if (series.cpuUtil != nullptr)
         return series;
     const Labels labels = hostLabels(host);
-    series.cpuUtil = &registry_.gauge("erms_host_cpu_util", labels);
-    series.memUtil = &registry_.gauge("erms_host_mem_util", labels);
+    series.cpuUtil = &registry_.gauge(kHostCpuUtil, labels);
+    series.memUtil = &registry_.gauge(kHostMemUtil, labels);
     series.slowdownWindows =
         &registry_.counter("erms_slowdown_windows_total", labels);
     return series;

@@ -34,9 +34,39 @@
 #ifndef ERMS_TELEMETRY_MONITOR_HPP
 #define ERMS_TELEMETRY_MONITOR_HPP
 
+#include <optional>
+#include <string>
+
 #include "telemetry/registry.hpp"
 
 namespace erms::telemetry {
+
+// The series readers look up (views, the fault layer, the shard
+// merge) by name and entity label; SimMonitor registers under these.
+inline const std::string kRequestsTotal{"erms_requests_total"};
+inline const std::string kRequestLatencyMs{"erms_request_latency_ms"};
+inline const std::string kMsLatencyMs{"erms_ms_latency_ms"};
+inline const std::string kContainers{"erms_containers"};
+inline const std::string kHostCpuUtil{"erms_host_cpu_util"};
+inline const std::string kHostMemUtil{"erms_host_mem_util"};
+
+inline const std::string kServiceLabel{"service"};
+inline const std::string kMicroserviceLabel{"microservice"};
+inline const std::string kHostLabel{"host"};
+
+/** The labels of an entity's series: {service=id} and so on. */
+Labels serviceLabels(ServiceId service);
+Labels microserviceLabels(MicroserviceId ms);
+Labels hostLabels(HostId host);
+
+/** The id under the first `key` label of `labels`; nullopt when there
+ *  is none or its value is not a whole unsigned decimal id. */
+std::optional<std::uint32_t> labelId(const Labels &labels,
+                                     const std::string &key);
+
+/** Move a {host=h} label to h + offset (a shard-local host to its
+ *  cluster-wide id); labels without a host id stay as they are. */
+void shiftHostLabel(Labels &labels, HostId offset);
 
 /** Scrape/sampling knobs of one monitor. */
 struct MonitorConfig

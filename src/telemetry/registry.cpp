@@ -3,46 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <functional>
-#include <thread>
 #include <tuple>
 
 #include "common/error.hpp"
 
 namespace erms::telemetry {
-
-// ---------------------------------------------------------------------
-// Counter
-// ---------------------------------------------------------------------
-
-namespace {
-
-/** Stable per-thread shard index (hashed once per thread). */
-std::size_t
-threadShard()
-{
-    static thread_local const std::size_t shard =
-        std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-        Counter::kShards;
-    return shard;
-}
-
-} // namespace
-
-void
-Counter::add(std::uint64_t n)
-{
-    shards_[threadShard()].value.fetch_add(n, std::memory_order_relaxed);
-}
-
-std::uint64_t
-Counter::value() const
-{
-    std::uint64_t total = 0;
-    for (const Shard &shard : shards_)
-        total += shard.value.load(std::memory_order_relaxed);
-    return total;
-}
 
 // ---------------------------------------------------------------------
 // Gauge
@@ -137,27 +102,6 @@ double
 Histogram::quantile(double q) const
 {
     return histogramQuantile(boundaries_, bucketCounts(), q);
-}
-
-void
-Histogram::merge(const Histogram &other)
-{
-    ERMS_ASSERT_MSG(boundaries_ == other.boundaries_,
-                    "histogram merge requires identical boundaries");
-    const auto other_counts = other.bucketCounts();
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-        buckets_[i].fetch_add(other_counts[i], std::memory_order_relaxed);
-    count_.fetch_add(other.count(), std::memory_order_relaxed);
-    const double other_sum = other.sum();
-    std::uint64_t expected = sumBits_.load(std::memory_order_relaxed);
-    for (;;) {
-        const double current = std::bit_cast<double>(expected);
-        const std::uint64_t desired =
-            std::bit_cast<std::uint64_t>(current + other_sum);
-        if (sumBits_.compare_exchange_weak(expected, desired,
-                                           std::memory_order_relaxed))
-            break;
-    }
 }
 
 double
@@ -312,12 +256,6 @@ bucketsProblem(const SeriesSnapshot &s)
            " boundaries; a histogram has one bucket more than boundaries";
 }
 
-std::size_t
-valueWords(MetricKind kind, std::size_t boundaries)
-{
-    return kind == MetricKind::Histogram ? 2 + boundaries + 1 : 1;
-}
-
 // ---------------------------------------------------------------------
 // SeriesSchema
 // ---------------------------------------------------------------------
@@ -336,7 +274,8 @@ SeriesSchema::SeriesSchema(std::vector<Series> series)
                             : s.boundaries.empty(),
                         "schema histogram ladder is invalid");
         s.offset = valueCount_;
-        valueCount_ += valueWords(s.kind, s.boundaries.size());
+        valueCount_ += SeriesValues<const std::uint64_t>::wordCount(
+            s.kind, s.boundaries.size());
     }
 }
 
@@ -430,20 +369,21 @@ TelemetrySnapshot::fromSeries(SimTime at, std::vector<SeriesSnapshot> series)
     TelemetrySnapshot snap;
     snap.at = at;
     snap.schema = std::make_shared<const SeriesSchema>(std::move(identities));
-    snap.values.reserve(snap.schema->valueCount());
-    for (const SeriesSnapshot &s : series) {
+    snap.values.resize(snap.schema->valueCount());
+    for (std::size_t id = 0; id < series.size(); ++id) {
+        const SeriesSnapshot &s = series[id];
+        const SeriesValues<std::uint64_t> v = snap.words(id);
         switch (s.kind) {
           case MetricKind::Counter:
-            snap.values.push_back(s.counterValue);
+            v.counter() = s.counterValue;
             break;
           case MetricKind::Gauge:
-            snap.values.push_back(std::bit_cast<std::uint64_t>(s.gaugeValue));
+            v.setGauge(s.gaugeValue);
             break;
           case MetricKind::Histogram:
-            snap.values.push_back(s.count);
-            snap.values.push_back(std::bit_cast<std::uint64_t>(s.sum));
-            snap.values.insert(snap.values.end(), s.bucketCounts.begin(),
-                               s.bucketCounts.end());
+            v.count() = s.count;
+            v.setSum(s.sum);
+            std::ranges::copy(s.bucketCounts, v.buckets().begin());
             break;
         }
     }
@@ -577,18 +517,18 @@ MetricsRegistry::snapshot(SimTime at) const
     snap.values.resize(schema_->valueCount());
     for (std::size_t id = 0; id < order_.size(); ++id) {
         const Entry &entry = *order_[id];
-        std::uint64_t *out = snap.values.data() + (*schema_)[id].offset;
+        const SeriesValues<std::uint64_t> out = snap.words(id);
         switch (entry.kind) {
           case MetricKind::Counter:
-            out[0] = entry.counter->value();
+            out.counter() = entry.counter->value();
             break;
           case MetricKind::Gauge:
-            out[0] = std::bit_cast<std::uint64_t>(entry.gauge->value());
+            out.setGauge(entry.gauge->value());
             break;
           case MetricKind::Histogram:
-            out[0] = entry.histogram->count();
-            out[1] = std::bit_cast<std::uint64_t>(entry.histogram->sum());
-            entry.histogram->bucketCounts(out + 2);
+            out.count() = entry.histogram->count();
+            out.setSum(entry.histogram->sum());
+            entry.histogram->bucketCounts(out.buckets().data());
             break;
         }
     }

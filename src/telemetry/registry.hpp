@@ -1,12 +1,11 @@
 /**
  * @file
  * Prometheus-style metrics primitives for the online telemetry
- * subsystem: monotonic counters (sharded atomics so concurrent runner
- * workers can share one registry without contention), gauges, and
- * fixed-boundary histograms with bucket-interpolated quantile
- * estimation — the information model of the paper's §5 monitoring loop
- * (Prometheus counters + Jaeger latency spans scraped on an interval),
- * as opposed to the oracle statistics the simulator keeps internally.
+ * subsystem: monotonic counters, gauges, and fixed-boundary histograms
+ * with bucket-interpolated quantile estimation — the information model
+ * of the paper's §5 monitoring loop (Prometheus counters + Jaeger
+ * latency spans scraped on an interval), as opposed to the oracle
+ * statistics the simulator keeps internally.
  *
  * Determinism contract: recording into metrics never draws from any
  * RNG and never schedules events, so attaching telemetry to a
@@ -28,6 +27,7 @@
 #include <ranges>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -47,27 +47,26 @@ enum class MetricKind
 };
 
 /**
- * Monotonic event counter. Increments land on one of a few
- * cache-line-padded atomic shards picked by thread identity, so
- * parallel-runner workers sharing a registry never serialize on a
- * single hot cache line; value() sums the shards.
+ * Monotonic event counter: one relaxed atomic word. Each registry has
+ * one writer, its simulation's thread; the atomic keeps concurrent
+ * increments exact all the same.
  */
 class Counter
 {
   public:
-    static constexpr std::size_t kShards = 8;
-
-    void add(std::uint64_t n = 1);
+    void add(std::uint64_t n = 1)
+    {
+        value_.fetch_add(n, std::memory_order_relaxed);
+    }
     void inc() { add(1); }
 
-    std::uint64_t value() const;
+    std::uint64_t value() const
+    {
+        return value_.load(std::memory_order_relaxed);
+    }
 
   private:
-    struct alignas(64) Shard
-    {
-        std::atomic<std::uint64_t> value{0};
-    };
-    Shard shards_[kShards];
+    std::atomic<std::uint64_t> value_{0};
 };
 
 /** Last-write-wins instantaneous value (queue depth, utilization). */
@@ -109,10 +108,6 @@ class Histogram
 
     /** Estimated quantile (q in [0, 1]); 0 when empty. */
     double quantile(double q) const;
-
-    /** Accumulate another histogram (must share boundaries). Bucket
-     *  counts merge exactly; sums add in call order. */
-    void merge(const Histogram &other);
 
   private:
     std::vector<double> boundaries_;
@@ -188,8 +183,7 @@ class SeriesSchema
         Labels labels;
         MetricKind kind = MetricKind::Counter;
         std::vector<double> boundaries; ///< Histogram ladder only
-        /** First value word: a counter's value or a gauge's bits; a
-         *  histogram's count, sum bits, then boundaries + 1 buckets. */
+        /** First value word; SeriesValues lays the words out. */
         std::size_t offset = 0;
     };
 
@@ -217,9 +211,86 @@ class SeriesSchema
     std::size_t valueCount_ = 0;
 };
 
-/** Value words one series of `kind` takes: one for a counter or gauge,
- *  count + sum + boundaries + 1 buckets for a histogram. */
-std::size_t valueWords(MetricKind kind, std::size_t boundaries);
+/**
+ * One series' value words: the one definition of their layout and of
+ * how two series fold. A counter takes one word, a gauge one word (its
+ * bit pattern), and a histogram its count, its sum's bit pattern, then
+ * boundaries + 1 buckets, finite first. Over `std::uint64_t` the words
+ * are writable, over `const std::uint64_t` read-only.
+ */
+template <class Word>
+class SeriesValues
+{
+    static_assert(std::is_same_v<std::remove_const_t<Word>, std::uint64_t>);
+
+  public:
+    /** Words a series of `kind` over `boundaries` finite buckets takes. */
+    static constexpr std::size_t
+    wordCount(MetricKind kind, std::size_t boundaries)
+    {
+        return kind == MetricKind::Histogram ? 2 + boundaries + 1 : 1;
+    }
+
+    /** The words of a series of `kind` over `boundaries`, from `words`. */
+    SeriesValues(MetricKind kind, std::size_t boundaries, Word *words)
+        : kind_(kind), boundaries_(boundaries), words_(words)
+    {}
+
+    Word *data() const { return words_; }
+    std::size_t size() const { return wordCount(kind_, boundaries_); }
+
+    Word &counter() const { return words_[0]; }
+
+    double gauge() const { return std::bit_cast<double>(words_[0]); }
+    void
+    setGauge(double v) const
+        requires(!std::is_const_v<Word>)
+    {
+        words_[0] = std::bit_cast<std::uint64_t>(v);
+    }
+
+    /** Histogram observations. */
+    Word &count() const { return words_[0]; }
+    double sum() const { return std::bit_cast<double>(words_[1]); }
+    void
+    setSum(double v) const
+        requires(!std::is_const_v<Word>)
+    {
+        words_[1] = std::bit_cast<std::uint64_t>(v);
+    }
+    /** Histogram buckets, finite first, +inf last. */
+    std::span<Word> buckets() const { return {words_ + 2, boundaries_ + 1}; }
+
+    /**
+     * Fold `part`, a series of the same kind and ladder, into these
+     * words: counters, histogram counts and buckets add as integers; a
+     * gauge or a histogram sum adds once as a double, this + part.
+     */
+    void
+    add(const SeriesValues<const std::uint64_t> &part) const
+        requires(!std::is_const_v<Word>)
+    {
+        switch (kind_) {
+        case MetricKind::Counter:
+            counter() += part.counter();
+            break;
+        case MetricKind::Gauge:
+            setGauge(gauge() + part.gauge());
+            break;
+        case MetricKind::Histogram:
+            count() += part.count();
+            setSum(sum() + part.sum());
+            for (std::size_t b = 0; b <= boundaries_; ++b)
+                buckets()[b] += part.buckets()[b];
+            break;
+        }
+    }
+
+  private:
+    MetricKind kind_;
+    std::size_t boundaries_;
+    Word *words_;
+};
 
 /** One series of one snapshot, by reference: its identity in the
  *  schema and its values. Valid while the snapshot lives unchanged. */
@@ -239,31 +310,35 @@ class SeriesRef
         return series_->boundaries;
     }
 
+    /** The series' value words, read-only. */
+    SeriesValues<const std::uint64_t>
+    words() const
+    {
+        return {kind(), boundaries().size(), values_};
+    }
+
     /** Counter value (0 for other kinds). */
     std::uint64_t
     counterValue() const
     {
-        return kind() == MetricKind::Counter ? values_[0] : 0;
+        return kind() == MetricKind::Counter ? words().counter() : 0;
     }
     /** Gauge value (0 for other kinds). */
     double
     gaugeValue() const
     {
-        return kind() == MetricKind::Gauge ? std::bit_cast<double>(values_[0])
-                                           : 0.0;
+        return kind() == MetricKind::Gauge ? words().gauge() : 0.0;
     }
     /** Histogram observations and sum (0 for other kinds). */
     std::uint64_t
     count() const
     {
-        return kind() == MetricKind::Histogram ? values_[0] : 0;
+        return kind() == MetricKind::Histogram ? words().count() : 0;
     }
     double
     sum() const
     {
-        return kind() == MetricKind::Histogram
-                   ? std::bit_cast<double>(values_[1])
-                   : 0.0;
+        return kind() == MetricKind::Histogram ? words().sum() : 0.0;
     }
     /** Histogram buckets, finite first, +inf last (empty for other
      *  kinds). */
@@ -272,7 +347,7 @@ class SeriesRef
     {
         if (kind() != MetricKind::Histogram)
             return {};
-        return {values_ + 2, boundaries().size() + 1};
+        return words().buckets();
     }
 
     SeriesSnapshot expand() const;
@@ -292,8 +367,8 @@ struct TelemetrySnapshot
     /** Identities of the series, shared with every snapshot of the same
      *  registry version; null means no series. */
     std::shared_ptr<const SeriesSchema> schema;
-    /** Every series' values in id order, at the schema's offsets;
-     *  doubles are stored as their bit patterns. */
+    /** Every series' value words in id order, at the schema's
+     *  offsets. */
     std::vector<std::uint64_t> values;
 
     /**
@@ -314,6 +389,15 @@ struct TelemetrySnapshot
     {
         const SeriesSchema::Series &s = (*schema)[id];
         return {s, values.data() + s.offset};
+    }
+
+    /** Series `id`'s value words, writable (read-only ones:
+     *  (*this)[id].words()). */
+    SeriesValues<std::uint64_t>
+    words(std::size_t id)
+    {
+        const SeriesSchema::Series &s = (*schema)[id];
+        return {s.kind, s.boundaries.size(), values.data() + s.offset};
     }
 
     /** Series `id` expanded. */

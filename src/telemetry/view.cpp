@@ -33,11 +33,11 @@ SnapshotTelemetryView::observedRate(ServiceId service) const
         snaps.size() < 2 ? nullptr : &snaps[snaps.size() - 2];
     if (now == nullptr || prev == nullptr || now->at <= prev->at)
         return 0.0;
-    const Labels labels{{"service", std::to_string(service)}};
-    const auto cur_s = now->find("erms_requests_total", labels);
+    const Labels labels = serviceLabels(service);
+    const auto cur_s = now->find(kRequestsTotal, labels);
     if (!cur_s)
         return 0.0;
-    const auto prev_s = prev->find("erms_requests_total", labels);
+    const auto prev_s = prev->find(kRequestsTotal, labels);
     const std::uint64_t before = prev_s ? prev_s->counterValue() : 0;
     const std::uint64_t current = cur_s->counterValue();
     if (current <= before)
@@ -54,14 +54,14 @@ SnapshotTelemetryView::clusterInterference() const
     const TelemetrySnapshot *now = latest();
     if (now == nullptr)
         return avg;
-    const auto cpu_series = now->named("erms_host_cpu_util");
+    const auto cpu_series = now->named(kHostCpuUtil);
     const std::size_t hosts = cpu_series.size();
     if (hosts == 0)
         return avg;
     double cpu = 0.0, mem = 0.0;
     for (const SeriesRef s : cpu_series)
         cpu += s.gaugeValue();
-    for (const SeriesRef s : now->named("erms_host_mem_util"))
+    for (const SeriesRef s : now->named(kHostMemUtil))
         mem += s.gaugeValue();
     avg.cpuUtil = cpu / static_cast<double>(hosts);
     avg.memUtil = mem / static_cast<double>(hosts);
@@ -107,17 +107,14 @@ SnapshotTelemetryView::histogramDeltaQuantile(const std::string &name,
 double
 SnapshotTelemetryView::serviceP95Ms(ServiceId service) const
 {
-    return histogramDeltaQuantile(
-        "erms_request_latency_ms",
-        {{"service", std::to_string(service)}}, 0.95);
+    return histogramDeltaQuantile(kRequestLatencyMs, serviceLabels(service),
+                                  0.95);
 }
 
 double
 SnapshotTelemetryView::microserviceTailMs(MicroserviceId ms) const
 {
-    return histogramDeltaQuantile(
-        "erms_ms_latency_ms",
-        {{"microservice", std::to_string(ms)}}, 0.95);
+    return histogramDeltaQuantile(kMsLatencyMs, microserviceLabels(ms), 0.95);
 }
 
 int
@@ -126,8 +123,7 @@ SnapshotTelemetryView::containerCount(MicroserviceId ms) const
     const TelemetrySnapshot *now = latest();
     if (now == nullptr)
         return -1;
-    const auto s = now->find("erms_containers",
-                             {{"microservice", std::to_string(ms)}});
+    const auto s = now->find(kContainers, microserviceLabels(ms));
     if (!s)
         return -1;
     return static_cast<int>(s->gaugeValue());

@@ -205,8 +205,7 @@ fig13Impl()
             std::make_shared<telemetry::ScrapedTelemetryView>(monitor);
         emit("erms-scraped",
              runDynamicGolden(catalog, app, series, sla,
-                              makeDynamicController(controller, services,
-                                                    view),
+                              controller.makeAutoscaler(services, view),
                               initial, &monitor));
     }
     emit("firm",

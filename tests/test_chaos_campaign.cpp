@@ -423,9 +423,10 @@ TEST(CampaignFaultyViewCache, IncrementalMatchesWholeStreamReference)
             // The configs must hit drops and late surfacing, or the
             // comparison would pass vacuously.
             const auto &snaps = monitor.snapshots();
+            PerturbationCache cache;
             for (std::size_t i = 0; i + 1 < snaps.size(); ++i) {
                 const PerturbedScrape p =
-                    every.injector().perturbScrape(i, snaps[i]);
+                    every.injector().perturbScrape(i, snaps[i], cache);
                 dropped += p.dropped;
                 late += !p.dropped && p.visibleFrom > snaps[i + 1].at &&
                         p.visibleFrom <= snaps.back().at;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.hpp"
@@ -380,8 +381,10 @@ TEST(StatsMergeProperty, DegenerateAccumulators)
 }
 
 // ---------------------------------------------------------------------
-// Telemetry histograms: merge is associative and commutative on bucket
-// counts (exact integers); sums agree within floating-point tolerance.
+// Telemetry histograms: SeriesValues::add, the fold the shard merge
+// runs, is associative and commutative on counts and buckets (exact
+// integers) and totals its inputs; sums agree within floating-point
+// tolerance.
 // ---------------------------------------------------------------------
 
 class HistogramMergeProperty
@@ -391,48 +394,51 @@ class HistogramMergeProperty
 
 TEST_P(HistogramMergeProperty, MergeAssociativeAndCommutative)
 {
+    using telemetry::TelemetrySnapshot;
     const std::vector<double> boundaries{1.0, 5.0, 20.0, 100.0, 500.0};
-    // Three independent sample batches a, b, c.
-    telemetry::Histogram a1(boundaries), a2(boundaries), a3(boundaries);
-    telemetry::Histogram b1(boundaries), b2(boundaries), b3(boundaries);
-    telemetry::Histogram c1(boundaries), c2(boundaries), c3(boundaries);
-    {
-        Rng ra(GetParam() * 3 + 1), rb(GetParam() * 3 + 2),
-            rc(GetParam() * 3 + 3);
-        for (int i = 0; i < 200; ++i) {
-            const double xa = ra.uniform(0.0, 700.0);
-            a1.observe(xa);
-            a2.observe(xa);
-            a3.observe(xa);
-            const double xb = rb.uniform(0.0, 700.0);
-            b1.observe(xb);
-            b2.observe(xb);
-            b3.observe(xb);
-            const double xc = rc.uniform(0.0, 700.0);
-            c1.observe(xc);
-            c2.observe(xc);
-            c3.observe(xc);
-        }
+    // Registry snapshots of three independent sample batches a, b, c.
+    const auto batch = [&boundaries](std::uint64_t seed) {
+        telemetry::MetricsRegistry registry;
+        telemetry::Histogram &h =
+            registry.histogram("latency_ms", {}, boundaries);
+        Rng rng(seed);
+        for (int i = 0; i < 200; ++i)
+            h.observe(rng.uniform(0.0, 700.0));
+        return registry.snapshot(0);
+    };
+    const TelemetrySnapshot a = batch(GetParam() * 3 + 1);
+    const TelemetrySnapshot b = batch(GetParam() * 3 + 2);
+    const TelemetrySnapshot c = batch(GetParam() * 3 + 3);
+    const auto add = [](TelemetrySnapshot into,
+                        const TelemetrySnapshot &part) {
+        into.words(0).add(part[0].words());
+        return into;
+    };
+
+    const TelemetrySnapshot left = add(add(a, b), c);      // (a + b) + c
+    const TelemetrySnapshot right = add(a, add(b, c));     // a + (b + c)
+    const TelemetrySnapshot commuted = add(c, add(b, a));  // c + (b + a)
+    for (const TelemetrySnapshot *other : {&right, &commuted}) {
+        EXPECT_EQ((*other)[0].count(), left[0].count());
+        EXPECT_TRUE(std::ranges::equal((*other)[0].bucketCounts(),
+                                       left[0].bucketCounts()));
+        // Sums are doubles added in different orders: tolerance, not
+        // equality.
+        EXPECT_NEAR((*other)[0].sum(), left[0].sum(), 1e-6);
     }
 
-    // (a + b) + c
-    a1.merge(b1);
-    a1.merge(c1);
-    // a + (b + c)
-    b2.merge(c2);
-    a2.merge(b2);
-    // c + (b + a): commuted order
-    b3.merge(a3);
-    c3.merge(b3);
-
-    EXPECT_EQ(a1.bucketCounts(), a2.bucketCounts());
-    EXPECT_EQ(a1.bucketCounts(), c3.bucketCounts());
-    EXPECT_EQ(a1.count(), a2.count());
-    EXPECT_EQ(a1.count(), c3.count());
-    // Sums are doubles added in different orders: tolerance, not
-    // equality.
-    EXPECT_NEAR(a1.sum(), a2.sum(), 1e-6);
-    EXPECT_NEAR(a1.sum(), c3.sum(), 1e-6);
+    // The fold totals its inputs, the +inf bucket included, so a fold
+    // that drops any word cannot pass by dropping it in every order.
+    EXPECT_EQ(left[0].count(), 600u);
+    EXPECT_EQ(left[0].count(), a[0].count() + b[0].count() + c[0].count());
+    EXPECT_NEAR(left[0].sum(), a[0].sum() + b[0].sum() + c[0].sum(), 1e-6);
+    ASSERT_EQ(left[0].bucketCounts().size(), boundaries.size() + 1);
+    for (std::size_t i = 0; i <= boundaries.size(); ++i)
+        EXPECT_EQ(left[0].bucketCounts()[i],
+                  a[0].bucketCounts()[i] + b[0].bucketCounts()[i] +
+                      c[0].bucketCounts()[i])
+            << "bucket " << i;
+    EXPECT_GT(c[0].bucketCounts().back(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HistogramMergeProperty,

@@ -12,6 +12,9 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "apps/applications.hpp"
@@ -49,7 +52,7 @@ TEST(TelemetryCounter, AccumulatesAcrossShardsAndThreads)
     EXPECT_EQ(counter.value(), 5u);
 
     // Concurrent increments from many threads must all land: the
-    // sharding is a performance detail, not a semantic one.
+    // counter is one atomic word, not a plain integer.
     constexpr int kThreads = 8;
     constexpr int kPerThread = 10000;
     std::vector<std::thread> threads;
@@ -155,18 +158,23 @@ TEST(TelemetryHistogram, QuantileGuardsDegenerateInputs)
 
 TEST(TelemetryHistogram, MergeAddsBucketCountsExactly)
 {
-    Histogram a({1.0, 2.0});
-    Histogram b({1.0, 2.0});
+    // The shard merge's fold over two registries' snapshots of one
+    // histogram series.
+    MetricsRegistry ra, rb;
+    Histogram &a = ra.histogram("h", {}, {1.0, 2.0});
+    Histogram &b = rb.histogram("h", {}, {1.0, 2.0});
     a.observe(0.5);
     a.observe(3.0);
     b.observe(1.5);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 3u);
-    const auto counts = a.bucketCounts();
+    b.observe(4.0);
+    TelemetrySnapshot merged = ra.snapshot(0);
+    merged.words(0).add(rb.snapshot(0)[0].words());
+    EXPECT_EQ(merged[0].count(), 4u);
+    const auto counts = merged[0].bucketCounts();
     EXPECT_EQ(counts[0], 1u);
     EXPECT_EQ(counts[1], 1u);
-    EXPECT_EQ(counts[2], 1u);
-    EXPECT_DOUBLE_EQ(a.sum(), 0.5 + 3.0 + 1.5);
+    EXPECT_EQ(counts[2], 2u);
+    EXPECT_DOUBLE_EQ(merged[0].sum(), 0.5 + 3.0 + 1.5 + 4.0);
 }
 
 TEST(TelemetryRegistry, RegistrationIsIdempotentAndSnapshotOrdered)
@@ -619,6 +627,109 @@ TEST(TelemetryExporters, UnsortedOrDuplicateSeriesThrowNamingThePath)
 }
 
 // ---------------------------------------------------------------------
+// Monitor catalog: the names and labels readers look up
+// ---------------------------------------------------------------------
+
+TEST(TelemetryCatalog, ReaderNamesAndLabelsFindTheMonitorsSeries)
+{
+    using telemetry::hostLabels;
+    using telemetry::microserviceLabels;
+    using telemetry::serviceLabels;
+    telemetry::SimMonitor monitor;
+    monitor.onRequestArrival(3);
+    monitor.recordDeployment(5, 2, 0, 1);
+    monitor.recordHostUtil(7, 0.5, 0.25);
+    monitor.takeSnapshot(0);
+    const TelemetrySnapshot &snap = monitor.snapshots().back();
+
+    const struct
+    {
+        const std::string &name;
+        Labels labels;
+        MetricKind kind;
+    } readers[] = {
+        {telemetry::kRequestsTotal, serviceLabels(3), MetricKind::Counter},
+        {telemetry::kRequestLatencyMs, serviceLabels(3),
+         MetricKind::Histogram},
+        {telemetry::kMsLatencyMs, microserviceLabels(5),
+         MetricKind::Histogram},
+        {telemetry::kContainers, microserviceLabels(5), MetricKind::Gauge},
+        {telemetry::kHostCpuUtil, hostLabels(7), MetricKind::Gauge},
+        {telemetry::kHostMemUtil, hostLabels(7), MetricKind::Gauge},
+    };
+    for (const auto &reader : readers) {
+        const auto series = snap.find(reader.name, reader.labels);
+        ASSERT_TRUE(series) << reader.name;
+        EXPECT_EQ(series->kind(), reader.kind) << reader.name;
+    }
+
+    // The names are the exported catalog (docs/telemetry.md): scrape
+    // files and goldens carry them, so no constant may drift.
+    std::set<std::string> names;
+    for (std::size_t id = 0; id < snap.size(); ++id)
+        names.insert(snap[id].name());
+    EXPECT_EQ(names, (std::set<std::string>{
+                         "erms_busy_threads",
+                         "erms_container_crashes_total",
+                         "erms_container_restarts_total",
+                         "erms_containers",
+                         "erms_crash_failures_total",
+                         "erms_hedges_total",
+                         "erms_host_cpu_util",
+                         "erms_host_mem_util",
+                         "erms_ms_latency_ms",
+                         "erms_queue_depth",
+                         "erms_request_failures_total",
+                         "erms_request_latency_ms",
+                         "erms_requests_total",
+                         "erms_responses_total",
+                         "erms_retries_total",
+                         "erms_sla_violations_total",
+                         "erms_slowdown_windows_total",
+                         "erms_timeouts_total",
+                         "erms_transient_failures_total",
+                     }));
+}
+
+TEST(TelemetryLabels, LabelIdReadsOnlyWholeUnsignedIds)
+{
+    using telemetry::kHostLabel;
+    using telemetry::kServiceLabel;
+    using telemetry::labelId;
+    EXPECT_EQ(labelId(telemetry::serviceLabels(0), kServiceLabel), 0u);
+    EXPECT_EQ(labelId(telemetry::microserviceLabels(42),
+                      telemetry::kMicroserviceLabel),
+              42u);
+    EXPECT_EQ(labelId(telemetry::hostLabels(kInvalidHost - 1), kHostLabel),
+              kInvalidHost - 1);
+    EXPECT_EQ(labelId({{"az", "1"}, {"host", "12"}}, kHostLabel), 12u);
+    // A missing key gives no id.
+    EXPECT_EQ(labelId({}, kHostLabel), std::nullopt);
+    EXPECT_EQ(labelId(telemetry::serviceLabels(3), kHostLabel), std::nullopt);
+    // Malformed values give no id.
+    for (const char *value : {"1x", "-1", "", " 1", "+1", "4294967296"})
+        EXPECT_EQ(labelId({{"host", value}}, kHostLabel), std::nullopt)
+            << '"' << value << '"';
+}
+
+TEST(TelemetryLabels, ShiftHostLabelMovesTheHostId)
+{
+    Labels labels = telemetry::hostLabels(3);
+    telemetry::shiftHostLabel(labels, 0);
+    EXPECT_EQ(labels, telemetry::hostLabels(3));
+    telemetry::shiftHostLabel(labels, 40);
+    EXPECT_EQ(labels, telemetry::hostLabels(43));
+
+    // Only the host label moves; series without one stay as they are.
+    Labels mixed{{"az", "1"}, {"host", "2"}, {"zone", "9"}};
+    telemetry::shiftHostLabel(mixed, 10);
+    EXPECT_EQ(mixed, (Labels{{"az", "1"}, {"host", "12"}, {"zone", "9"}}));
+    Labels service = telemetry::serviceLabels(2);
+    telemetry::shiftHostLabel(service, 10);
+    EXPECT_EQ(service, telemetry::serviceLabels(2));
+}
+
+// ---------------------------------------------------------------------
 // Scraped view semantics
 // ---------------------------------------------------------------------
 
@@ -721,7 +832,7 @@ runSeededDynamic(const MicroserviceCatalog &catalog, const Application &app,
         controller.plan(services, Interference{0.2, 0.2});
     sim.applyPlan(initial);
     sim.setMinuteCallback(
-        makeDynamicController(controller, services, /*view=*/nullptr));
+        controller.makeAutoscaler(services, /*view=*/nullptr));
     sim.run();
 
     DynamicRunResult result;

@@ -554,11 +554,9 @@ runChaosDynamic(const MicroserviceCatalog &catalog, const Application &app,
         if (guard_out != nullptr)
             *guard_out = guard;
         sim.setMinuteCallback(makeGuardedController(
-            makeDynamicController(controller, services, guard), guard,
-            managed));
+            controller.makeAutoscaler(services, guard), guard, managed));
     } else {
-        sim.setMinuteCallback(
-            makeDynamicController(controller, services, base));
+        sim.setMinuteCallback(controller.makeAutoscaler(services, base));
     }
     sim.run();
 

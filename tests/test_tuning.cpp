@@ -606,7 +606,7 @@ runSelfTuned(const MicroserviceCatalog &catalog, const Application &app,
     auto tuner = std::make_shared<AdaptiveGuardTuner>(
         knobsFrom(guard->config(), 1.25, 0.25), tuner_config);
     sim.setMinuteCallback(makeSelfTuningController(
-        makeDynamicController(controller, services, guard), guard,
+        controller.makeAutoscaler(services, guard), guard,
         managed, tuner));
     sim.run();
 

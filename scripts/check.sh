@@ -67,8 +67,10 @@ cmake --build build-asan -j"$JOBS" \
              erms_tests_chaos erms_tests_campaign erms_tests_event_engine \
              erms_tests_queueing erms_tests_market erms_tests_tuning \
              erms_tests_scaling erms_tests_shard
+# SampleSet* covers the sample store's radix sort, whose output must be
+# bit-identical to std::sort's (also under UBSan below).
 ./build-asan/tests/erms_tests_foundation \
-    --gtest_filter='Json*:DependencyGraph*:Catalog.*'
+    --gtest_filter='Json*:DependencyGraph*:Catalog.*:SampleSet*'
 ./build-asan/tests/erms_tests_scaling
 ./build-asan/tests/erms_tests_sim \
     --gtest_filter='Fault*:Resilience*:EventQueue*'
@@ -106,7 +108,7 @@ cmake --build build-ubsan -j"$JOBS" \
              erms_tests_tuning erms_tests_scaling erms_tests_golden \
              erms_tests_shard erms_tests_event_engine
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_foundation \
-    --gtest_filter='Json*:DependencyGraph*:Catalog.*'
+    --gtest_filter='Json*:DependencyGraph*:Catalog.*:SampleSet*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_system \
     --gtest_filter='*Serialization*:CriticalPaths*:EndToEndLatency*:*SolverProperty*:*MultiplexProperty*:CsvRates*:InterferenceAware.*:BatchPlacement.*:*HistogramMerge*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_shard \

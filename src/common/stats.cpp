@@ -1,12 +1,73 @@
 #include "stats.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "error.hpp"
 
 namespace erms {
+
+namespace {
+
+/**
+ * LSD radix sort of non-negative finite doubles by their bit patterns.
+ * For such values bit order is value order and equal values have equal
+ * bits, so the result is the exact sequence std::sort yields. Returns
+ * false, leaving xs untouched, when some value has its sign bit set
+ * (negatives, -0.0) or an all-ones exponent (infinities, NaN).
+ */
+bool
+radixSortNonNegative(std::vector<double> &xs)
+{
+    // 32-bit counts: the caller sorts fewer than 2^32 samples.
+    constexpr int kPasses = 8;
+    std::array<std::array<std::uint32_t, 256>, kPasses> counts{};
+    for (const double x : xs) {
+        const auto key = std::bit_cast<std::uint64_t>(x);
+        // The top 12 bits are the sign and the exponent: below 0x7ff
+        // exactly when the sign is clear and the exponent not all ones.
+        if ((key >> 52) >= 0x7ff)
+            return false;
+        for (int pass = 0; pass < kPasses; ++pass)
+            ++counts[pass][(key >> (8 * pass)) & 0xff];
+    }
+
+    const std::size_t n = xs.size();
+    const auto first = std::bit_cast<std::uint64_t>(xs[0]);
+    std::vector<std::uint64_t> scratch(n);
+    bool in_xs = true; // where the keys currently live
+    for (int pass = 0; pass < kPasses; ++pass) {
+        const int shift = 8 * pass;
+        std::array<std::uint32_t, 256> &offsets = counts[pass];
+        if (offsets[(first >> shift) & 0xff] == n)
+            continue; // every key has this byte: the pass is a no-op
+        std::uint32_t sum = 0;
+        for (std::uint32_t &c : offsets)
+            sum += std::exchange(c, sum);
+        if (in_xs) {
+            for (const double x : xs) {
+                const auto key = std::bit_cast<std::uint64_t>(x);
+                scratch[offsets[(key >> shift) & 0xff]++] = key;
+            }
+        } else {
+            for (const std::uint64_t key : scratch)
+                xs[offsets[(key >> shift) & 0xff]++] =
+                    std::bit_cast<double>(key);
+        }
+        in_xs = !in_xs;
+    }
+    if (!in_xs) {
+        for (std::size_t i = 0; i < n; ++i)
+            xs[i] = std::bit_cast<double>(scratch[i]);
+    }
+    return true;
+}
+
+} // namespace
 
 void
 StreamingStats::add(double x)
@@ -79,10 +140,13 @@ SampleSet::addAll(const std::vector<double> &xs)
 void
 SampleSet::ensureSorted() const
 {
-    if (!sorted_) {
+    if (sorted_)
+        return;
+    const std::size_t n = samples_.size();
+    if (n < kRadixMin || n >= kSelectThreshold ||
+        !radixSortNonNegative(samples_))
         std::sort(samples_.begin(), samples_.end());
-        sorted_ = true;
-    }
+    sorted_ = true;
 }
 
 double

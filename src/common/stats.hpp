@@ -64,6 +64,13 @@ class StreamingStats
 /**
  * Exact sample store with percentile queries. Samples are buffered and
  * sorted lazily on the first quantile query after an insert.
+ *
+ * The sort is std::sort, except for sets of kRadixMin to
+ * kSelectThreshold - 1 samples that are all non-negative and finite
+ * (sign bit clear, exponent not all ones) — the per-minute latency sets.
+ * Those are LSD radix-sorted by bit pattern, which for such values
+ * yields exactly std::sort's sequence, so every query reads the same
+ * bits either way. -0.0, negatives, infinities and NaN keep std::sort.
  */
 class SampleSet
 {
@@ -119,6 +126,11 @@ class SampleSet
      *  on small (controller/test-sized) sets then hit the sorted fast
      *  path instead of re-selecting each time. */
     static constexpr std::size_t kSelectThreshold = 4096;
+
+    /** Smallest set the radix sort takes. Measured on latency-like
+     *  doubles (GCC 12 -O3, 4-vCPU VM): radix/std::sort time is 2.0 at
+     *  64 samples, 0.89 at 96, 0.63 at 128 and 0.25 at 2,900. */
+    static constexpr std::size_t kRadixMin = 128;
 
     void ensureSorted() const;
 

@@ -1,5 +1,7 @@
 #include "event_queue.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace erms {
@@ -23,29 +25,58 @@ EventQueue::EventQueue(std::size_t bucket_count, SimTime bucket_width)
     ERMS_ASSERT_MSG(isPowerOfTwo(bucket_width),
                     "bucket width must be a power of two");
     buckets_.resize(bucketCount_);
+    occupied_.assign(std::max<std::size_t>(1, bucketCount_ / 64), 0);
+}
+
+EventQueue::Lane
+EventQueue::addLane(SimTime delay)
+{
+    lanes_.emplace_back().delay = delay;
+    return Lane{static_cast<std::uint32_t>(lanes_.size() - 1)};
 }
 
 void
 EventQueue::pourFar()
 {
+    // windowStart_ never overtakes a far or lane record, so the
+    // subtractions below cannot underflow.
+    farScanned_ += far_.size();
     std::size_t keep = 0;
-    SimTime keep_min = 0;
+    SimTime keep_min = kNoFar;
     for (std::size_t i = 0; i < far_.size(); ++i) {
         const EventRecord &rec = far_[i];
         if (rec.time - windowStart_ < span_) {
-            // windowStart_ never overtakes a far event, so the
-            // subtraction cannot underflow.
-            const std::size_t index = static_cast<std::size_t>(
-                (rec.time - windowStart_) / bucketWidth_);
-            buckets_[index].push_back(rec);
-            ++wheelCount_;
+            pushBucket(bucketOf(rec.time), rec);
             continue;
         }
-        if (keep == 0 || rec.time < keep_min)
-            keep_min = rec.time;
+        keep_min = std::min(keep_min, rec.time);
         far_[keep++] = rec;
     }
     far_.resize(keep);
+
+    for (TimerLane &lane : lanes_) {
+        std::vector<EventRecord> &records = lane.records;
+        while (lane.head < records.size() &&
+               records[lane.head].time - windowStart_ < span_) {
+            const EventRecord &rec = records[lane.head++];
+            pushBucket(bucketOf(rec.time), rec);
+        }
+        if (lane.head == records.size()) {
+            records.clear();
+            lane.head = 0;
+            continue;
+        }
+        keep_min = std::min(keep_min, records[lane.head].time);
+        // Drop the poured prefix once it is half the lane: a compaction
+        // moves no more records than were popped since the last one,
+        // and the lane holds at most about twice the timers in flight.
+        if (2 * lane.head >= records.size()) {
+            records.erase(records.begin(),
+                          records.begin() +
+                              static_cast<std::ptrdiff_t>(lane.head));
+            lane.head = 0;
+        }
+    }
     farMin_ = keep_min;
 }
 

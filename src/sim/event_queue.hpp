@@ -13,28 +13,34 @@
  *  - Time ordering uses a calendar ("timing wheel") of power-of-two
  *    buckets over a sliding window, with a far list for events beyond
  *    the window and a tiny early heap for events scheduled behind an
- *    already-advanced window. When a bucket becomes current it is
- *    sorted once (ascending) and consumed through a head index: spent
- *    records stay in place as a stale prefix and the whole bucket is
- *    discarded with one clear() when it drains. Events posted into the
- *    already-sorted current bucket go to a small spill heap that
- *    interleaves by (time, seq). Dispatch order is exactly the strict
- *    total order (time, seq) — the determinism contract every golden
- *    table pins — at a steady-state per-event cost of an index bump
- *    plus one comparison.
+ *    already-advanced window. Timers with a fixed delay can be posted
+ *    through FIFO lanes instead of the far list: each lane is already
+ *    time-ordered, so a window jump pours its head in O(moved) instead
+ *    of rescanning it. An occupancy bitmap (one bit per bucket) lets
+ *    the cursor jump straight to the next non-empty bucket. When a
+ *    bucket becomes current it is sorted once (ascending) and consumed
+ *    through a head index: spent records stay in place as a stale
+ *    prefix and the whole bucket is discarded with one clear() when it
+ *    drains. Events posted into the already-sorted current bucket go
+ *    to a small spill heap that interleaves by (time, seq). Dispatch
+ *    order is exactly the strict total order (time, seq) — the
+ *    determinism contract every golden table pins — at a steady-state
+ *    per-event cost of an index bump plus one comparison.
  *  - drain() is the only way events leave the queue. It takes runs of
  *    ready events as batches — usually a zero-copy span over the
- *    sorted bucket covering many timestamps — and hands each record to
- *    the owner's dispatch functor, re-entering the bookkeeping only
- *    when a freshly posted event must interleave or the owner asks to
- *    stop.
+ *    sorted bucket, possibly covering several timestamps — and hands
+ *    each record to the owner's dispatch functor, re-entering the
+ *    bookkeeping only when a freshly posted event must interleave or
+ *    the owner asks to stop.
  */
 
 #ifndef ERMS_SIM_EVENT_QUEUE_HPP
 #define ERMS_SIM_EVENT_QUEUE_HPP
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -87,6 +93,25 @@ class EventQueue
     /** Schedule a typed record delay microseconds from now. */
     void postAfter(SimTime delay, EventRecord rec);
 
+    /** Handle of a timer lane, returned by addLane(). */
+    struct Lane
+    {
+        std::uint32_t index = 0;
+    };
+
+    /**
+     * Register a FIFO lane for timers that always fire `delay`
+     * microseconds after they are posted. Since now() never decreases,
+     * a lane's posts arrive in time order, so records beyond the window
+     * wait in the lane and are poured into the wheel by popping its
+     * head, never rescanned like the far list.
+     */
+    Lane addLane(SimTime delay);
+
+    /** Exactly postAfter(delay, rec) for the lane's delay: same time,
+     *  same seq, same dispatch order; only the storage differs. */
+    void postLane(Lane lane, EventRecord rec);
+
     /** Current simulated time (time of the last dispatched event, or
      *  the horizon a drain idled to). */
     SimTime now() const { return now_; }
@@ -115,6 +140,13 @@ class EventQueue
      */
     template <class F>
     std::uint64_t drain(SimTime horizon, const bool &stop, F &&dispatch);
+
+    /** Test counters that pin the structure rather than the order:
+     *  far-list records read by window jumps (lane records are never
+     *  counted, they are popped), and buckets the cursor moved to
+     *  (once per move, however many records the bucket holds). */
+    std::uint64_t farScanned() const { return farScanned_; }
+    std::uint64_t bucketsOpened() const { return bucketsOpened_; }
 
   private:
     struct Later
@@ -188,9 +220,55 @@ class EventQueue
      *  same order. */
     void returnTail(const Batch &batch, std::size_t consumed);
 
-    /** Move far-list events that now fall inside the window into their
-     *  buckets; recompute farMin_. */
+    /** Move far-list and lane events that now fall inside the window
+     *  into their buckets; recompute farMin_. */
     void pourFar();
+
+    /** Bucket of a time inside the window. */
+    std::size_t
+    bucketOf(SimTime t) const
+    {
+        return static_cast<std::size_t>((t - windowStart_) / bucketWidth_);
+    }
+
+    /** Append to a wheel bucket and mark it occupied. */
+    void
+    pushBucket(std::size_t index, const EventRecord &rec)
+    {
+        buckets_[index].push_back(rec);
+        occupied_[index >> 6] |= std::uint64_t{1} << (index & 63);
+        ++wheelCount_;
+    }
+
+    void
+    clearOccupied(std::size_t index)
+    {
+        occupied_[index >> 6] &= ~(std::uint64_t{1} << (index & 63));
+    }
+
+    /** First occupied bucket at or after `from`. The caller guarantees
+     *  one exists (wheel records lie at or after the cursor). */
+    std::size_t
+    nextOccupied(std::size_t from) const
+    {
+        std::size_t word = from >> 6;
+        std::uint64_t bits = occupied_[word] & (~std::uint64_t{0}
+                                                << (from & 63));
+        while (bits == 0)
+            bits = occupied_[++word];
+        return (word << 6) | static_cast<std::size_t>(std::countr_zero(bits));
+    }
+
+    /** A FIFO of timer records beyond the window, in (time, seq) order:
+     *  [head, records.size()) is live, the prefix was poured. */
+    struct TimerLane
+    {
+        SimTime delay = 0;
+        std::vector<EventRecord> records;
+        std::size_t head = 0;
+    };
+
+    static constexpr SimTime kNoFar = std::numeric_limits<SimTime>::max();
 
     // calendar wheel ----------------------------------------------------
     std::vector<std::vector<EventRecord>> buckets_;
@@ -208,6 +286,9 @@ class EventQueue
      *  buckets_[cursor_], and only while activeSorted_. */
     std::size_t activeHead_ = 0;
     std::size_t wheelCount_ = 0; ///< records currently in buckets/spill
+    /** One bit per bucket, set while its vector is non-empty (stale
+     *  prefix included): max(1, bucketCount_ / 64) words. */
+    std::vector<std::uint64_t> occupied_;
 
     /** Merge buffer for nextBatch() runs that interleave spill/early
      *  records (the zero-copy bucket window doesn't apply there). */
@@ -225,8 +306,13 @@ class EventQueue
 
     // overflow levels ---------------------------------------------------
     std::vector<EventRecord> far_;   ///< time >= windowStart_ + span_
-    SimTime farMin_ = 0;
+    std::vector<TimerLane> lanes_;   ///< each time >= windowStart_ + span_
+    /** Earliest record in far_ and the lane heads; kNoFar when none. */
+    SimTime farMin_ = kNoFar;
     std::vector<EventRecord> early_; ///< heap; time < windowStart_
+
+    std::uint64_t farScanned_ = 0;
+    std::uint64_t bucketsOpened_ = 0;
 
     std::size_t pending_ = 0;
     SimTime now_ = 0;
@@ -260,13 +346,11 @@ EventQueue::post(SimTime t, EventRecord rec)
         return;
     }
     if (t - windowStart_ >= span_) {
-        if (far_.empty() || t < farMin_)
-            farMin_ = t;
+        farMin_ = std::min(farMin_, t);
         far_.push_back(rec);
         return;
     }
-    const std::size_t index =
-        static_cast<std::size_t>((t - windowStart_) / bucketWidth_);
+    const std::size_t index = bucketOf(t);
     if (index < cursor_) {
         // Buckets before the cursor are empty (the cursor only advances
         // past drained buckets), so reopening is just a rewind. Drop
@@ -284,22 +368,47 @@ EventQueue::post(SimTime t, EventRecord rec)
             active.insert(active.end(), spill_.begin(), spill_.end());
             spill_.clear();
         }
+        if (active.empty())
+            clearOccupied(cursor_); // a set bit means a non-empty vector
         cursor_ = index;
         activeSorted_ = false;
     }
     if (index == cursor_ && activeSorted_) {
+        // The sorted cursor bucket is non-empty, so its bit is set.
         spill_.push_back(rec);
         std::push_heap(spill_.begin(), spill_.end(), Later{});
+        ++wheelCount_;
     } else {
-        buckets_[index].push_back(rec);
+        pushBucket(index, rec);
     }
-    ++wheelCount_;
 }
 
 inline void
 EventQueue::postAfter(SimTime delay, EventRecord rec)
 {
     post(now_ + delay, rec);
+}
+
+inline void
+EventQueue::postLane(Lane lane, EventRecord rec)
+{
+    TimerLane &timers = lanes_[lane.index];
+    const SimTime t = now_ + timers.delay;
+    if (t < windowStart_ || t - windowStart_ < span_) {
+        post(t, rec);
+        return;
+    }
+    // Beyond the window: a far record, kept in post order. Every lane
+    // record lies beyond the window too, and was posted no later, so
+    // the lane stays sorted by (time, seq).
+    ERMS_ASSERT_MSG(timers.head == timers.records.size() ||
+                        timers.records.back().time <= t,
+                    "lane posts must arrive in time order");
+    rec.time = t;
+    rec.seq = next_seq_++;
+    ++pending_;
+    farMin_ = std::min(farMin_, t);
+    timers.records.push_back(rec);
 }
 
 inline bool
@@ -319,22 +428,24 @@ EventQueue::peekTime(SimTime &t)
             // before any cursor move or window jump so a later pour
             // into this bucket can't resurrect consumed records.
             bucket.clear();
+            clearOccupied(cursor_);
             activeHead_ = 0;
             activeSorted_ = false;
             if (wheelCount_ == 0) {
-                // Everything pending lives in the far list: jump the
-                // window straight to it instead of walking empty
-                // rotations.
+                // Everything pending lives in the far list or the
+                // lanes: jump the window straight to the earliest far
+                // record instead of walking empty rotations.
                 windowStart_ = farMin_ - farMin_ % span_;
-                cursor_ = 0;
-                pourFar(); // farMin_ lands inside the new window
-                continue;
+                cursor_ = bucketOf(farMin_);
+                pourFar(); // farMin_ lands in the cursor's bucket
+            } else {
+                // A wheel record sits in a later bucket of the window:
+                // buckets before the cursor are empty and spill records
+                // belong to the cursor's bucket, so a set bit lies
+                // after the cursor and the scan stays in the window.
+                cursor_ = nextOccupied(cursor_ + 1);
             }
-            // A wheel record sits in a later bucket of the window:
-            // buckets before the cursor are empty and spill records
-            // belong to the cursor's bucket, so the cursor never runs
-            // off the end of the window.
-            ++cursor_;
+            ++bucketsOpened_;
             continue;
         }
         if (!activeSorted_) {

@@ -1027,14 +1027,13 @@ Simulation::launchAttempt(CallContext *ctx, int slot)
     const std::uint64_t id = attempt.id;
 
     if (resilience_.timeoutMs > 0.0) {
-        events_.postAfter(toSimTime(resilience_.timeoutMs),
-                          EventRecord{.a = id, .p1 = ctx,
-                                      .type = kEvAttemptTimeout});
+        events_.postLane(timeoutLane_,
+                         EventRecord{.a = id, .p1 = ctx,
+                                     .type = kEvAttemptTimeout});
     }
     if (slot == 0 && resilience_.hedgeDelayMs > 0.0) {
-        events_.postAfter(toSimTime(resilience_.hedgeDelayMs),
-                          EventRecord{.a = id, .p1 = ctx,
-                                      .type = kEvHedgeTimer});
+        events_.postLane(hedgeLane_, EventRecord{.a = id, .p1 = ctx,
+                                                 .type = kEvHedgeTimer});
     }
 
     const SimTime network = toSimTime(catalog_.profile(ctx->ms).networkMs);
@@ -1918,6 +1917,12 @@ Simulation::beginRun()
     ran_ = true;
 
     runHorizon_ = static_cast<SimTime>(config_.horizonMinutes) * kMinute;
+    // Both timer delays are fixed from here on (setResilienceConfig
+    // must precede the run), so each timer stream gets a FIFO lane.
+    if (resilience_.timeoutMs > 0.0)
+        timeoutLane_ = events_.addLane(toSimTime(resilience_.timeoutMs));
+    if (resilience_.hedgeDelayMs > 0.0)
+        hedgeLane_ = events_.addLane(toSimTime(resilience_.hedgeDelayMs));
     // Fault schedule first: with faults disabled this adds no events,
     // keeping the event sequence identical to a fault-free build.
     installFaultSchedule(runHorizon_);

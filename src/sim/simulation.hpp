@@ -377,6 +377,8 @@ class Simulation
     const MicroserviceCatalog &catalog_;
     SimConfig config_;
     EventQueue events_;
+    EventQueue::Lane timeoutLane_; ///< attempt timeouts (see beginRun)
+    EventQueue::Lane hedgeLane_;   ///< hedge timers (see beginRun)
     Rng rng_;
     FaultConfig faultConfig_;
     ResilienceConfig resilience_;

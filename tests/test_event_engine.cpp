@@ -6,10 +6,13 @@
  * checked against a naive reference model (linear scan for the
  * (time, seq) minimum) across bucket geometries from the production
  * wheel down to 1 x 1 and a single 2^40 us bucket (in effect a sorted
- * list). Geometry cannot change the (time, seq) order, so every
- * geometry must match the reference exactly. Also covers cross-thread
- * isolation of independent queues (a ThreadSanitizer target, driven
- * through ParallelRunner).
+ * list). Cascades also post through two timer lanes, one shorter and
+ * one longer than the production window. Geometry and lanes cannot
+ * change the (time, seq) order, so every geometry must match the
+ * reference exactly. Structure counters then pin what order cannot:
+ * lane records never reach the far-list scan, and the cursor opens only
+ * non-empty buckets. Also covers cross-thread isolation of independent
+ * queues (a ThreadSanitizer target, driven through ParallelRunner).
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +21,8 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -52,6 +57,16 @@ mix(std::uint64_t x)
 
 constexpr std::uint64_t kGenShift = 56;
 
+/** Fixed delays of the two timer lanes every fuzz queue registers:
+ *  100 us is beyond the 1 x 1, 2 x 1 and 4 x 2 windows and inside the
+ *  others; 70,000 us is beyond every window, the production 65,536 us
+ *  one included, except the single 2^40 us bucket. */
+constexpr SimTime kLaneDelays[2] = {100, 70000};
+
+/** Lane of a child: -1 for a plain postAfter, else an index into
+ *  kLaneDelays. */
+constexpr int kNoLane = -1;
+
 std::uint64_t
 generation(std::uint64_t id)
 {
@@ -61,9 +76,10 @@ generation(std::uint64_t id)
 /**
  * The cascade rule: a dispatched event spawns 0–2 children at small
  * offsets (including 0 — children at the parent's own timestamp), up to
- * three generations deep. Purely a function of the parent id, so both
- * sides compute it independently; termination is guaranteed by the
- * generation cap.
+ * three generations deep. About one child in three is a timer posted
+ * through one of the two lanes, at that lane's fixed delay. Purely a
+ * function of the parent id, so both sides compute it independently;
+ * termination is guaranteed by the generation cap.
  */
 template <typename Fn>
 void
@@ -75,10 +91,13 @@ forEachChild(std::uint64_t id, Fn &&fn)
     const int children = static_cast<int>(mix(id) % 3);
     for (int k = 0; k < children; ++k) {
         const std::uint64_t h = mix(id ^ (0x100000001b3ull * (k + 1)));
-        const SimTime delay = h % 64; // 0 keeps same-time cascades common
         const std::uint64_t child =
             ((gen + 1) << kGenShift) | (h & ((1ull << kGenShift) - 1));
-        fn(delay, child);
+        const int lane = static_cast<int>((h >> 40) % 6);
+        if (lane < 2)
+            fn(kLaneDelays[lane], child, lane);
+        else
+            fn(h % 64, child, kNoLane); // 0 keeps same-time cascades common
     }
 }
 
@@ -122,7 +141,7 @@ class ReferenceModel
             pending_.erase(pending_.begin() +
                            static_cast<std::ptrdiff_t>(best));
             order_.push_back(cur.id);
-            forEachChild(cur.id, [&](SimTime d, std::uint64_t cid) {
+            forEachChild(cur.id, [&](SimTime d, std::uint64_t cid, int) {
                 pending_.push_back(RefEvent{cur.time + d, seq_++, cid});
             });
         }
@@ -139,7 +158,9 @@ class ReferenceModel
 
 /**
  * Drives the same cascade through an EventQueue: a record carries its
- * fuzz id in `a`, and dispatching it posts the children. With
+ * fuzz id in `a`, and dispatching it posts the children, timers through
+ * the queue's lanes (or, with use_lanes false, the same timers through
+ * postAfter, which must give the same order). With
  * stop_every > 0, dispatch also raises drain()'s stop flag on about
  * one event in stop_every (picked by a hash of the dispatch count, so
  * a wrongly repeated record cannot stop forever); drainUntil() then
@@ -149,9 +170,12 @@ class ReferenceModel
 class EngineDriver
 {
   public:
-    explicit EngineDriver(EventQueue &q, std::uint64_t stop_every = 0)
-        : q_(q), stopEvery_(stop_every)
+    explicit EngineDriver(EventQueue &q, std::uint64_t stop_every = 0,
+                          bool use_lanes = true)
+        : q_(q), stopEvery_(stop_every), useLanes_(use_lanes)
     {
+        for (std::size_t i = 0; i < 2; ++i)
+            lanes_[i] = q_.addLane(kLaneDelays[i]);
     }
 
     void
@@ -178,15 +202,23 @@ class EngineDriver
     }
 
     const std::vector<std::uint64_t> &order() const { return order_; }
+    const std::vector<SimTime> &times() const { return times_; }
     std::size_t stops() const { return stops_; }
+    std::size_t lanePosts() const { return lanePosts_; }
 
   private:
     void
     fire(const EventRecord &rec)
     {
         order_.push_back(rec.a);
-        forEachChild(rec.a, [&](SimTime d, std::uint64_t cid) {
-            q_.postAfter(d, EventRecord{.a = cid});
+        times_.push_back(rec.time);
+        forEachChild(rec.a, [&](SimTime d, std::uint64_t cid, int lane) {
+            if (lane == kNoLane || !useLanes_) {
+                q_.postAfter(d, EventRecord{.a = cid});
+                return;
+            }
+            q_.postLane(lanes_[lane], EventRecord{.a = cid});
+            ++lanePosts_;
         });
         if (stopEvery_ != 0 &&
             mix(order_.size() ^ 0x5709ull) % stopEvery_ == 0) {
@@ -197,11 +229,15 @@ class EngineDriver
 
     EventQueue &q_;
     std::uint64_t stopEvery_;
+    bool useLanes_;
+    EventQueue::Lane lanes_[2];
     bool stop_ = false;
     SimTime stoppedAt_ = 0;
     std::size_t stops_ = 0;
+    std::size_t lanePosts_ = 0;
     std::uint64_t dispatched_ = 0;
     std::vector<std::uint64_t> order_;
+    std::vector<SimTime> times_;
 };
 
 /** Initial (time, id) batch for one fuzz round. Times are masked to a
@@ -232,6 +268,7 @@ engineFullDrain(EventQueue &q, std::uint64_t seed,
         driver.seed(t, id);
     driver.drainUntil(kForever);
     EXPECT_TRUE(q.empty());
+    EXPECT_GT(driver.lanePosts(), 0u);
     if (stop_every != 0) {
         EXPECT_GT(driver.stops(), 0u);
     }
@@ -388,6 +425,153 @@ TEST(EventEngineTyped, RecordsRoundTripThroughDrain)
     EXPECT_EQ(seen[2].p1, &anchor);
     EXPECT_EQ(seen[2].time, 5u);
     EXPECT_EQ(q.now(), 10u);
+}
+
+/** Drain everything, recording each record's payload `a`. */
+std::vector<std::uint64_t>
+drainAll(EventQueue &q)
+{
+    std::vector<std::uint64_t> order;
+    const bool no_stop = false;
+    q.drain(kForever, no_stop,
+            [&](const EventRecord &rec) { order.push_back(rec.a); });
+    return order;
+}
+
+TEST(EventEngineLanes, PostAfterIdlingBehindAnAdvancedWindow)
+{
+    // A drain that finds nothing before its horizon idles now() to the
+    // horizon but leaves the window at the far record it jumped to. A
+    // lane post from there may land before the window (early heap), in
+    // it (a bucket, tied with the far record) or beyond it (the lane).
+    EventQueue q(4, 2); // 8 us window
+    const EventQueue::Lane early = q.addLane(5);
+    const EventQueue::Lane tied = q.addLane(90);
+    const EventQueue::Lane beyond = q.addLane(200);
+    q.post(100, EventRecord{.a = 1});
+    const bool no_stop = false;
+    EXPECT_EQ(q.drain(10, no_stop, [](const EventRecord &) {}), 0u);
+    ASSERT_EQ(q.now(), 10u); // the window now starts at 96
+
+    q.postLane(beyond, EventRecord{.a = 2}); // t = 210
+    q.postLane(tied, EventRecord{.a = 3});   // t = 100, after a = 1
+    q.postLane(early, EventRecord{.a = 4});  // t = 15
+    q.post(100, EventRecord{.a = 5});
+    q.postLane(beyond, EventRecord{.a = 6}); // t = 210, after a = 2
+    EXPECT_EQ(q.pending(), 6u);
+    EXPECT_EQ(drainAll(q), (std::vector<std::uint64_t>{4, 1, 3, 5, 2, 6}));
+    EXPECT_EQ(q.now(), kForever);
+}
+
+TEST(EventEngineLanes, DelayShorterThanTheSpanStaysInTheWheel)
+{
+    // A lane whose delay fits in the window never holds a record: every
+    // post takes post()'s path and interleaves with plain posts by
+    // (time, seq), also for posts made while dispatching.
+    EventQueue q; // 65,536 us window
+    const EventQueue::Lane lane = q.addLane(3);
+    q.postLane(lane, EventRecord{.a = 1}); // t = 3
+    q.postAfter(3, EventRecord{.a = 2});   // t = 3
+    q.postAfter(1, EventRecord{.a = 3});   // t = 1
+    q.postLane(lane, EventRecord{.a = 4}); // t = 3
+    std::vector<std::uint64_t> order;
+    const bool no_stop = false;
+    q.drain(kForever, no_stop, [&](const EventRecord &rec) {
+        order.push_back(rec.a);
+        if (rec.a == 3) {
+            q.postLane(lane, EventRecord{.a = 5}); // t = 4
+            q.postAfter(3, EventRecord{.a = 6});   // t = 4
+            q.postAfter(2, EventRecord{.a = 7});   // t = 3, after a = 4
+        }
+    });
+    EXPECT_EQ(order, (std::vector<std::uint64_t>{3, 1, 2, 4, 7, 5, 6}));
+    EXPECT_EQ(q.farScanned(), 0u);
+}
+
+TEST(EventEngineLanes, EqualTimesWithFarRecordsKeepSeqOrder)
+{
+    // Lane and far-list records at one time meet in one bucket at the
+    // window jump and dispatch by seq. The far scan reads only the
+    // far-list records: three at the first jump, one at the second.
+    EventQueue q; // 65,536 us window
+    const EventQueue::Lane lane = q.addLane(100000);
+    q.post(100000, EventRecord{.a = 1});
+    q.postLane(lane, EventRecord{.a = 2});
+    q.post(100000, EventRecord{.a = 3});
+    q.postLane(lane, EventRecord{.a = 4});
+    q.post(200000, EventRecord{.a = 5});
+    EXPECT_EQ(drainAll(q), (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+    EXPECT_EQ(q.farScanned(), 4u);
+}
+
+/** Buckets a full drain from t = 0 must open: one per distinct
+ *  bucket-width slot of the dispatched times, except slot 0, where the
+ *  cursor starts. */
+std::size_t
+nonEmptyBucketsAfterTheFirst(const std::vector<SimTime> &times,
+                             SimTime width)
+{
+    std::set<SimTime> slots;
+    for (const SimTime t : times)
+        slots.insert(t / width);
+    return slots.size() - slots.count(0);
+}
+
+TEST(EventEngineLanes, StructureCountersPinLanesAndBitmap)
+{
+    // Order alone cannot see where a record waited or how the cursor
+    // found it. Full drains of the lane fuzz, with and without stops:
+    //  - the cursor opens exactly the non-empty buckets (a step onto an
+    //    empty bucket would add to the count);
+    //  - the far scan never reads a lane record: posting the same timers
+    //    through postAfter instead gives the same order, and the far
+    //    scan then reads more; on the production wheel, where plain
+    //    posts never leave the window, it reads nothing with lanes.
+    for (std::uint64_t seed = 0; seed < 5; ++seed) {
+        const std::vector<std::uint64_t> expected =
+            referenceFullDrain(seed);
+        for (const auto &[buckets, width] : kGeometries) {
+            for (const std::uint64_t stop_every : {0u, 7u}) {
+                EventQueue laned(buckets, width);
+                EngineDriver with_lanes(laned, stop_every);
+                EventQueue plain(buckets, width);
+                EngineDriver without(plain, stop_every,
+                                     /*use_lanes=*/false);
+                for (const auto &[t, id] : makeBatch(seed, 300, 0, 256)) {
+                    with_lanes.seed(t, id);
+                    without.seed(t, id);
+                }
+                with_lanes.drainUntil(kForever);
+                without.drainUntil(kForever);
+                ASSERT_EQ(with_lanes.order(), expected);
+                ASSERT_EQ(without.order(), expected);
+
+                const SimTime span = static_cast<SimTime>(buckets) * width;
+                const std::string where =
+                    "seed " + std::to_string(seed) + " buckets=" +
+                    std::to_string(buckets) + " width=" +
+                    std::to_string(width) + " stop_every=" +
+                    std::to_string(stop_every);
+                EXPECT_EQ(laned.bucketsOpened(),
+                          nonEmptyBucketsAfterTheFirst(with_lanes.times(),
+                                                       width))
+                    << where;
+                EXPECT_EQ(plain.bucketsOpened(), laned.bucketsOpened())
+                    << where;
+                if (span < kLaneDelays[1]) {
+                    EXPECT_LT(laned.farScanned(), plain.farScanned())
+                        << where;
+                } else {
+                    EXPECT_EQ(laned.farScanned(), plain.farScanned())
+                        << where;
+                }
+                if (buckets == 2048 && width == 32) {
+                    EXPECT_EQ(laned.farScanned(), 0u) << where;
+                    EXPECT_GT(plain.farScanned(), 0u) << where;
+                }
+            }
+        }
+    }
 }
 
 TEST(EventEngineThreads, IndependentQueuesAreIsolated)

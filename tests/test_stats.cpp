@@ -6,7 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include "common/stats.hpp"
 
@@ -153,6 +161,120 @@ TEST(SampleSet, ClearResets)
     set.clear();
     EXPECT_TRUE(set.empty());
     EXPECT_DOUBLE_EQ(set.p95(), 0.0);
+}
+
+std::uint64_t
+bitsOf(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+/** The documented quantile formula over an already sorted copy. */
+double
+sortedQuantile(const std::vector<double> &sorted, double q)
+{
+    const double pos = q * static_cast<double>(sorted.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+/**
+ * n non-negative finite samples: mostly latency-like values, with
+ * duplicates, +0.0, subnormals, DBL_MAX and arbitrary finite bit
+ * patterns mixed in, so keys differ in every byte.
+ */
+std::vector<double>
+radixCandidates(std::size_t n, std::uint64_t seed)
+{
+    std::mt19937_64 gen(seed);
+    std::vector<double> xs;
+    xs.reserve(n);
+    xs.push_back(+0.0);
+    xs.push_back(DBL_MAX);
+    xs.push_back(std::numeric_limits<double>::denorm_min());
+    while (xs.size() < n) {
+        const std::uint64_t r = gen();
+        switch (r % 8) {
+          case 0:
+            xs.push_back(xs[(r >> 8) % xs.size()]); // duplicate
+            break;
+          case 1:
+            xs.push_back(+0.0);
+            break;
+          case 2: // subnormal
+            xs.push_back(std::bit_cast<double>((r >> 12) | 1u));
+            break;
+          case 3: // any finite non-negative value, DBL_MAX included
+            xs.push_back(
+                std::bit_cast<double>((r >> 1) % (bitsOf(DBL_MAX) + 1)));
+            break;
+          default: // latency in ms, 1 us resolution
+            xs.push_back(static_cast<double>((r >> 8) % 2000000) / 1000.0);
+            break;
+        }
+    }
+    std::shuffle(xs.begin(), xs.end(), gen);
+    return xs;
+}
+
+/** p95() then the other queries must read exactly what a std::sort-ed
+ *  copy gives, the buffer included, whichever sort SampleSet picks. */
+void
+expectSortedBitsMatch(const std::vector<double> &xs, const char *what)
+{
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    double sum = 0.0;
+    for (const double x : sorted)
+        sum += x;
+    const double mean = sum / static_cast<double>(sorted.size());
+
+    SampleSet set;
+    set.addAll(xs);
+    EXPECT_EQ(bitsOf(set.p95()), bitsOf(sortedQuantile(sorted, 0.95)))
+        << what << " n=" << xs.size();
+    // At kSelectThreshold and above p95() selects instead of sorting;
+    // min() sorts there (std::sort) and is a no-op on a sorted buffer.
+    EXPECT_EQ(bitsOf(set.min()), bitsOf(sorted.front()));
+    ASSERT_EQ(set.samples().size(), sorted.size());
+    EXPECT_EQ(std::memcmp(set.samples().data(), sorted.data(),
+                          sorted.size() * sizeof(double)),
+              0)
+        << what << " n=" << xs.size();
+    EXPECT_EQ(bitsOf(set.p50()), bitsOf(sortedQuantile(sorted, 0.50)))
+        << what << " n=" << xs.size();
+    EXPECT_EQ(bitsOf(set.mean()), bitsOf(mean))
+        << what << " n=" << xs.size();
+    EXPECT_EQ(bitsOf(set.max()), bitsOf(sorted.back()));
+}
+
+TEST(SampleSet, RadixSortedSetsAreBitIdenticalToStdSort)
+{
+    // Sizes straddle the radix range [kRadixMin = 128, 4096) at both
+    // ends, plus the 2,900-sample average of a per-minute latency set.
+    for (const std::size_t n :
+         {127u, 128u, 129u, 255u, 256u, 257u, 2900u, 4095u, 4096u}) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed)
+            expectSortedBitsMatch(radixCandidates(n, seed * 7919 + n),
+                                  "non-negative finite");
+    }
+}
+
+TEST(SampleSet, SignedOrNonFiniteSetsFallBackToStdSort)
+{
+    // One -0.0, negative or +inf makes the bit order wrong or the value
+    // non-finite: such sets must still read as std::sort orders them.
+    const double odd[] = {-0.0, -1.5, -std::numeric_limits<double>::min(),
+                          std::numeric_limits<double>::infinity()};
+    for (const std::size_t n : {128u, 256u, 2900u, 4095u}) {
+        for (const double x : odd) {
+            std::vector<double> xs = radixCandidates(n, n);
+            xs[n / 2] = x;
+            expectSortedBitsMatch(xs, "fallback");
+        }
+    }
 }
 
 TEST(WindowedSamples, SeparatesWindows)

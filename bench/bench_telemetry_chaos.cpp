@@ -52,7 +52,6 @@ using namespace erms::bench;
 
 namespace {
 
-constexpr SimTime kMinuteUs = 60ULL * 1000ULL * 1000ULL;
 constexpr double kSla = 160.0;
 constexpr int kHorizonMinutes = 10;
 

@@ -48,6 +48,25 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-2}"
 
+# gtest filters run by both the AddressSanitizer and the
+# UndefinedBehaviorSanitizer pass.
+# SampleSet* covers the sample store's radix sort, whose output must be
+# bit-identical to std::sort's.
+FOUNDATION_FILTER='Json*:DependencyGraph*:Catalog.*:SampleSet*'
+SHARD_FILTER='ShardMerge.*:ShardPartition.*:CoordinatedStepping.*:ShardCoordinator.*'
+# The campaign suite's full-size runs are slow under the sanitizers;
+# the archive/replay and campaign-determinism contracts get their
+# cross-process pass below, so the sanitizers focus on the
+# schedule/corruption/cache layers and the guarded-baseline
+# transparency runs.
+CAMPAIGN_FILTER='CampaignAzSchedule.*:CampaignCorruption.*:CampaignFaultyViewCache.*:CampaignArms.*:CampaignArchive.MalformedDocumentThrows:CampaignArchive.RandomArchivesRoundTripBitExact:CampaignArchive.LegacyArchiveParsesToTheSameConfig:CampaignArchive.UnsortedOrDuplicateScrapeSeriesThrowNamingThePath:CampaignArchiveFuzz.*:CampaignArchiveRegression.*:CampaignBaselineTransparency.*'
+# The tuning suite's campaign-level contracts re-run full micro
+# campaigns and are slow under the sanitizers; the sweep-lite
+# determinism gate below exercises the sweep/campaign stack natively,
+# so the sanitizers focus on the feedback rules, validation, reduction,
+# metrics, and one end-to-end self-tuned replay.
+TUNING_FILTER='AdaptiveTuner.*:TunerConfigValidation.*:GuardrailConfigValidation.*:SweepReduction.*:SweepConfigValidation.*:GuardMetrics.*:GuardRetune.*:SelfTuningDeterminism.SelfTunedCampaignReplaysExactly'
+
 echo "== library reads no environment: no getenv under src/ =="
 if grep -rnw getenv src; then
     echo "src/ must take settings through config structs, not getenv" >&2
@@ -67,10 +86,8 @@ cmake --build build-asan -j"$JOBS" \
              erms_tests_chaos erms_tests_campaign erms_tests_event_engine \
              erms_tests_queueing erms_tests_market erms_tests_tuning \
              erms_tests_scaling erms_tests_shard
-# SampleSet* covers the sample store's radix sort, whose output must be
-# bit-identical to std::sort's (also under UBSan below).
 ./build-asan/tests/erms_tests_foundation \
-    --gtest_filter='Json*:DependencyGraph*:Catalog.*:SampleSet*'
+    --gtest_filter="$FOUNDATION_FILTER"
 ./build-asan/tests/erms_tests_scaling
 ./build-asan/tests/erms_tests_sim \
     --gtest_filter='Fault*:Resilience*:EventQueue*'
@@ -79,26 +96,17 @@ cmake --build build-asan -j"$JOBS" \
 ./build-asan/tests/erms_tests_system \
     --gtest_filter='*Property*:*StatsMerge*:*HistogramMerge*:*TelemetryTransparency*:*Serialization*:CsvRates*:InterferenceAware.*:BatchPlacement.*'
 ./build-asan/tests/erms_tests_shard \
-    --gtest_filter='ShardMerge.*:ShardPartition.*:CoordinatedStepping.*:ShardCoordinator.*'
+    --gtest_filter="$SHARD_FILTER"
 ./build-asan/tests/erms_tests_telemetry
 ./build-asan/tests/erms_tests_chaos
-# The campaign suite's full-size runs are slow under ASan; the archive/
-# replay and campaign-determinism contracts get their cross-process
-# pass below, so the sanitizer focuses on the schedule/corruption/cache
-# layers and the guarded-baseline transparency runs.
 ./build-asan/tests/erms_tests_campaign \
-    --gtest_filter='CampaignAzSchedule.*:CampaignCorruption.*:CampaignFaultyViewCache.*:CampaignArms.*:CampaignArchive.MalformedDocumentThrows:CampaignArchive.RandomArchivesRoundTripBitExact:CampaignArchive.LegacyArchiveParsesToTheSameConfig:CampaignArchive.UnsortedOrDuplicateScrapeSeriesThrowNamingThePath:CampaignArchiveFuzz.*:CampaignArchiveRegression.*:CampaignBaselineTransparency.*'
+    --gtest_filter="$CAMPAIGN_FILTER"
 ./build-asan/tests/erms_tests_event_engine
 ./build-asan/tests/erms_tests_queueing \
     --gtest_filter='QueueingValidation.MM1*:QueueingValidation.ErlangC*'
 ./build-asan/tests/erms_tests_market
-# The tuning suite's campaign-level contracts re-run full micro
-# campaigns and are slow under ASan; the sweep-lite determinism gate
-# below exercises the sweep/campaign stack natively, so the sanitizer
-# focuses on the feedback rules, validation, reduction, metrics, and
-# one end-to-end self-tuned replay.
 ./build-asan/tests/erms_tests_tuning \
-    --gtest_filter='AdaptiveTuner.*:TunerConfigValidation.*:GuardrailConfigValidation.*:SweepReduction.*:SweepConfigValidation.*:GuardMetrics.*:GuardRetune.*:SelfTuningDeterminism.SelfTunedCampaignReplaysExactly'
+    --gtest_filter="$TUNING_FILTER"
 
 echo "== ubsan: json + io + telemetry + guard + chaos + campaign + tuning + planner + shard merge numeric paths (build-ubsan/) =="
 cmake -B build-ubsan -S . -DERMS_SANITIZE=undefined
@@ -108,22 +116,22 @@ cmake --build build-ubsan -j"$JOBS" \
              erms_tests_tuning erms_tests_scaling erms_tests_golden \
              erms_tests_shard erms_tests_event_engine
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_foundation \
-    --gtest_filter='Json*:DependencyGraph*:Catalog.*:SampleSet*'
+    --gtest_filter="$FOUNDATION_FILTER"
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_system \
     --gtest_filter='*Serialization*:CriticalPaths*:EndToEndLatency*:*SolverProperty*:*MultiplexProperty*:CsvRates*:InterferenceAware.*:BatchPlacement.*:*HistogramMerge*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_shard \
-    --gtest_filter='ShardMerge.*:ShardPartition.*:CoordinatedStepping.*:ShardCoordinator.*'
+    --gtest_filter="$SHARD_FILTER"
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_scaling
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_golden \
     --gtest_filter='Scenarios/GoldenFile.MatchesCommittedTable/planner:Scenarios/GoldenFile.MatchesCommittedTable/telemetry'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_telemetry
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_chaos
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_campaign \
-    --gtest_filter='CampaignAzSchedule.*:CampaignCorruption.*:CampaignFaultyViewCache.*:CampaignArms.*:CampaignArchive.MalformedDocumentThrows:CampaignArchive.RandomArchivesRoundTripBitExact:CampaignArchive.LegacyArchiveParsesToTheSameConfig:CampaignArchive.UnsortedOrDuplicateScrapeSeriesThrowNamingThePath:CampaignArchiveFuzz.*:CampaignArchiveRegression.*:CampaignBaselineTransparency.*'
+    --gtest_filter="$CAMPAIGN_FILTER"
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_sim \
     --gtest_filter='Fault*:Resilience*'
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_tuning \
-    --gtest_filter='AdaptiveTuner.*:TunerConfigValidation.*:GuardrailConfigValidation.*:SweepReduction.*:SweepConfigValidation.*:GuardMetrics.*:GuardRetune.*:SelfTuningDeterminism.SelfTunedCampaignReplaysExactly'
+    --gtest_filter="$TUNING_FILTER"
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_event_engine
 
 echo "== tsan: parallel runner + profiling sweep + event engine + shard coordinator (build-tsan/) =="

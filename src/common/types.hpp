@@ -45,6 +45,9 @@ inline constexpr HostId kInvalidHost = std::numeric_limits<HostId>::max();
  */
 using SimTime = std::uint64_t;
 
+/** One simulated minute in microseconds. */
+inline constexpr SimTime kMinuteUs = 60ULL * 1000ULL * 1000ULL;
+
 /** Milliseconds as a double, the unit used by the analytic models. */
 using Millis = double;
 

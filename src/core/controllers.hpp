@@ -43,10 +43,15 @@ makeBaselineAutoscaler(
     std::shared_ptr<const telemetry::TelemetryView> view = nullptr);
 
 /**
- * Reactive Firm-style controller: each minute, for each service whose
- * observed P95 exceeded its SLA, bump the worst-latency microservice of
- * its graph by 15%; when P95 sits below 75% of the SLA, reclaim 10% from
- * the most over-provisioned microservice.
+ * Reactive Firm-style controller. Each minute, for each service with an
+ * observed P95:
+ *  - above its SLA: the critical microservice (worst observed tail
+ *    latency; the graph's root when none is observed) grows by
+ *    ceil(30%) of its count, and every other microservice of the graph
+ *    by ceil(10%), each by at least one container;
+ *  - below 75% of its SLA: the microservice with the largest count
+ *    gives back max(1, floor(10%)) of it, never going below one
+ *    container.
  */
 std::function<void(Simulation &, int)>
 makeFirmReactiveController(

@@ -19,8 +19,6 @@ namespace erms {
 
 namespace {
 
-constexpr SimTime kMinuteUs = 60ULL * 1000ULL * 1000ULL;
-
 /** Bit-exact double comparison (NaN-safe), matching the snapshot
  *  equality semantics in telemetry/registry.cpp. */
 bool

@@ -10,8 +10,6 @@ namespace erms {
 
 namespace {
 
-constexpr SimTime kMinuteUs = 60ULL * 1000ULL * 1000ULL;
-
 // Derived-stream indexes of the fault seed. Keep in sync with
 // Simulation's per-call streams (documented in docs/faults.md):
 //   0 = crash schedule, 1 = transient call failures, 2 = retry jitter,

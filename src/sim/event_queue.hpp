@@ -12,26 +12,29 @@
  *    through its own switch (Simulation::dispatchEvent).
  *  - Time ordering uses a calendar ("timing wheel") of power-of-two
  *    buckets over a sliding window, with a far list for events beyond
- *    the window and a tiny early heap for events scheduled behind an
- *    already-advanced window. Timers with a fixed delay can be posted
- *    through FIFO lanes instead of the far list: each lane is already
- *    time-ordered, so a window jump pours its head in O(moved) instead
- *    of rescanning it. An occupancy bitmap (one bit per bucket) lets
- *    the cursor jump straight to the next non-empty bucket. When a
- *    bucket becomes current it is sorted once (ascending) and consumed
- *    through a head index: spent records stay in place as a stale
- *    prefix and the whole bucket is discarded with one clear() when it
- *    drains. Events posted into the already-sorted current bucket go
- *    to a small spill heap that interleaves by (time, seq). Dispatch
- *    order is exactly the strict total order (time, seq) — the
+ *    the window. Timers with a fixed delay can be posted through FIFO
+ *    lanes instead of the far list: each lane is already time-ordered,
+ *    so a window jump pours its head in O(moved) instead of rescanning
+ *    it. An occupancy bitmap (one bit per bucket) lets the cursor jump
+ *    straight to the next non-empty bucket. When a bucket becomes
+ *    current it is sorted once (ascending) and consumed through a head
+ *    index: spent records stay in place as a stale prefix and the whole
+ *    bucket is discarded with one clear() when it drains. Events posted
+ *    into the already-sorted current bucket are set aside and inserted
+ *    into its unconsumed suffix by (time, seq) before the next batch.
+ *    Dispatch order is exactly the strict total order (time, seq) — the
  *    determinism contract every golden table pins — at a steady-state
  *    per-event cost of an index bump plus one comparison.
+ *  - A drain moves the cursor only to a bucket that starts at or before
+ *    its horizon, and sets now() to the event it takes from there or,
+ *    finding none due, to the horizon. So the cursor's bucket starts at
+ *    or before now(), and every post lands in it or in a later bucket.
  *  - drain() is the only way events leave the queue. It takes runs of
- *    ready events as batches — usually a zero-copy span over the
- *    sorted bucket, possibly covering several timestamps — and hands
- *    each record to the owner's dispatch functor, re-entering the
- *    bookkeeping only when a freshly posted event must interleave or
- *    the owner asks to stop.
+ *    ready events as batches — zero-copy spans over the sorted bucket,
+ *    possibly covering several timestamps — and hands each record to
+ *    the owner's dispatch functor, re-entering the bookkeeping only
+ *    when a freshly posted event must interleave or the owner asks to
+ *    stop.
  */
 
 #ifndef ERMS_SIM_EVENT_QUEUE_HPP
@@ -41,6 +44,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -149,17 +153,6 @@ class EventQueue
     std::uint64_t bucketsOpened() const { return bucketsOpened_; }
 
   private:
-    struct Later
-    {
-        bool
-        operator()(const EventRecord &a, const EventRecord &b) const
-        {
-            if (a.time != b.time)
-                return a.time > b.time;
-            return a.seq > b.seq;
-        }
-    };
-
     struct Earlier
     {
         bool
@@ -171,54 +164,52 @@ class EventQueue
         }
     };
 
+    /** Set t to the time of the next record, which becomes the sorted
+     *  cursor bucket's head; the set-aside records are folded in first.
+     *  Moves the cursor only to a bucket that starts at or before
+     *  `horizon`, and returns false when no record lies in such a
+     *  bucket; the head it finds may still lie after the horizon. */
+    bool peekTime(SimTime horizon, SimTime &t);
+
     /**
-     * A run of ready events taken out of the queue by nextBatch(), in
-     * exact (time, seq) order. Either a zero-copy window over the
-     * sorted active bucket (possibly many timestamps) or, when spill or
-     * early-heap records take part, one timestamp merged into
-     * scratchBatch_ (`merged`). Posting while a batch is live never
-     * invalidates it: same-bucket posts go to the spill heap, never
-     * into the sorted bucket.
+     * Take the next run of ready events with times <= horizon: a
+     * zero-copy span of the sorted cursor bucket, in exact (time, seq)
+     * order. On success advances now() to the first record's time;
+     * otherwise leaves events queued, advances now() to the horizon and
+     * returns false. Posting while a span is live never invalidates it:
+     * posts into the sorted bucket are set aside in spill_.
      */
-    struct Batch
-    {
-        const EventRecord *data = nullptr;
-        std::size_t count = 0;
-        bool merged = false;
-    };
-
-    /** Find the next event without popping: returns false when empty,
-     *  else sets t to its time and leaves it at a known position
-     *  (early_ front, the sorted cursor bucket's head, or the spill
-     *  heap's front). */
-    bool peekTime(SimTime &t);
-
-    /** Take the next run of ready events with times <= horizon. On
-     *  success advances now() to the first record's time; otherwise
-     *  leaves events queued, advances now() to the horizon and returns
-     *  false. */
-    bool nextBatch(SimTime horizon, Batch &out);
+    bool nextBatch(SimTime horizon, std::span<const EventRecord> &out);
 
     /**
-     * After dispatching one record of a zero-copy batch: must a freshly
-     * posted event run before `next` (the batch's next record)? Only
-     * the spill heap can hold such an event — dispatch-time posts have
-     * t >= now(), so they cannot reach the early heap or an earlier
-     * bucket — and it interleaves only with a strictly smaller time (an
-     * equal-time post carries a higher seq and runs after the whole
-     * batch run of that timestamp). Merged batches are single-timestamp,
-     * so nothing can interleave with them.
+     * After dispatching one record of a batch: must a freshly posted
+     * event run before `next` (the batch's next record)? Only a record
+     * set aside for the cursor bucket can — posts into later buckets
+     * sort after the whole span — and it interleaves only with a
+     * strictly smaller time: a batch starts with nothing set aside, so
+     * an equal-time spill record carries a higher seq than every record
+     * of the span and runs after the whole run of that timestamp.
      */
     bool
     interleavePending(const EventRecord &next) const
     {
-        return !spill_.empty() && spill_.front().time < next.time;
+        return spillMin_ < next.time;
     }
 
-    /** Put the batch's records from index `consumed` on back into the
-     *  queue, each keeping its seq, so they are served again in the
-     *  same order. */
-    void returnTail(const Batch &batch, std::size_t consumed);
+    /** Put the last `rest` records of the current batch back. They
+     *  still sit in the sorted bucket, so rewinding the head re-serves
+     *  them in the same order. */
+    void
+    returnTail(std::size_t rest)
+    {
+        pending_ += rest;
+        wheelCount_ += rest;
+        activeHead_ -= rest;
+    }
+
+    /** Insert the set-aside records into the sorted cursor bucket's
+     *  unconsumed suffix, each at its (time, seq) position. */
+    void foldSpill();
 
     /** Move far-list and lane events that now fall inside the window
      *  into their buckets; recompute farMin_. */
@@ -229,6 +220,13 @@ class EventQueue
     bucketOf(SimTime t) const
     {
         return static_cast<std::size_t>((t - windowStart_) / bucketWidth_);
+    }
+
+    /** Time at which a bucket of the window starts. */
+    SimTime
+    bucketStart(std::size_t index) const
+    {
+        return windowStart_ + static_cast<SimTime>(index) * bucketWidth_;
     }
 
     /** Append to a wheel bucket and mark it occupied. */
@@ -276,6 +274,7 @@ class EventQueue
     SimTime bucketWidth_;
     SimTime span_;          ///< bucketCount_ * bucketWidth_
     SimTime windowStart_ = 0;
+    /** Current bucket; it starts at or before now(). */
     std::size_t cursor_ = 0;
     /** Current bucket sorted ascending; consumed entries are the
      *  prefix [0, activeHead_), discarded in one clear() when the
@@ -290,26 +289,17 @@ class EventQueue
      *  prefix included): max(1, bucketCount_ / 64) words. */
     std::vector<std::uint64_t> occupied_;
 
-    /** Merge buffer for nextBatch() runs that interleave spill/early
-     *  records (the zero-copy bucket window doesn't apply there). */
-    std::vector<EventRecord> scratchBatch_;
-
-    /** Events posted into the current bucket after it was sorted, plus
-     *  the unconsumed tail of a merged batch that a stop handed back; a
-     *  min-heap on (time, seq) interleaved with the sorted bucket by
-     *  full (time, seq) comparison. A zero-copy batch only starts with
-     *  an empty spill heap, so while one is live every spill entry was
-     *  posted after the sort and carries a higher seq than every sorted
-     *  entry — which is what lets interleavePending() compare times
-     *  alone. */
+    /** Records posted into the sorted cursor bucket, in post order,
+     *  waiting for peekTime() to fold them in; spillMin_ is their
+     *  earliest time (kNoFar when none). */
     std::vector<EventRecord> spill_;
+    SimTime spillMin_ = kNoFar;
 
     // overflow levels ---------------------------------------------------
     std::vector<EventRecord> far_;   ///< time >= windowStart_ + span_
     std::vector<TimerLane> lanes_;   ///< each time >= windowStart_ + span_
     /** Earliest record in far_ and the lane heads; kNoFar when none. */
     SimTime farMin_ = kNoFar;
-    std::vector<EventRecord> early_; ///< heap; time < windowStart_
 
     std::uint64_t farScanned_ = 0;
     std::uint64_t bucketsOpened_ = 0;
@@ -331,52 +321,25 @@ inline void
 EventQueue::post(SimTime t, EventRecord rec)
 {
     ERMS_ASSERT_MSG(t >= now_, "cannot schedule into the past");
+    // Checked before the far test, whose unsigned difference would
+    // hide a post before the window.
+    ERMS_ASSERT_MSG(t >= bucketStart(cursor_),
+                    "the cursor's bucket must start at or before now()");
     rec.time = t;
     rec.seq = next_seq_++;
     ++pending_;
 
-    if (t < windowStart_) {
-        // The wheel advanced past t while hunting for a later event
-        // (e.g. the sim idled to a horizon, then scheduled from there).
-        // Rare by construction: park in the early heap, which always
-        // dispatches before the wheel (early times < windowStart_ <=
-        // every wheel/far time).
-        early_.push_back(rec);
-        std::push_heap(early_.begin(), early_.end(), Later{});
-        return;
-    }
     if (t - windowStart_ >= span_) {
         farMin_ = std::min(farMin_, t);
         far_.push_back(rec);
         return;
     }
     const std::size_t index = bucketOf(t);
-    if (index < cursor_) {
-        // Buckets before the cursor are empty (the cursor only advances
-        // past drained buckets), so reopening is just a rewind. Drop
-        // the current bucket's consumed prefix and fold any spill back
-        // into it; it re-sorts as one unit when it becomes current
-        // again.
-        std::vector<EventRecord> &active = buckets_[cursor_];
-        if (activeHead_ > 0) {
-            active.erase(active.begin(),
-                         active.begin() +
-                             static_cast<std::ptrdiff_t>(activeHead_));
-            activeHead_ = 0;
-        }
-        if (!spill_.empty()) {
-            active.insert(active.end(), spill_.begin(), spill_.end());
-            spill_.clear();
-        }
-        if (active.empty())
-            clearOccupied(cursor_); // a set bit means a non-empty vector
-        cursor_ = index;
-        activeSorted_ = false;
-    }
     if (index == cursor_ && activeSorted_) {
+        // A live batch may span the sorted bucket, so it must not move.
         // The sorted cursor bucket is non-empty, so its bit is set.
         spill_.push_back(rec);
-        std::push_heap(spill_.begin(), spill_.end(), Later{});
+        spillMin_ = std::min(spillMin_, t);
         ++wheelCount_;
     } else {
         pushBucket(index, rec);
@@ -394,7 +357,7 @@ EventQueue::postLane(Lane lane, EventRecord rec)
 {
     TimerLane &timers = lanes_[lane.index];
     const SimTime t = now_ + timers.delay;
-    if (t < windowStart_ || t - windowStart_ < span_) {
+    if (t - windowStart_ < span_) { // now() never lies before the window
         post(t, rec);
         return;
     }
@@ -411,18 +374,32 @@ EventQueue::postLane(Lane lane, EventRecord rec)
     timers.records.push_back(rec);
 }
 
-inline bool
-EventQueue::peekTime(SimTime &t)
+inline void
+EventQueue::foldSpill()
 {
-    if (!early_.empty()) {
-        t = early_.front().time;
-        return true;
-    }
+    // No batch is live, so the bucket's records may move. Spill records
+    // were posted after the bucket was sorted: each one's upper bound
+    // is after every record of its time already there.
+    std::vector<EventRecord> &bucket = buckets_[cursor_];
+    const auto head = static_cast<std::ptrdiff_t>(activeHead_);
+    for (const EventRecord &rec : spill_)
+        bucket.insert(std::upper_bound(bucket.begin() + head, bucket.end(),
+                                       rec, Earlier{}),
+                      rec);
+    spill_.clear();
+    spillMin_ = kNoFar;
+}
+
+inline bool
+EventQueue::peekTime(SimTime horizon, SimTime &t)
+{
     if (pending_ == 0)
         return false;
+    if (!spill_.empty())
+        foldSpill();
     for (;;) {
         std::vector<EventRecord> &bucket = buckets_[cursor_];
-        if (activeHead_ == bucket.size() && spill_.empty()) {
+        if (activeHead_ == bucket.size()) {
             // Bucket fully consumed (or plain empty): discard the stale
             // prefix in one shot, then advance. The clear must happen
             // before any cursor move or window jump so a later pour
@@ -431,145 +408,68 @@ EventQueue::peekTime(SimTime &t)
             clearOccupied(cursor_);
             activeHead_ = 0;
             activeSorted_ = false;
+            // Move only to a bucket that starts at or before the
+            // horizon: nextBatch() then sets now() to at least its
+            // start, which keeps the cursor's bucket at or before now().
             if (wheelCount_ == 0) {
                 // Everything pending lives in the far list or the
                 // lanes: jump the window straight to the earliest far
                 // record instead of walking empty rotations.
+                if (farMin_ > horizon)
+                    return false;
                 windowStart_ = farMin_ - farMin_ % span_;
                 cursor_ = bucketOf(farMin_);
                 pourFar(); // farMin_ lands in the cursor's bucket
             } else {
                 // A wheel record sits in a later bucket of the window:
-                // buckets before the cursor are empty and spill records
-                // belong to the cursor's bucket, so a set bit lies
-                // after the cursor and the scan stays in the window.
-                cursor_ = nextOccupied(cursor_ + 1);
+                // posts land at or after the cursor and nothing is set
+                // aside, so a set bit lies after the cursor and the
+                // scan stays in the window.
+                const std::size_t next = nextOccupied(cursor_ + 1);
+                if (bucketStart(next) > horizon)
+                    return false;
+                cursor_ = next;
             }
             ++bucketsOpened_;
             continue;
         }
         if (!activeSorted_) {
             // Sort ascending; consumption walks activeHead_ forward.
-            // The spill heap is necessarily empty here (it only fills
-            // after the sort and drains before the cursor moves on),
-            // and activeHead_ is 0 (nonzero only while sorted).
+            // activeHead_ is 0 here (nonzero only while sorted).
             std::sort(bucket.begin(), bucket.end(), Earlier{});
             activeSorted_ = true;
         }
-        if (spill_.empty())
-            t = bucket[activeHead_].time;
-        else if (activeHead_ == bucket.size())
-            t = spill_.front().time;
-        else
-            t = std::min(bucket[activeHead_].time, spill_.front().time);
+        t = bucket[activeHead_].time;
         return true;
     }
 }
 
 inline bool
-EventQueue::nextBatch(SimTime horizon, Batch &out)
+EventQueue::nextBatch(SimTime horizon, std::span<const EventRecord> &out)
 {
     SimTime t;
-    if (!peekTime(t) || t > horizon) {
+    if (!peekTime(horizon, t) || t > horizon) {
         if (now_ < horizon)
             now_ = horizon;
-        out = Batch{};
         return false;
     }
     now_ = t;
-    // peekTime() left the run's records at known positions, and no new
-    // records can arrive while we drain (dispatch happens after this
-    // returns), so the tail of the run is found with cheap time checks
-    // per event instead of re-running the peek loop.
-    if (!early_.empty()) {
-        // Early-heap run: wheel times are >= windowStart_ > t, so every
-        // same-time record lives in the early heap alone. Merged into
-        // scratch (rare by construction).
-        scratchBatch_.clear();
-        do {
-            --pending_;
-            std::pop_heap(early_.begin(), early_.end(), Later{});
-            scratchBatch_.push_back(early_.back());
-            early_.pop_back();
-        } while (!early_.empty() && early_.front().time == t);
-        out = Batch{scratchBatch_.data(), scratchBatch_.size(), true};
-        return true;
-    }
-    // Wheel run: time t maps to exactly one bucket, so every same-time
-    // record is in the current (sorted) bucket or its spill heap.
+    // Hand out the bucket's whole unconsumed suffix up to the horizon,
+    // zero-copy — multiple timestamps in one span. Posts during
+    // dispatch go to spill_ (the bucket is sorted), so the span
+    // survives until the next nextBatch() call; drain()'s
+    // interleavePending() check decides when a spilled event forces an
+    // early re-entry.
     std::vector<EventRecord> &bucket = buckets_[cursor_];
-    if (spill_.empty()) {
-        // Common case: hand out the bucket's whole unconsumed suffix
-        // up to the horizon, zero-copy — multiple timestamps in one
-        // span. Posts during dispatch go to the spill heap (the bucket
-        // is sorted), so the span survives until the next nextBatch()
-        // call; drain()'s interleavePending() check decides when a
-        // spilled event forces an early re-entry.
-        std::size_t end = activeHead_ + 1;
-        while (end < bucket.size() && bucket[end].time <= horizon)
-            ++end;
-        const std::size_t n = end - activeHead_;
-        pending_ -= n;
-        wheelCount_ -= n;
-        out = Batch{bucket.data() + activeHead_, n, false};
-        activeHead_ = end;
-        return true;
-    }
-    // Spill records interleave with the sorted window: merge the run
-    // into scratch. Equal-time ties drain the bucket first (spill seqs
-    // are strictly higher).
-    scratchBatch_.clear();
-    for (;;) {
-        --pending_;
-        --wheelCount_;
-        if (!spill_.empty() &&
-            (activeHead_ == bucket.size() ||
-             Later{}(bucket[activeHead_], spill_.front()))) {
-            std::pop_heap(spill_.begin(), spill_.end(), Later{});
-            scratchBatch_.push_back(spill_.back());
-            spill_.pop_back();
-        } else {
-            scratchBatch_.push_back(bucket[activeHead_++]);
-        }
-        const bool more = (activeHead_ < bucket.size() &&
-                           bucket[activeHead_].time == t) ||
-                          (!spill_.empty() && spill_.front().time == t);
-        if (!more)
-            break;
-    }
-    out = Batch{scratchBatch_.data(), scratchBatch_.size(), true};
+    std::size_t end = activeHead_ + 1;
+    while (end < bucket.size() && bucket[end].time <= horizon)
+        ++end;
+    const std::size_t n = end - activeHead_;
+    pending_ -= n;
+    wheelCount_ -= n;
+    out = std::span<const EventRecord>(bucket.data() + activeHead_, n);
+    activeHead_ = end;
     return true;
-}
-
-inline void
-EventQueue::returnTail(const Batch &batch, std::size_t consumed)
-{
-    const std::size_t rest = batch.count - consumed;
-    pending_ += rest;
-    if (!batch.merged) {
-        // The records still sit in the sorted bucket: rewinding the
-        // head re-serves them in place.
-        activeHead_ -= rest;
-        wheelCount_ += rest;
-        return;
-    }
-    // A merged batch was popped into scratch from the early heap, or
-    // from the spill heap and the bucket head. Push each record into
-    // the heap its time belongs to; both order by (time, seq), and the
-    // seq is unchanged, so the next batch serves them in the same order
-    // (bucket-born records in the spill heap still merge correctly
-    // against the bucket by full comparison).
-    for (std::size_t i = consumed; i < batch.count; ++i) {
-        const EventRecord &rec = batch.data[i];
-        if (rec.time < windowStart_) {
-            early_.push_back(rec);
-            std::push_heap(early_.begin(), early_.end(), Later{});
-        } else {
-            spill_.push_back(rec);
-            std::push_heap(spill_.begin(), spill_.end(), Later{});
-            ++wheelCount_;
-        }
-    }
 }
 
 template <class F>
@@ -582,21 +482,21 @@ EventQueue::drain(SimTime horizon, const bool &stop, F &&dispatch)
     // tail goes back and the loop takes a fresh batch — the resulting
     // order is exactly one-at-a-time (time, seq) extraction.
     std::uint64_t dispatched = 0;
-    Batch batch;
+    std::span<const EventRecord> batch;
     while (nextBatch(horizon, batch)) {
         std::size_t consumed = 0;
-        while (consumed < batch.count) {
-            const EventRecord &event = batch.data[consumed];
+        while (consumed < batch.size()) {
+            const EventRecord &event = batch[consumed];
             now_ = event.time;
             dispatch(event);
             ++consumed;
             if (stop) {
-                returnTail(batch, consumed);
+                returnTail(batch.size() - consumed);
                 return dispatched + consumed;
             }
-            if (consumed < batch.count &&
-                interleavePending(batch.data[consumed])) {
-                returnTail(batch, consumed);
+            if (consumed < batch.size() &&
+                interleavePending(batch[consumed])) {
+                returnTail(batch.size() - consumed);
                 break;
             }
         }

@@ -10,8 +10,6 @@ namespace erms {
 
 namespace {
 
-constexpr SimTime kMinute = 60ULL * 1000ULL * 1000ULL; // 60 s in usec
-
 /**
  * Typed event vocabulary of the simulator, dispatched through
  * Simulation::dispatchEvent. Payload conventions are noted per type.
@@ -480,14 +478,6 @@ double
 Simulation::hostMemUtil(const HostState &host) const
 {
     return host.memUtilCached;
-}
-
-Interference
-Simulation::hostInterference(HostId host) const
-{
-    ERMS_ASSERT(host < hosts_.size());
-    const HostState &h = hosts_[host];
-    return Interference{hostCpuUtil(h), hostMemUtil(h)};
 }
 
 Interference
@@ -966,13 +956,13 @@ Simulation::scheduleArrival(std::size_t service_index)
     const double rate = serviceRate(service_index);
     if (rate <= 0.0) {
         // Re-check at the next minute boundary.
-        const SimTime next_minute = (now() / kMinute + 1) * kMinute;
+        const SimTime next_minute = (now() / kMinuteUs + 1) * kMinuteUs;
         events_.post(next_minute + 1,
                      EventRecord{.a = service_index,
                                  .type = kEvArrivalRecheck});
         return;
     }
-    const double mean_gap_us = static_cast<double>(kMinute) / rate;
+    const double mean_gap_us = static_cast<double>(kMinuteUs) / rate;
     const SimTime gap =
         static_cast<SimTime>(std::max(1.0, rng_.exponential(mean_gap_us)));
     events_.postAfter(gap,
@@ -1381,7 +1371,7 @@ Simulation::finishRequest(RequestState *req)
 {
     const SimTime t = now();
     const double latency_ms = toMillis(t - req->arrival);
-    const std::uint64_t minute = t / kMinute;
+    const std::uint64_t minute = t / kMinuteUs;
 
     // Lazily resolved pointers into the metrics maps: the maps keep
     // their create-on-first-touch semantics (an unobserved service has
@@ -1695,7 +1685,7 @@ Simulation::onMinuteBoundary()
         HostState &host = hosts_[i];
         noteBusyChange(host, 0.0); // flush integral to now
         const double avg_busy =
-            host.busyIntegral / static_cast<double>(kMinute);
+            host.busyIntegral / static_cast<double>(kMinuteUs);
         host_cpu_avg[i] =
             std::clamp(host.bgCpu + avg_busy / host.cpuCapacity, 0.0, 1.0);
         host_mem_avg[i] = hostMemUtil(host);
@@ -1776,7 +1766,7 @@ void
 Simulation::postNextMinuteBoundary()
 {
     if (currentMinute_ < config_.horizonMinutes) {
-        events_.post(static_cast<SimTime>(currentMinute_ + 1) * kMinute,
+        events_.post(static_cast<SimTime>(currentMinute_ + 1) * kMinuteUs,
                      EventRecord{.type = kEvMinuteBoundary});
     }
 }
@@ -1916,7 +1906,7 @@ Simulation::beginRun()
     ERMS_ASSERT_MSG(!ran_, "Simulation::run may only be called once");
     ran_ = true;
 
-    runHorizon_ = static_cast<SimTime>(config_.horizonMinutes) * kMinute;
+    runHorizon_ = static_cast<SimTime>(config_.horizonMinutes) * kMinuteUs;
     // Both timer delays are fixed from here on (setResilienceConfig
     // must precede the run), so each timer stream gets a FIFO lane.
     if (resilience_.timeoutMs > 0.0)
@@ -1928,7 +1918,7 @@ Simulation::beginRun()
     installFaultSchedule(runHorizon_);
     for (std::size_t i = 0; i < services_.size(); ++i)
         scheduleArrival(i);
-    events_.post(kMinute, EventRecord{.type = kEvMinuteBoundary});
+    events_.post(kMinuteUs, EventRecord{.type = kEvMinuteBoundary});
 
     if (monitor_ != nullptr) {
         // Baseline scrape at t=0 (all counters zero) so the first

@@ -257,9 +257,6 @@ class Simulation
     /** Read-only load views for placement policies / provisioning. */
     std::vector<HostView> hostViews() const;
 
-    /** Instantaneous interference on one host. */
-    Interference hostInterference(HostId host) const;
-
     /** Cluster-average interference (what Online Scaling feeds into the
      *  profiling model, §5.3.1). */
     Interference clusterInterference() const;

@@ -195,14 +195,13 @@ TracingCoordinator::extractWorkloads(const std::vector<CallSpan> &spans,
                                      double sampling_rate)
 {
     ERMS_ASSERT(sampling_rate > 0.0 && sampling_rate <= 1.0);
-    constexpr SimTime kMinute = 60ULL * 1000ULL * 1000ULL;
     const double scale = 1.0 / sampling_rate;
 
     std::unordered_map<MicroserviceId,
                        std::unordered_map<std::uint64_t, double>>
         workloads;
     for (const CallSpan &span : spans) {
-        const std::uint64_t minute = span.serverReceive / kMinute;
+        const std::uint64_t minute = span.serverReceive / kMinuteUs;
         workloads[span.callee][minute] += scale;
     }
     return workloads;

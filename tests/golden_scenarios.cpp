@@ -835,7 +835,7 @@ telemetryImpl()
             telemetry::SimMonitor monitor;
             const FaultyTelemetryView view(monitor,
                                            everyTelemetryFault(seed), 4,
-                                           10 * 60 * kSecondUs, corruption);
+                                           10 * kMinuteUs, corruption);
             out << "faulty seed " << seed << " mode "
                 << static_cast<int>(mode) << ':';
             for (int scrape = 0; scrape < 14; ++scrape) {

@@ -44,7 +44,6 @@ using telemetry::SimMonitor;
 using telemetry::TelemetrySnapshot;
 
 constexpr SimTime kSecondUs = 1000ULL * 1000ULL;
-constexpr SimTime kMinuteUs = 60ULL * kSecondUs;
 
 /** Bit-pattern double equality (NaN-proof, distinguishes -0.0). */
 bool

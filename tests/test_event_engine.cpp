@@ -35,10 +35,10 @@ namespace {
 constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
 
 /** Wheel geometries (bucket count, bucket width in us): the production
- *  default; degenerate tiny wheels, where window rotation, far-list
- *  pours and cursor rewinds happen constantly; and one bucket spanning
- *  2^40 us — a sorted list whose dispatch-time posts all go through
- *  the spill heap. */
+ *  default; degenerate tiny wheels, where window rotation and far-list
+ *  pours happen constantly; and one bucket spanning 2^40 us — a sorted
+ *  list whose dispatch-time posts are all set aside and folded into
+ *  it. */
 const std::pair<std::size_t, SimTime> kGeometries[] = {
     {2048, 32}, {1, 1}, {2, 1}, {4, 2}, {8, 16}, {1024, 1}, {1, 1ull << 40}};
 
@@ -320,8 +320,8 @@ TEST(EventEngineFuzz, TinyBucketGeometriesMatchReference)
 
 TEST(EventEngineFuzz, StopAndResumeMatchesReference)
 {
-    // A stop may land anywhere in a batch: in a zero-copy bucket span
-    // or in a run merged from the spill or early heap. Resuming must
+    // A stop may land anywhere in a batch, also in one that follows a
+    // fold of set-aside records into the bucket. Resuming must
     // continue the exact reference order — no record dispatched twice,
     // none lost.
     for (std::uint64_t seed = 0; seed < 5; ++seed) {
@@ -340,8 +340,8 @@ TEST(EventEngineFuzz, HorizonSegmentedDrainMatchesReference)
 {
     // Interleave horizon-bounded drains with fresh batches posted from
     // the advanced clock — exercising post-at-now, post-at-horizon and
-    // post-behind-the-advanced-window (early heap) paths, with and
-    // without stops.
+    // posts behind a queued record the cursor must not have moved to,
+    // with and without stops.
     for (std::uint64_t seed = 0; seed < 10; ++seed) {
         for (const std::uint64_t stop_every : {0u, 7u}) {
             ReferenceModel ref;
@@ -441,9 +441,10 @@ drainAll(EventQueue &q)
 TEST(EventEngineLanes, PostAfterIdlingBehindAnAdvancedWindow)
 {
     // A drain that finds nothing before its horizon idles now() to the
-    // horizon but leaves the window at the far record it jumped to. A
-    // lane post from there may land before the window (early heap), in
-    // it (a bucket, tied with the far record) or beyond it (the lane).
+    // horizon and leaves the window where it was: it jumps to a far
+    // record only at or before the horizon. Lane posts from there lie
+    // beyond the window and wait in their lanes, whether they fall
+    // before the far record, tied with it or after it.
     EventQueue q(4, 2); // 8 us window
     const EventQueue::Lane early = q.addLane(5);
     const EventQueue::Lane tied = q.addLane(90);
@@ -572,6 +573,25 @@ TEST(EventEngineLanes, StructureCountersPinLanesAndBitmap)
             }
         }
     }
+}
+
+TEST(EventEngineCursor, NeverMovesToABucketAfterTheHorizon)
+{
+    // A drain whose horizon lies before the next queued record's bucket
+    // leaves the cursor where it is, so posts between the horizon and
+    // that record land at or after the cursor. Had the cursor moved to
+    // the record's bucket, they would lie behind it.
+    EventQueue q(8, 4);              // 32 us window of 4 us buckets
+    q.post(20, EventRecord{.a = 3}); // bucket 5, starting at 20
+    const bool no_stop = false;
+    EXPECT_EQ(q.drain(11, no_stop, [](const EventRecord &) {}), 0u);
+    EXPECT_EQ(q.now(), 11u);
+    EXPECT_EQ(q.pending(), 1u);
+    EXPECT_EQ(q.bucketsOpened(), 0u);
+    q.post(11, EventRecord{.a = 1}); // at the horizon, bucket 2
+    q.post(12, EventRecord{.a = 2}); // one us later, bucket 3
+    EXPECT_EQ(drainAll(q), (std::vector<std::uint64_t>{1, 2, 3}));
+    EXPECT_EQ(q.bucketsOpened(), 3u); // buckets 2, 3 and 5, in order
 }
 
 TEST(EventEngineThreads, IndependentQueuesAreIsolated)

@@ -121,9 +121,10 @@ TEST(EventQueue, SchedulingInThePastIsInternalError)
 
 TEST(EventQueue, StopInsideMergedBatchResumesInOrder)
 {
-    // A posts X@110 and Y@105. Y must run before S, so S and X then
-    // leave as one batch merged from the bucket and the spill heap.
-    // Stopping after S must keep X queued, and S must not run again.
+    // A posts X@110 and Y@105. Y must run before S, so S goes back
+    // and X and Y are folded into the bucket; Y, S and X then leave as
+    // one span. Stopping after S must keep X queued, and S must not
+    // run again.
     EventQueue q;
     q.post(100, EventRecord{.a = 'A'});
     q.post(110, EventRecord{.a = 'S'});
@@ -189,9 +190,10 @@ TEST(EventQueueHorizon, RepeatedRunUntilSameHorizonConsistent)
 
 TEST(EventQueueHorizon, SchedulingBehindAnAdvancedWindowStaysOrdered)
 {
-    // Idling far ahead advances the calendar window past now(); a
-    // subsequent post between now() and the window start must still
-    // dispatch, in order, before later events (early-heap path).
+    // Idling toward a far event leaves the calendar window behind
+    // now(): a drain jumps the window only to a record due by its
+    // horizon. Posts between now() and that event must still dispatch,
+    // in order, before it.
     EventQueue q(/*bucket_count=*/4, /*bucket_width=*/4);
     q.post(1'000'000, EventRecord{.a = 3}); // park one event far out
     Recorder rec;

@@ -271,11 +271,10 @@ TEST(Dispatch, RoundRobinSpreadsAcrossReplicasEvenly)
 TEST(TraceWorkloads, ScalesBySamplingRate)
 {
     std::vector<CallSpan> spans;
-    constexpr SimTime kMinute = 60ULL * 1000ULL * 1000ULL;
     for (int i = 0; i < 30; ++i) {
         CallSpan span;
         span.callee = 5;
-        span.serverReceive = (i < 20 ? 0 : kMinute) + 1000;
+        span.serverReceive = (i < 20 ? 0 : kMinuteUs) + 1000;
         spans.push_back(span);
     }
     const auto workloads =

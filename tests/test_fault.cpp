@@ -11,6 +11,7 @@
 #include "fault/fault.hpp"
 #include "model/catalog.hpp"
 #include "sim/simulation.hpp"
+#include "telemetry/monitor.hpp"
 
 namespace erms {
 namespace {
@@ -77,7 +78,7 @@ TEST(FaultSchedule, IsAPureFunctionOfConfig)
     config.seed = 1234;
     config.crashesPerMinute = 3.0;
     config.slowdownsPerMinute = 2.0;
-    const SimTime horizon = 10ULL * 60ULL * 1000ULL * 1000ULL; // 10 min (µs)
+    const SimTime horizon = 10 * kMinuteUs;
 
     const FaultSchedule a = buildFaultSchedule(config, 20, horizon);
     const FaultSchedule b = buildFaultSchedule(config, 20, horizon);
@@ -120,7 +121,7 @@ TEST(FaultSchedule, CrashAndSlowdownStreamsAreDecoupled)
     config.seed = 77;
     config.crashesPerMinute = 2.0;
     config.slowdownsPerMinute = 1.0;
-    const SimTime horizon = 5ULL * 60ULL * 1000ULL * 1000ULL; // 5 min (µs)
+    const SimTime horizon = 5 * kMinuteUs;
     const FaultSchedule base = buildFaultSchedule(config, 8, horizon);
 
     // Turning slowdowns off must not move a single crash, and vice versa.
@@ -394,6 +395,76 @@ TEST(FaultInjection, FaultRunsAreReproducible)
     EXPECT_EQ(a.faults.callRetries, b.faults.callRetries);
     EXPECT_EQ(a.faults.hedgesLaunched, b.faults.hedgesLaunched);
     EXPECT_EQ(a.faults.callTimeouts, b.faults.callTimeouts);
+}
+
+TEST(FaultTelemetry, MonitorCountersMatchFaultStats)
+{
+    // Every FaultStats increment has its monitor hook beside it: once a
+    // last snapshot follows run(), each fault counter series, summed
+    // over its labels, equals its FaultStats field.
+    MicroserviceCatalog catalog;
+    const auto root = addSimpleMs(catalog, "root", 4.0);
+    const auto leaf = addSimpleMs(catalog, "leaf", 20.0, 2);
+    DependencyGraph g(0, root);
+    g.addCall(root, leaf, 0);
+
+    FaultConfig fault;
+    fault.seed = 61;
+    fault.crashesPerMinute = 12.0;
+    fault.restartDelayMs = 500.0;
+    fault.slowdownsPerMinute = 4.0;
+    fault.slowdownFactor = 4.0;
+    fault.callFailureProbability = 0.05;
+
+    // The leaf's 20 ms mean service time (cv 0.3) outlasts the hedge
+    // delay most of the time and the timeout now and then.
+    ResilienceConfig resilience;
+    resilience.maxRetries = 2;
+    resilience.timeoutMs = 30.0;
+    resilience.hedgeDelayMs = 15.0;
+
+    SimConfig config;
+    config.horizonMinutes = 3;
+    config.warmupMinutes = 0;
+    config.seed = 7;
+    Simulation sim(catalog, config);
+    telemetry::SimMonitor monitor;
+    sim.setMonitor(&monitor);
+    ServiceWorkload svc;
+    svc.id = 0;
+    svc.graph = &g;
+    svc.slaMs = 100.0;
+    svc.rate = 2400.0;
+    sim.addService(svc);
+    for (MicroserviceId id : g.nodes())
+        sim.setContainerCount(id, 3);
+    sim.setFaultConfig(fault);
+    sim.setResilienceConfig(resilience);
+    sim.run();
+    monitor.takeSnapshot(sim.now());
+
+    const telemetry::TelemetrySnapshot &last = monitor.snapshots().back();
+    const auto total = [&](const std::string &name) {
+        std::uint64_t sum = 0;
+        for (const telemetry::SeriesRef series : last.named(name))
+            sum += series.counterValue();
+        return sum;
+    };
+    const FaultStats &stats = sim.metrics().faults;
+    const std::pair<const char *, std::uint64_t> expected[] = {
+        {"erms_retries_total", stats.callRetries},
+        {"erms_hedges_total", stats.hedgesLaunched},
+        {"erms_timeouts_total", stats.callTimeouts},
+        {"erms_transient_failures_total", stats.transientFailures},
+        {"erms_crash_failures_total", stats.crashFailures},
+        {"erms_container_crashes_total", stats.containerCrashes},
+        {"erms_container_restarts_total", stats.containerRestarts},
+        {"erms_slowdown_windows_total", stats.slowdownWindows},
+    };
+    for (const auto &[name, count] : expected) {
+        EXPECT_GT(count, 0u) << name;
+        EXPECT_EQ(total(name), count) << name;
+    }
 }
 
 } // namespace

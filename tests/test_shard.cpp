@@ -602,6 +602,86 @@ TEST(ShardCoordinator, RepeatRunsAreByteIdentical)
     EXPECT_EQ(first.eventsDispatched(), second.eventsDispatched());
 }
 
+TEST(ShardCoordinator, FaultConfigSplitsByHostShare)
+{
+    FaultConfig faults;
+    faults.seed = 91;
+    faults.crashesPerMinute = 6.0;
+    faults.restartDelayMs = 500.0;
+    faults.slowdownsPerMinute = 3.0;
+    faults.slowdownFactor = 3.0;
+    faults.callFailureProbability = 0.01;
+    ResilienceConfig resilience;
+    resilience.maxRetries = 2;
+    resilience.retryBackoffMs = 4.0;
+    resilience.timeoutMs = 80.0;
+    resilience.hedgeDelayMs = 25.0;
+
+    // Fields the split copies verbatim to every shard.
+    const auto expectCopied = [&](const FaultConfig &shard_faults) {
+        EXPECT_EQ(shard_faults.restartDelayMs, faults.restartDelayMs);
+        EXPECT_EQ(shard_faults.slowdownDurationMs, faults.slowdownDurationMs);
+        EXPECT_EQ(shard_faults.slowdownFactor, faults.slowdownFactor);
+        EXPECT_EQ(shard_faults.slowdownCpuInflate,
+                  faults.slowdownCpuInflate);
+        EXPECT_EQ(shard_faults.callFailureProbability,
+                  faults.callFailureProbability);
+    };
+    const auto expectResilience = [&](const ResilienceConfig &shard) {
+        EXPECT_EQ(shard.maxRetries, resilience.maxRetries);
+        EXPECT_EQ(shard.retryBackoffMs, resilience.retryBackoffMs);
+        EXPECT_EQ(shard.retryBackoffMultiplier,
+                  resilience.retryBackoffMultiplier);
+        EXPECT_EQ(shard.retryJitter, resilience.retryJitter);
+        EXPECT_EQ(shard.timeoutMs, resilience.timeoutMs);
+        EXPECT_EQ(shard.hedgeDelayMs, resilience.hedgeDelayMs);
+    };
+
+    // K = 1 keeps the config and its seed verbatim.
+    ThreeComponentFixture fx1;
+    ShardedSimulation one(fx1.catalog, fixtureConfig(1));
+    deployAll(fx1, one);
+    one.setFaultConfig(faults);
+    one.setResilienceConfig(resilience);
+    ASSERT_EQ(one.shardCount(), 1);
+    const FaultConfig &kept = one.shard(0).faultConfig();
+    EXPECT_EQ(kept.seed, faults.seed);
+    EXPECT_EQ(kept.crashesPerMinute, faults.crashesPerMinute);
+    EXPECT_EQ(kept.slowdownsPerMinute, faults.slowdownsPerMinute);
+    expectCopied(kept);
+    expectResilience(one.shard(0).resilienceConfig());
+
+    // K = 2: shard k draws its own stream, and the Poisson rates thin by
+    // its share of the fleet's hosts.
+    ThreeComponentFixture fx2;
+    ShardedSimulation two(fx2.catalog, fixtureConfig(2));
+    deployAll(fx2, two);
+    two.setFaultConfig(faults);
+    two.setResilienceConfig(resilience);
+    ASSERT_EQ(two.shardCount(), 2);
+    const int total_hosts = fixtureConfig(2).base.hostCount;
+    int hosts = 0;
+    for (int k = 0; k < 2; ++k) {
+        const int shard_hosts = two.shardPlan().shards[k].hostCount;
+        hosts += shard_hosts;
+        const double share = static_cast<double>(shard_hosts) /
+                             static_cast<double>(total_hosts);
+        const FaultConfig &split = two.shard(k).faultConfig();
+        EXPECT_EQ(split.seed,
+                  deriveRunSeed(faults.seed, static_cast<std::uint64_t>(k)))
+            << "shard " << k;
+        EXPECT_EQ(split.crashesPerMinute, faults.crashesPerMinute * share)
+            << "shard " << k;
+        EXPECT_EQ(split.slowdownsPerMinute,
+                  faults.slowdownsPerMinute * share)
+            << "shard " << k;
+        EXPECT_LT(split.crashesPerMinute, faults.crashesPerMinute);
+        expectCopied(split);
+        expectResilience(two.shard(k).resilienceConfig());
+    }
+    EXPECT_EQ(hosts, total_hosts);
+}
+
 TEST(ShardCoordinator, ShardControllersScaleOwnedMicroservices)
 {
     ThreeComponentFixture fx;

@@ -39,7 +39,6 @@ using telemetry::SimMonitor;
 using telemetry::TelemetrySnapshot;
 
 constexpr SimTime kSecondUs = 1000ULL * 1000ULL;
-constexpr SimTime kMinuteUs = 60ULL * kSecondUs;
 
 /** Bit-pattern double equality (NaN-proof, distinguishes -0.0). */
 bool
@@ -710,6 +709,88 @@ TEST(TelemetryChaosGuardrails, FallbackHoldsLastGoodAllocation)
     EXPECT_GT(guard->stats().staleCycles, 0u);
     EXPECT_GT(guard->stats().fallbackCycles, 0u);
     EXPECT_EQ(guard->mode(), GuardMode::Fallback);
+}
+
+TEST(TelemetryChaosGuardrails, CorrectionsFollowTheModeAndTheRails)
+{
+    // A scripted inner controller sets counts on a Simulation that never
+    // runs; a scripted view under the guard sets each cycle's mode. The
+    // rails then correct the inner controller's counts cycle by cycle.
+    MicroserviceCatalog catalog;
+    const Application app = makeMotivationShared(catalog, 0);
+    const MicroserviceId a = app.graphs[0].nodes()[0];
+    const MicroserviceId b = app.graphs[0].nodes()[1];
+    Simulation sim(catalog, SimConfig{});
+    sim.setContainerCount(a, 4);
+    sim.setContainerCount(b, 10);
+
+    auto scripted = std::make_shared<ScriptedView>();
+    auto guard = std::make_shared<GuardedTelemetryView>(scripted);
+    const double kFresh = 0.0;
+    const double kStale = guard->config().maxStalenessMs + 1.0;
+
+    struct Cycle
+    {
+        double staleness;
+        bool corruptQuery; ///< the inner controller reads a NaN rate
+        int innerA, innerB;
+        GuardMode mode;
+        int wantA, wantB;
+        std::uint64_t clamps, reverts, holds;
+    };
+    // Rails: up-steps of at most ceil(was * 0.5); FALLBACK floors at
+    // ceil(lastGood * min(1.6, 1.25 + 0.25 * (k - 1))) in the k-th
+    // consecutive FALLBACK cycle. Last-known-good is {a: 6, b: 8}, from
+    // the only clean NORMAL cycle.
+    const std::vector<Cycle> cycles = {
+        // clean NORMAL: transparent, scale-downs included
+        {kFresh, false, 6, 8, GuardMode::Normal, 6, 8, 0, 0, 0},
+        // NORMAL, but a query tripped the guard: 6 -> 20 is clamped to
+        // 6 + 3, and 8 -> 2 reverted
+        {kFresh, true, 20, 2, GuardMode::Normal, 9, 8, 1, 1, 0},
+        // SUSPECT: 9 -> 11 is within 9 + 5; 8 -> 4 reverted
+        {kStale, false, 11, 4, GuardMode::Suspect, 11, 8, 1, 2, 0},
+        // FALLBACK k = 1: floors ceil(6 * 1.25) = 8, ceil(8 * 1.25) = 10
+        {kStale, false, 11, 8, GuardMode::Fallback, 11, 10, 1, 2, 1},
+        // k = 2: 10 -> 3 reverted, then floored at ceil(8 * 1.5) = 12
+        {kStale, false, 11, 3, GuardMode::Fallback, 11, 12, 1, 3, 2},
+        // k = 3: the factor stops at the 1.6 ceiling: ceil(8 * 1.6) = 13,
+        // while a stays above ceil(6 * 1.6) = 10
+        {kStale, false, 11, 12, GuardMode::Fallback, 11, 13, 1, 3, 3},
+    };
+
+    std::size_t at = 0;
+    const auto inner = [&](Simulation &s, int) {
+        if (cycles[at].corruptQuery) {
+            scripted->rate = std::numeric_limits<double>::quiet_NaN();
+            guard->observedRate(0);
+        }
+        s.setContainerCount(a, cycles[at].innerA);
+        s.setContainerCount(b, cycles[at].innerB);
+    };
+    GuardrailConfig rails;
+    rails.maxScaleStepFraction = 0.5;
+    rails.fallbackOverProvisionFactor = 1.25;
+    rails.fallbackEscalationPerCycle = 0.25;
+    rails.fallbackMaxOverProvisionFactor = 1.6;
+    auto stats = std::make_shared<GuardrailStats>();
+    const auto controller = makeGuardedController(
+        inner, guard, {a, b}, std::make_shared<GuardrailConfig>(rails),
+        stats);
+
+    for (at = 0; at < cycles.size(); ++at) {
+        const Cycle &cycle = cycles[at];
+        scripted->staleness = cycle.staleness;
+        controller(sim, static_cast<int>(at));
+        EXPECT_EQ(guard->mode(), cycle.mode) << "cycle " << at;
+        EXPECT_EQ(sim.containerCount(a), cycle.wantA) << "cycle " << at;
+        EXPECT_EQ(sim.containerCount(b), cycle.wantB) << "cycle " << at;
+        EXPECT_EQ(stats->cycles, at + 1);
+        EXPECT_EQ(stats->limitedCycles, at) << "cycle " << at;
+        EXPECT_EQ(stats->upStepClamps, cycle.clamps) << "cycle " << at;
+        EXPECT_EQ(stats->scaleDownReverts, cycle.reverts) << "cycle " << at;
+        EXPECT_EQ(stats->fallbackHolds, cycle.holds) << "cycle " << at;
+    }
 }
 
 } // namespace

@@ -44,8 +44,6 @@ using telemetry::GuardedTelemetryView;
 using telemetry::GuardMode;
 using telemetry::MetricsRegistry;
 
-constexpr SimTime kMinuteUs = 60ULL * 1000ULL * 1000ULL;
-
 /** Bit-pattern double equality (NaN-proof, distinguishes -0.0). */
 bool
 sameBits(double a, double b)

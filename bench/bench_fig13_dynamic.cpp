@@ -65,17 +65,8 @@ runDynamic(const MicroserviceCatalog &catalog, const Application &app,
         }
         result.containersPerMinute.push_back(total);
         double worst = 0.0;
-        for (const auto &graph : app.graphs) {
-            const auto &windows =
-                s.metrics().endToEndByMinute.find(graph.service());
-            if (windows == s.metrics().endToEndByMinute.end())
-                continue;
-            worst = std::max(
-                worst,
-                windows->second
-                    .window(static_cast<std::uint64_t>(minute))
-                    .p95());
-        }
+        for (const auto &graph : app.graphs)
+            worst = std::max(worst, s.serviceP95Ms(graph.service()));
         result.p95PerMinute.push_back(worst);
     });
     sim.run();

@@ -106,15 +106,8 @@ main(int argc, char **argv)
                 total += s.containerCount(id);
         }
         double worst = 0.0;
-        for (const ServiceSpec &svc : services) {
-            auto it = s.metrics().endToEndByMinute.find(svc.id);
-            if (it == s.metrics().endToEndByMinute.end())
-                continue;
-            worst = std::max(
-                worst, it->second
-                           .window(static_cast<std::uint64_t>(minute))
-                           .p95());
-        }
+        for (const ServiceSpec &svc : services)
+            worst = std::max(worst, s.serviceP95Ms(svc.id));
         timeline.row()
             .cell(minute)
             .cell(series[static_cast<std::size_t>(minute)], 0)

@@ -37,7 +37,10 @@
 # queue: its unit tests (EventQueue*) under ASan and the whole event
 # engine suite, reference fuzz included, under UBSan; and the series
 # value-word fold the shard merge runs (the histogram merge property)
-# under UBSan as well as ASan. A first gate
+# under UBSan as well as ASan; and the simulator's deployment paths
+# (ordered container erase, pooled containers, scale-in, requeue) under
+# both. The sharded scale bench gates its event counts (K=1 equals the
+# unsharded run; per-K counts match across worker counts). A first gate
 # keeps the library free of environment reads: settings reach src/
 # only through config structs, and the benches and golden tests read
 # ERMS_* variables at their edge (bench/bench_util).
@@ -54,6 +57,10 @@ JOBS="${1:-2}"
 # bit-identical to std::sort's.
 FOUNDATION_FILTER='Json*:DependencyGraph*:Catalog.*:SampleSet*'
 SHARD_FILTER='ShardMerge.*:ShardPartition.*:CoordinatedStepping.*:ShardCoordinator.*'
+# The simulator suites: deployment scaling, partitions, startup delay,
+# draining, round-robin and container-id order, plus faults and
+# resilience.
+SIM_FILTER='Simulation.*:Partitions.*:StartupDelay.*:DedicatedScaling.*:Draining.*:RoundRobin.*:DeploymentOrder.*:Fault*:Resilience*'
 # The campaign suite's full-size runs are slow under the sanitizers;
 # the archive/replay and campaign-determinism contracts get their
 # cross-process pass below, so the sanitizers focus on the
@@ -78,7 +85,7 @@ cmake -B build -S .
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure
 
-echo "== asan: fault + chaos + campaign + tuning + runner + golden + market + property + json + planner + shard merge tests (build-asan/) =="
+echo "== asan: simulator + fault + chaos + campaign + tuning + runner + golden + market + property + json + planner + shard merge tests (build-asan/) =="
 cmake -B build-asan -S . -DERMS_SANITIZE=address
 cmake --build build-asan -j"$JOBS" \
     --target erms_tests_foundation erms_tests_sim erms_tests_runner \
@@ -90,7 +97,7 @@ cmake --build build-asan -j"$JOBS" \
     --gtest_filter="$FOUNDATION_FILTER"
 ./build-asan/tests/erms_tests_scaling
 ./build-asan/tests/erms_tests_sim \
-    --gtest_filter='Fault*:Resilience*:EventQueue*'
+    --gtest_filter="$SIM_FILTER:EventQueue*"
 ./build-asan/tests/erms_tests_runner
 ./build-asan/tests/erms_tests_golden
 ./build-asan/tests/erms_tests_system \
@@ -108,7 +115,7 @@ cmake --build build-asan -j"$JOBS" \
 ./build-asan/tests/erms_tests_tuning \
     --gtest_filter="$TUNING_FILTER"
 
-echo "== ubsan: json + io + telemetry + guard + chaos + campaign + tuning + planner + shard merge numeric paths (build-ubsan/) =="
+echo "== ubsan: json + io + simulator + telemetry + guard + chaos + campaign + tuning + planner + shard merge numeric paths (build-ubsan/) =="
 cmake -B build-ubsan -S . -DERMS_SANITIZE=undefined
 cmake --build build-ubsan -j"$JOBS" \
     --target erms_tests_foundation erms_tests_system erms_tests_telemetry \
@@ -129,7 +136,7 @@ UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_chaos
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_campaign \
     --gtest_filter="$CAMPAIGN_FILTER"
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_sim \
-    --gtest_filter='Fault*:Resilience*'
+    --gtest_filter="$SIM_FILTER"
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_tuning \
     --gtest_filter="$TUNING_FILTER"
 UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/erms_tests_event_engine
@@ -159,6 +166,11 @@ ERMS_RUNNER_THREADS=1 ./build/tests/erms_tests_golden
 
 echo "== shard determinism: golden tables through the K=1 coordinator =="
 ERMS_SHARDS=1 ./build/tests/erms_tests_golden
+
+echo "== sharded scale gates: K=1 events equal unsharded, per-K events equal across workers =="
+cmake --build build -j"$JOBS" --target bench_sharded_scale
+# Exits nonzero when either gate fails (docs/sharding.md).
+./build/bench/bench_sharded_scale > /tmp/erms_sharded_scale.txt
 
 echo "== market determinism: tenant-market bench with 1 worker vs default =="
 cmake --build build -j"$JOBS" --target bench_tenant_market

@@ -1,11 +1,13 @@
 /**
  * @file
- * Fundamental identifier and time types shared by every Erms module.
+ * Fundamental identifier and time types shared by every Erms module,
+ * and the bit-exact double comparison.
  */
 
 #ifndef ERMS_COMMON_TYPES_HPP
 #define ERMS_COMMON_TYPES_HPP
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -71,6 +73,16 @@ toSimTime(Millis ms)
  * rates where needed.
  */
 using RequestsPerMinute = double;
+
+/** Bit-pattern double equality: NaN equals NaN with the same payload,
+ *  so snapshot and campaign-row comparisons stay meaningful for values
+ *  that captured non-finite numbers. */
+inline bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) ==
+           std::bit_cast<std::uint64_t>(b);
+}
 
 } // namespace erms
 

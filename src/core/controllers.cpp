@@ -20,17 +20,16 @@ makeBaselineAutoscaler(std::shared_ptr<BaselineAllocator> allocator,
     ERMS_ASSERT(context.catalog != nullptr);
     return [allocator, context, services = std::move(services),
             workload_headroom, view](Simulation &sim, int) mutable {
+        const telemetry::TelemetryView &seen =
+            view != nullptr ? *view : sim;
         for (ServiceSpec &svc : services) {
-            const double observed = view != nullptr
-                                        ? view->observedRate(svc.id)
-                                        : sim.observedRate(svc.id);
+            const double observed = seen.observedRate(svc.id);
             // Non-finite rates (a corrupted scrape) keep last workload.
             if (observed > 0.0 && std::isfinite(observed))
                 svc.workload = observed * workload_headroom;
         }
         BaselineContext ctx = context;
-        ctx.interference = view != nullptr ? view->clusterInterference()
-                                           : sim.clusterInterference();
+        ctx.interference = seen.clusterInterference();
         // A NaN/Inf utilization would poison every latency estimate in
         // the allocator; fall back to the profiling-time interference.
         if (!finiteInterference(ctx.interference))
@@ -46,54 +45,27 @@ makeFirmReactiveController(const MicroserviceCatalog &catalog,
                            std::shared_ptr<const telemetry::TelemetryView> view)
 {
     return [&catalog, services = std::move(services),
-            view](Simulation &sim, int minute) {
-        const auto &metrics = sim.metrics();
+            view](Simulation &sim, int) {
+        const telemetry::TelemetryView &seen =
+            view != nullptr ? *view : sim;
         for (const ServiceSpec &svc : services) {
-            double p95 = 0.0;
-            if (view != nullptr) {
-                p95 = view->serviceP95Ms(svc.id);
-                if (p95 <= 0.0 || !std::isfinite(p95))
-                    continue; // no sampled spans, or a corrupt scrape
-            } else {
-                auto windows_it = metrics.endToEndByMinute.find(svc.id);
-                if (windows_it == metrics.endToEndByMinute.end())
-                    continue;
-                const SampleSet &window = windows_it->second.window(
-                    static_cast<std::uint64_t>(minute));
-                if (window.empty())
-                    continue;
-                p95 = window.p95();
-            }
+            const double p95 = seen.serviceP95Ms(svc.id);
+            if (p95 <= 0.0 || !std::isfinite(p95))
+                continue; // nothing observed, or a corrupt scrape
 
             if (p95 > svc.slaMs) {
                 // Locate the critical component: the microservice with
-                // the worst observed tail latency this minute.
+                // the worst observed tail latency this minute. nodes()
+                // starts at the root, which wins when no tail was seen.
                 MicroserviceId critical = kInvalidMicroservice;
                 double worst = -1.0;
-                if (view != nullptr) {
-                    for (MicroserviceId id : svc.graph->nodes()) {
-                        const double tail = view->microserviceTailMs(id);
-                        if (tail > worst) {
-                            worst = tail;
-                            critical = id;
-                        }
-                    }
-                } else {
-                    for (const ProfilingRecord &record :
-                         metrics.profiling) {
-                        if (record.minute !=
-                            static_cast<std::uint64_t>(minute))
-                            continue;
-                        if (!svc.graph->contains(record.microservice))
-                            continue;
-                        if (record.tailLatencyMs > worst) {
-                            worst = record.tailLatencyMs;
-                            critical = record.microservice;
-                        }
+                for (MicroserviceId id : svc.graph->nodes()) {
+                    const double tail = seen.microserviceTailMs(id);
+                    if (tail > worst) {
+                        worst = tail;
+                        critical = id;
                     }
                 }
-                if (critical == kInvalidMicroservice)
-                    critical = svc.graph->root();
                 // Bump the critical component hard and everything else in
                 // the violating service a little (queues have built up
                 // everywhere by the time Firm notices).
@@ -132,6 +104,8 @@ makeCapacityRepairController(
     GlobalPlan plan, std::shared_ptr<const telemetry::TelemetryView> view)
 {
     return [plan = std::move(plan), view](Simulation &sim, int) {
+        const telemetry::TelemetryView &seen =
+            view != nullptr ? *view : sim;
         if (plan.policy == SharingPolicy::NonSharing) {
             // Partitioned deployments: restore each service's dedicated
             // partition to its planned size (a no-op when intact).
@@ -145,9 +119,8 @@ makeCapacityRepairController(
             return;
         }
         for (const auto &[ms, count] : plan.containers) {
-            int live = -1;
-            if (view != nullptr)
-                live = view->containerCount(ms);
+            // A scraped gauge that does not exist yet reads -1.
+            int live = seen.containerCount(ms);
             if (live < 0)
                 live = sim.containerCount(ms);
             if (live < count)

@@ -23,12 +23,13 @@
 namespace erms {
 
 /**
- * Every controller takes an optional TelemetryView. When one is passed,
- * all observations — rates, interference, tail latencies, container
- * counts — come from scraped snapshots: interval-sampled, span-sampled
- * and stale by up to one scrape interval. With no view the controller
- * reads the simulator's oracle state directly, byte-identical to the
- * pre-telemetry behaviour.
+ * Every controller takes an optional TelemetryView and reads all its
+ * observations — rates, interference, tail latencies, container counts —
+ * through one TelemetryView per call. When one is passed they come from
+ * scraped snapshots: interval-sampled, span-sampled and stale by up to
+ * one scrape interval. With no view the controller reads the Simulation
+ * it is called with, which is the oracle TelemetryView of the minute
+ * that just ended, byte-identical to the pre-telemetry behaviour.
  */
 
 /**

@@ -32,29 +32,19 @@ ErmsController::makeAutoscaler(
     // would never drain the queue that built up, so provision surplus
     // until the tail is back under the SLA.
     return [this, services = std::move(services),
-            view](Simulation &sim, int minute) mutable {
+            view](Simulation &sim, int) mutable {
+        const telemetry::TelemetryView &seen =
+            view != nullptr ? *view : sim;
         for (ServiceSpec &svc : services) {
-            const double observed = view != nullptr
-                                        ? view->observedRate(svc.id)
-                                        : sim.observedRate(svc.id);
+            const double observed = seen.observedRate(svc.id);
             // Keep the previous workload on no data *or* a corrupt
             // (non-finite) scrape — never plan against NaN arrivals.
             if (observed <= 0.0 || !std::isfinite(observed))
                 continue;
             double factor = config_.workloadHeadroom;
-            if (view != nullptr) {
-                const double p95 = view->serviceP95Ms(svc.id);
-                if (std::isfinite(p95) && p95 > svc.slaMs)
-                    factor *= 1.6; // drain the backlog
-            } else if (auto it =
-                           sim.metrics().endToEndByMinute.find(svc.id);
-                       it != sim.metrics().endToEndByMinute.end()) {
-                const double p95 =
-                    it->second.window(static_cast<std::uint64_t>(minute))
-                        .p95();
-                if (p95 > svc.slaMs)
-                    factor *= 1.6; // drain the backlog
-            }
+            const double p95 = seen.serviceP95Ms(svc.id);
+            if (std::isfinite(p95) && p95 > svc.slaMs)
+                factor *= 1.6; // drain the backlog
             svc.workload = observed * factor;
         }
         // Best-effort degradation: if the SLA is model-infeasible at
@@ -62,8 +52,7 @@ ErmsController::makeAutoscaler(
         // re-plan against a relaxed SLA rather than freezing the stale
         // deployment — an under-scaled cluster melts down, a best-effort
         // plan merely misses the target.
-        Interference itf = view != nullptr ? view->clusterInterference()
-                                           : sim.clusterInterference();
+        Interference itf = seen.clusterInterference();
         // A non-finite utilization poisons every latency estimate in
         // the planner; degrade to a no-interference plan instead.
         if (!finiteInterference(itf))

@@ -56,9 +56,10 @@ class ErmsController
      * priority orders). The workload field of each ServiceSpec is the
      * bootstrap rate used until a full minute of observations exists.
      *
-     * With a TelemetryView the rate/interference/P95 reads come from
-     * scraped snapshots instead of simulator oracle state; a null view
-     * keeps the original oracle observations byte-identical.
+     * Every read goes through one TelemetryView: the one passed, whose
+     * rate/interference/P95 answers come from scraped snapshots, or with
+     * a null view the Simulation itself, the oracle view of the last
+     * ended minute (byte-identical to the pre-telemetry observations).
      */
     std::function<void(Simulation &, int)>
     makeAutoscaler(std::vector<ServiceSpec> services,

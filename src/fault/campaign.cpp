@@ -1,7 +1,6 @@
 #include "fault/campaign.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <memory>
 
@@ -18,18 +17,6 @@
 namespace erms {
 
 namespace {
-
-/** Bit-exact double comparison (NaN-safe), matching the snapshot
- *  equality semantics in telemetry/registry.cpp. */
-bool
-sameBits(double a, double b)
-{
-    std::uint64_t ab = 0;
-    std::uint64_t bb = 0;
-    std::memcpy(&ab, &a, sizeof(ab));
-    std::memcpy(&bb, &b, sizeof(bb));
-    return ab == bb;
-}
 
 bool
 sameMinute(const CampaignMinute &a, const CampaignMinute &b)

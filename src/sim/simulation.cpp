@@ -106,8 +106,8 @@ struct Simulation::ContainerState
     ContainerId id = 0;
     MicroserviceId ms = kInvalidMicroservice;
     HostId host = kInvalidHost;
-    /** Position in the owning deployment's slot vector (swap-and-pop
-     *  keeps it current; see eraseContainerSlot). */
+    /** Position in the owning deployment's slot vector (kept current
+     *  by eraseContainerSlot). */
     std::size_t slot = 0;
     int threads = 1;
     /** Cached cpuCores / threads: both operands are fixed at creation,
@@ -128,12 +128,11 @@ struct Simulation::ContainerState
 
 /**
  * One microservice's deployment: stable container pointers in
- * swap-and-pop slot order. Scale-in is O(1) (no vector::erase shifting)
- * at the cost of slot order diverging from insertion order — cold
- * readers that the goldens pin to "deployment order" (FP accumulation
- * at minute boundaries, eviction candidates, crash victims, views,
- * backlog redistribution) re-sort by container id, which is assigned
- * monotonically and therefore IS the insertion sequence.
+ * container-id order. Ids are assigned monotonically and new containers
+ * are appended, so slot order is the insertion sequence that every
+ * order-sensitive reader (FP accumulation at minute boundaries,
+ * eviction candidates, crash victims, views, backlog redistribution)
+ * relies on; scale-in erases in place to keep it.
  */
 struct Simulation::Deployment
 {
@@ -167,20 +166,34 @@ struct Simulation::Deployment
     double halfSigma2 = 0.0;
 };
 
-/** Cold-path view of a deployment in insertion (container-id) order —
- *  the pre-refactor vector order every order-sensitive reader expects. */
-std::vector<Simulation::ContainerState *>
-Simulation::insertionOrdered(const Deployment &dep)
-{
-    std::vector<ContainerState *> ordered(dep.slots);
-    std::sort(ordered.begin(), ordered.end(),
-              [](const ContainerState *a, const ContainerState *b) {
-                  return a->id < b->id;
-              });
-    return ordered;
-}
-
 namespace {
+
+/**
+ * Recycles objects of one type at stable addresses: a deque keeps every
+ * object ever made (freed wholesale on destruction), a free list the
+ * ones not in use. acquire() hands out a value-initialized object.
+ */
+template <typename T>
+class Pool
+{
+  public:
+    T *
+    acquire()
+    {
+        if (free_.empty())
+            return &storage_.emplace_back();
+        T *object = free_.back();
+        free_.pop_back();
+        *object = T{};
+        return object;
+    }
+
+    void release(T *object) { free_.push_back(object); }
+
+  private:
+    std::deque<T> storage_;
+    std::vector<T *> free_;
+};
 
 /** Sorted key list for deterministic unordered_map traversal. */
 template <typename Map>
@@ -228,11 +241,9 @@ struct Simulation::MinuteScratch
     std::vector<
         std::vector<const std::vector<std::vector<DependencyGraph::Call>> *>>
         stageFlat;
-    // Context pools (freed wholesale on destruction).
-    std::deque<CallContext> ctxStorage;
-    std::vector<CallContext *> ctxFree;
-    std::deque<RequestState> reqStorage;
-    std::vector<RequestState *> reqFree;
+    Pool<CallContext> contexts;
+    Pool<RequestState> requests;
+    Pool<ContainerState> containers;
 
     SampleSet &
     latencyFor(MicroserviceId ms)
@@ -253,19 +264,6 @@ struct Simulation::MinuteScratch
         msTouched.clear();
     }
 
-    CallContext *
-    acquireCtx()
-    {
-        if (!ctxFree.empty()) {
-            CallContext *ctx = ctxFree.back();
-            ctxFree.pop_back();
-            *ctx = CallContext{};
-            return ctx;
-        }
-        ctxStorage.emplace_back();
-        return &ctxStorage.back();
-    }
-
     void
     releaseCtx(CallContext *ctx)
     {
@@ -277,20 +275,7 @@ struct Simulation::MinuteScratch
                         "CallContext released twice");
         ERMS_ASSERT(ctx->attempts[0].id == 0 && ctx->attempts[1].id == 0);
         ctx->req = nullptr;
-        ctxFree.push_back(ctx);
-    }
-
-    RequestState *
-    acquireReq()
-    {
-        if (!reqFree.empty()) {
-            RequestState *req = reqFree.back();
-            reqFree.pop_back();
-            *req = RequestState{};
-            return req;
-        }
-        reqStorage.emplace_back();
-        return &reqStorage.back();
+        contexts.release(ctx);
     }
 
     void
@@ -298,7 +283,7 @@ struct Simulation::MinuteScratch
     {
         ERMS_ASSERT_MSG(req->id != 0, "RequestState released twice");
         req->id = 0;
-        reqFree.push_back(req);
+        requests.release(req);
     }
 };
 
@@ -526,19 +511,6 @@ Simulation::deploymentFor(MicroserviceId ms)
     return deployments_[ms];
 }
 
-Simulation::ContainerState *
-Simulation::acquireContainer()
-{
-    if (!containerFree_.empty()) {
-        ContainerState *container = containerFree_.back();
-        containerFree_.pop_back();
-        *container = ContainerState{};
-        return container;
-    }
-    containerArena_.push_back(std::make_unique<ContainerState>());
-    return containerArena_.back().get();
-}
-
 inline void
 Simulation::refreshLoadKey(ContainerState &container)
 {
@@ -566,18 +538,16 @@ Simulation::eraseContainerSlot(ContainerState &victim)
 {
     ERMS_ASSERT(victim.busy == 0 && victim.queuedTotal == 0);
     Deployment &dep = deployments_[victim.ms];
-    auto &slots = dep.slots;
     const std::size_t index = victim.slot;
-    ERMS_ASSERT(index < slots.size() && slots[index] == &victim);
-    slots[index] = slots.back();
-    slots[index]->slot = index;
-    slots.pop_back();
-    // Pick keys move with their slots.
-    dep.loadKeys[index] = dep.loadKeys.back();
-    dep.loadKeys.pop_back();
+    ERMS_ASSERT(index < dep.slots.size() && dep.slots[index] == &victim);
+    dep.slots.erase(dep.slots.begin() + static_cast<std::ptrdiff_t>(index));
+    dep.loadKeys.erase(dep.loadKeys.begin() +
+                       static_cast<std::ptrdiff_t>(index));
+    for (std::size_t i = index; i < dep.slots.size(); ++i)
+        dep.slots[i]->slot = i;
     if (victim.draining || victim.dedicatedService != kInvalidService)
         --dep.specials;
-    containerFree_.push_back(&victim);
+    scratch_->containers.release(&victim);
 }
 
 Simulation::ContainerState *
@@ -593,7 +563,7 @@ Simulation::addContainer(MicroserviceId ms, ServiceId dedicated)
     refreshMemUtil(host);
     ++host.containerCount;
 
-    ContainerState *container = acquireContainer();
+    ContainerState *container = scratch_->containers.acquire();
     container->id = nextContainer_++;
     container->ms = ms;
     container->host = host.id;
@@ -616,6 +586,17 @@ Simulation::addContainer(MicroserviceId ms, ServiceId dedicated)
 }
 
 void
+Simulation::requeue(const QueuedJob &job)
+{
+    const int slot = slotOf(job.ctx, job.attempt);
+    if (slot < 0)
+        return; // stale entry (attempt already abandoned)
+    job.ctx->attempts[slot].queued = false;
+    job.ctx->attempts[slot].container = nullptr;
+    routeAttempt(job.ctx, job.attempt, /*count_call=*/false);
+}
+
+void
 Simulation::reassignQueue(ContainerState &container)
 {
     for (auto &queue : container.queues) {
@@ -624,12 +605,7 @@ Simulation::reassignQueue(ContainerState &container)
             queue.pop_front();
             --container.queuedTotal;
             refreshLoadKey(container);
-            const int slot = slotOf(job.ctx, job.attempt);
-            if (slot < 0)
-                continue; // stale entry (attempt already abandoned)
-            job.ctx->attempts[slot].queued = false;
-            job.ctx->attempts[slot].container = nullptr;
-            routeAttempt(job.ctx, job.attempt, /*count_call=*/false);
+            requeue(job);
         }
     }
 }
@@ -643,11 +619,10 @@ Simulation::removeContainer(MicroserviceId ms, ServiceId dedicated)
     Deployment &dep = deployments_[ms];
 
     // Candidates: non-draining containers of the requested pool, in
-    // insertion order (the eviction pick is an index into this list).
-    const std::vector<ContainerState *> ordered = insertionOrdered(dep);
+    // id order (the eviction pick is an index into this list).
     std::vector<std::size_t> candidate_hosts;
     std::vector<ContainerState *> candidates;
-    for (ContainerState *container : ordered) {
+    for (ContainerState *container : dep.slots) {
         if (!container->draining &&
             container->dedicatedService == dedicated) {
             candidate_hosts.push_back(container->host);
@@ -705,7 +680,7 @@ Simulation::redistributeBacklog(MicroserviceId ms)
     if (static_cast<std::size_t>(ms) >= deployments_.size())
         return;
     std::vector<QueuedJob> backlog;
-    for (ContainerState *container : insertionOrdered(deployments_[ms])) {
+    for (ContainerState *container : deployments_[ms].slots) {
         for (auto &queue : container->queues) {
             while (!queue.empty()) {
                 backlog.push_back(queue.front());
@@ -715,28 +690,28 @@ Simulation::redistributeBacklog(MicroserviceId ms)
         }
         refreshLoadKey(*container);
     }
-    for (const QueuedJob &job : backlog) {
-        const int slot = slotOf(job.ctx, job.attempt);
-        if (slot < 0)
-            continue; // stale entry (attempt already abandoned)
-        job.ctx->attempts[slot].queued = false;
-        job.ctx->attempts[slot].container = nullptr;
-        routeAttempt(job.ctx, job.attempt, /*count_call=*/false);
-    }
+    for (const QueuedJob &job : backlog)
+        requeue(job);
+}
+
+void
+Simulation::scalePool(MicroserviceId ms, ServiceId dedicated, int count)
+{
+    ERMS_ASSERT(count >= 0);
+    const bool scaled_out = countPool(ms, dedicated) < count;
+    while (countPool(ms, dedicated) < count)
+        addContainer(ms, dedicated);
+    while (countPool(ms, dedicated) > count)
+        removeContainer(ms, dedicated);
+
+    if (scaled_out)
+        redistributeBacklog(ms);
 }
 
 void
 Simulation::setContainerCount(MicroserviceId ms, int count)
 {
-    ERMS_ASSERT(count >= 0);
-    const bool scaled_out = countPool(ms, kInvalidService) < count;
-    while (countPool(ms, kInvalidService) < count)
-        addContainer(ms);
-    while (countPool(ms, kInvalidService) > count)
-        removeContainer(ms);
-
-    if (scaled_out)
-        redistributeBacklog(ms);
+    scalePool(ms, kInvalidService, count);
 }
 
 int
@@ -751,16 +726,8 @@ void
 Simulation::setDedicatedContainerCount(MicroserviceId ms, ServiceId service,
                                        int count)
 {
-    ERMS_ASSERT(count >= 0);
     ERMS_ASSERT(service != kInvalidService);
-    const bool scaled_out = countPool(ms, service) < count;
-    while (countPool(ms, service) < count)
-        addContainer(ms, service);
-    while (countPool(ms, service) > count)
-        removeContainer(ms, service);
-
-    if (scaled_out)
-        redistributeBacklog(ms);
+    scalePool(ms, service, count);
 }
 
 void
@@ -914,12 +881,9 @@ Simulation::pickContainer(MicroserviceId ms, ServiceId service)
             const std::size_t load =
                 static_cast<std::size_t>(container->busy) +
                 container->queuedTotal;
-            // Tie-break on id: slots are swap-and-pop ordered, and ids
-            // are the insertion sequence, so min-(load, id) is exactly
-            // the pre-refactor "first lowest-load in deployment order"
-            // winner the goldens pin.
-            if (best == nullptr || load < best_load ||
-                (load == best_load && container->id < best->id)) {
+            // Slots are in id order, so the first lowest load is also
+            // the lowest id, the winner the fast path's keys pick.
+            if (best == nullptr || load < best_load) {
                 best = container;
                 best_load = load;
             }
@@ -973,7 +937,7 @@ void
 Simulation::startRequest(std::size_t service_index)
 {
     const ServiceWorkload &svc = services_[service_index];
-    RequestState *req = scratch_->acquireReq();
+    RequestState *req = scratch_->requests.acquire();
     req->id = nextRequest_++;
     req->service = svc.id;
     req->serviceIndex = service_index;
@@ -986,7 +950,7 @@ Simulation::startRequest(std::size_t service_index)
     if (monitor_ != nullptr)
         monitor_->onRequestArrival(svc.id);
 
-    CallContext *root = scratch_->acquireCtx();
+    CallContext *root = scratch_->contexts.acquire();
     root->req = req;
     root->ms = svc.graph->root();
     root->parent = nullptr;
@@ -1281,7 +1245,7 @@ Simulation::launchStage(CallContext *ctx)
             if (frac > 0.0 && rng_.bernoulli(frac))
                 ++copies;
             for (int copy = 0; copy < copies; ++copy) {
-                CallContext *child = scratch_->acquireCtx();
+                CallContext *child = scratch_->contexts.acquire();
                 child->req = ctx->req;
                 child->ms = call.callee;
                 child->parent = ctx;
@@ -1539,11 +1503,11 @@ void
 Simulation::onCrashEvent(std::uint64_t victim_draw)
 {
     // Deterministic victim order: microservice id (the dense table is
-    // id-ascending by construction), then insertion order within each
+    // id-ascending by construction), then container id within each
     // deployment.
     std::vector<ContainerState *> candidates;
     for (const Deployment &dep : deployments_) {
-        for (ContainerState *container : insertionOrdered(dep)) {
+        for (ContainerState *container : dep.slots) {
             if (!container->draining)
                 candidates.push_back(container);
         }
@@ -1703,10 +1667,9 @@ Simulation::onMinuteBoundary()
         int live = 0;
         double cpu_sum = 0.0, mem_sum = 0.0;
         std::uint64_t calls = 0;
-        // Insertion order (id ascending) for the floating-point sums:
-        // swap-and-pop slots permute the raw vector, and FP addition is
-        // not associative, so the slot order must never leak in here.
-        for (ContainerState *container : insertionOrdered(deployment)) {
+        // Slot order is id order: FP addition is not associative, so
+        // these sums depend on it.
+        for (ContainerState *container : deployment.slots) {
             if (container->draining)
                 continue;
             ++live;
@@ -1779,8 +1742,7 @@ Simulation::containerViews(MicroserviceId ms) const
         return views;
     const Deployment &dep = deployments_[ms];
     views.reserve(dep.slots.size());
-    // Insertion order (id ascending), matching the pre-slot-map API.
-    for (const ContainerState *container : insertionOrdered(dep)) {
+    for (const ContainerState *container : dep.slots) {
         ContainerView view;
         view.id = container->id;
         view.host = container->host;
@@ -1811,6 +1773,32 @@ Simulation::observedRate(ServiceId service) const
     if (it == serviceIndex_.end())
         return 0.0;
     return static_cast<double>(lastMinuteArrivalsByIndex_[it->second]);
+}
+
+double
+Simulation::serviceP95Ms(ServiceId service) const
+{
+    const auto it = metrics_.endToEndByMinute.find(service);
+    if (currentMinute_ == 0 || it == metrics_.endToEndByMinute.end())
+        return 0.0;
+    return it->second.window(static_cast<std::uint64_t>(currentMinute_ - 1))
+        .p95();
+}
+
+double
+Simulation::microserviceTailMs(MicroserviceId ms) const
+{
+    if (currentMinute_ == 0)
+        return 0.0;
+    // The ended minute's records are the tail of the profiling list.
+    const auto ended = static_cast<std::uint64_t>(currentMinute_ - 1);
+    const auto &records = metrics_.profiling;
+    for (auto it = records.rbegin();
+         it != records.rend() && it->minute == ended; ++it) {
+        if (it->microservice == ms)
+            return it->tailLatencyMs;
+    }
+    return 0.0;
 }
 
 // The engine-hot path: one typed record in, one handler out. Keeping

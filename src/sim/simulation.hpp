@@ -45,13 +45,10 @@
 #include "sim/event_queue.hpp"
 #include "sim/metrics.hpp"
 #include "sim/placement.hpp"
+#include "telemetry/view.hpp"
 #include "trace/span.hpp"
 
 namespace erms {
-
-namespace telemetry {
-class SimMonitor;
-}
 
 /** How arriving calls pick a container among a deployment's replicas. */
 enum class DispatchPolicy
@@ -117,8 +114,12 @@ struct ContainerView
     SimTime readyAt = 0;
 };
 
-/** The cluster simulator. */
-class Simulation
+/**
+ * The cluster simulator. It is also the oracle TelemetryView: a
+ * controller given no scraped view reads the simulation itself through
+ * the same interface, exactly as of the last ended minute.
+ */
+class Simulation final : public telemetry::TelemetryView
 {
   public:
     Simulation(const MicroserviceCatalog &catalog, SimConfig config);
@@ -151,7 +152,7 @@ class Simulation
                                     int count);
 
     /** Live containers of a microservice (shared + all partitions). */
-    int containerCount(MicroserviceId ms) const;
+    int containerCount(MicroserviceId ms) const override;
 
     /** Apply container counts and priority order from a global plan. */
     void applyPlan(const GlobalPlan &plan);
@@ -259,14 +260,26 @@ class Simulation
 
     /** Cluster-average interference (what Online Scaling feeds into the
      *  profiling model, §5.3.1). */
-    Interference clusterInterference() const;
+    Interference clusterInterference() const override;
 
     /** Requests observed for a service in the most recent full minute,
      *  scaled to requests/minute (workload signal for controllers). */
-    double observedRate(ServiceId service) const;
+    double observedRate(ServiceId service) const override;
 
-    /** Snapshots of every container object of a microservice, deployment
-     *  order, including draining ones (empty when undeployed). */
+    /** Exact P95 of the service's end-to-end latencies in the last
+     *  ended minute; 0 before the first minute ends or without samples. */
+    double serviceP95Ms(ServiceId service) const override;
+
+    /** The last ended minute's profiling-record P95 of a microservice;
+     *  0 when it has no record for that minute. */
+    double microserviceTailMs(MicroserviceId ms) const override;
+
+    /** Always 0: the simulation observes its own state. */
+    double stalenessMs(SimTime) const override { return 0.0; }
+
+    /** Snapshots of every container object of a microservice in
+     *  container-id order, including draining ones (empty when
+     *  undeployed). */
     std::vector<ContainerView> containerViews(MicroserviceId ms) const;
 
     /** Current round-robin dispatch cursor of a microservice (always
@@ -300,15 +313,17 @@ class Simulation
     void removeContainer(MicroserviceId ms,
                          ServiceId dedicated = kInvalidService);
     int countPool(MicroserviceId ms, ServiceId dedicated) const;
+    /** The body of setContainerCount (dedicated = kInvalidService) and
+     *  setDedicatedContainerCount. */
+    void scalePool(MicroserviceId ms, ServiceId dedicated, int count);
     ContainerState *pickContainer(MicroserviceId ms, ServiceId service);
+    /** Route a queued attempt again, unless it went stale. */
+    void requeue(const QueuedJob &job);
     void reassignQueue(ContainerState &container);
     void redistributeBacklog(MicroserviceId ms);
     Deployment &deploymentFor(MicroserviceId ms);
-    static std::vector<ContainerState *>
-    insertionOrdered(const Deployment &dep);
-    ContainerState *acquireContainer();
-    /** Swap-and-pop the container out of its deployment's slot vector
-     *  (O(1) via the stored slot index) and recycle the object. */
+    /** Erase the container from its deployment's slot vector (keeping
+     *  id order) and recycle the object. */
     void eraseContainerSlot(ContainerState &victim);
     /** Re-pack the container's (load, id) pick key after any busy or
      *  queued-count change (see Deployment::loadKeys). */
@@ -393,13 +408,11 @@ class Simulation
     /**
      * Dense deployment table, indexed by MicroserviceId (catalog ids are
      * sequential). Each deployment holds stable ContainerState pointers
-     * in swap-and-pop slot order; the objects live in containerArena_
-     * and are recycled through containerFree_, so in-flight events that
-     * captured a container pointer always dereference a live object.
+     * in container-id order; the objects come from a pool (see
+     * MinuteScratch), so in-flight events that captured a container
+     * pointer always dereference a live object.
      */
     std::vector<Deployment> deployments_;
-    std::vector<std::unique_ptr<ContainerState>> containerArena_;
-    std::vector<ContainerState *> containerFree_;
     std::vector<ServiceWorkload> services_;
     std::unordered_map<ServiceId, std::size_t> serviceIndex_;
     std::unordered_map<MicroserviceId,
@@ -426,7 +439,7 @@ class Simulation
     };
     std::vector<ServiceMetricCache> metricCache_;
 
-    // per-minute scratch accumulators
+    // per-minute scratch accumulators, stage tables and object pools
     struct MinuteScratch;
     std::unique_ptr<MinuteScratch> scratch_;
     /** Dense per-service arrival counters (index = service index). */

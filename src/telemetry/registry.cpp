@@ -162,15 +162,7 @@ defaultLatencyBucketsMs()
 
 namespace {
 
-/** Bit-pattern double equality: NaN == NaN (same payload), so snapshot
- *  comparison — and the exporter round-trip tests built on it — stay
- *  meaningful for series that captured non-finite values. */
-bool
-sameBits(double a, double b)
-{
-    return std::bit_cast<std::uint64_t>(a) ==
-           std::bit_cast<std::uint64_t>(b);
-}
+using erms::sameBits;
 
 bool
 sameBits(const std::vector<double> &a, const std::vector<double> &b)

@@ -26,11 +26,8 @@ SnapshotTelemetryView::previous() const
 double
 SnapshotTelemetryView::observedRate(ServiceId service) const
 {
-    const auto &snaps = visibleSnapshots();
-    const TelemetrySnapshot *now =
-        snaps.empty() ? nullptr : &snaps.back();
-    const TelemetrySnapshot *prev =
-        snaps.size() < 2 ? nullptr : &snaps[snaps.size() - 2];
+    const TelemetrySnapshot *now = latest();
+    const TelemetrySnapshot *prev = previous();
     if (now == nullptr || prev == nullptr || now->at <= prev->at)
         return 0.0;
     const Labels labels = serviceLabels(service);
@@ -73,9 +70,7 @@ SnapshotTelemetryView::histogramDeltaQuantile(const std::string &name,
                                               const Labels &labels,
                                               double q) const
 {
-    const auto &snaps = visibleSnapshots();
-    const TelemetrySnapshot *now =
-        snaps.empty() ? nullptr : &snaps.back();
+    const TelemetrySnapshot *now = latest();
     if (now == nullptr)
         return 0.0;
     // Only a histogram has buckets, and every histogram's ladder is
@@ -85,9 +80,7 @@ SnapshotTelemetryView::histogramDeltaQuantile(const std::string &name,
         return 0.0;
     const auto cur_buckets = cur_s->bucketCounts();
     std::vector<std::uint64_t> delta(cur_buckets.begin(), cur_buckets.end());
-    const TelemetrySnapshot *prev =
-        snaps.size() < 2 ? nullptr : &snaps[snaps.size() - 2];
-    if (prev != nullptr) {
+    if (const TelemetrySnapshot *prev = previous()) {
         const auto prev_s = prev->find(name, labels);
         const auto prev_buckets =
             prev_s ? prev_s->bucketCounts() : std::span<const std::uint64_t>{};

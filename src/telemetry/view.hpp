@@ -1,16 +1,19 @@
 /**
  * @file
- * TelemetryView — the observation interface the closed-loop controllers
- * consume. The scraped implementation answers every query from the
- * monitor's snapshot history (interval-sampled, span-sampled, stale by
- * up to one scrape interval plus the span sampling error), reproducing
- * the information model the paper's runtime actually operates under:
- * §5's monitoring loop decides scaling from scraped Prometheus/Jaeger
- * state, not from ground truth.
+ * TelemetryView — the one observation interface the closed-loop
+ * controllers read. The scraped implementation answers every query from
+ * the monitor's snapshot history (interval-sampled, span-sampled, stale
+ * by up to one scrape interval plus the span sampling error),
+ * reproducing the information model the paper's runtime actually
+ * operates under: §5's monitoring loop decides scaling from scraped
+ * Prometheus/Jaeger state, not from ground truth.
  *
- * Controllers accept an optional TelemetryView; passing none keeps the
- * original oracle reads (Simulation::observedRate, clusterInterference,
- * per-minute metrics), byte-identical to the pre-telemetry code path.
+ * Controllers accept an optional TelemetryView; with none they read the
+ * Simulation itself, which implements this interface as the oracle
+ * view: exact answers as of the last ended minute (observed rate,
+ * cluster interference, the minute's end-to-end P95 and profiling
+ * tails, live container counts), byte-identical to the pre-telemetry
+ * code path.
  *
  * The query math lives in SnapshotTelemetryView, which answers every
  * TelemetryView question from an abstract snapshot stream. Decorators
@@ -29,8 +32,9 @@
 namespace erms::telemetry {
 
 /**
- * Read-only observation surface for controllers. All answers reflect
- * the most recent scrape(s), not the current instant.
+ * Read-only observation surface for controllers. Scraped views answer
+ * from the most recent scrape(s), the Simulation from the last ended
+ * minute; neither reports the current instant's latencies.
  */
 class TelemetryView
 {
@@ -88,8 +92,8 @@ class SnapshotTelemetryView : public TelemetryView
 
   protected:
     /** The snapshot stream queries are answered from (time-ascending;
-     *  may be empty). The reference must stay valid until the next
-     *  visibleSnapshots() call. */
+     *  may be empty). Calls return the same vector until the stream
+     *  grows, so one query may hold pointers from several calls. */
     virtual const std::vector<TelemetrySnapshot> &visibleSnapshots()
         const = 0;
 

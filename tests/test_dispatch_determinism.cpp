@@ -181,7 +181,7 @@ metricsDigest(const SimMetrics &metrics,
 }
 
 /** Run one seeded workload to completion and digest it. Scale churn,
- *  faults, and resilience are all on, so the run exercises swap-and-pop
+ *  faults, and resilience are all on, so the run exercises ordered
  *  scale-in, draining containers with queued work, abandoned attempts,
  *  and the crash/restart path — the exact surfaces the dispatch
  *  refactor touched. `stepped` runs it by coordinated minute stepping

@@ -2,8 +2,9 @@
  * @file
  * Regression tests for the simulator's scale-out / dispatch paths:
  * backlog redistribution on dedicated scale-out, round-robin cursor
- * hygiene, and the draining-container lifecycle (scale in under load
- * without losing queued calls).
+ * hygiene, container-id order across scale-in, and the
+ * draining-container lifecycle (scale in under load without losing
+ * queued calls).
  */
 
 #include <gtest/gtest.h>
@@ -162,6 +163,27 @@ TEST(RoundRobin, SpreadsCallsEvenlyAcrossReplicas)
     }
     EXPECT_GT(total, 100u);
     EXPECT_LE(hi - lo, 1u);
+}
+
+TEST(DeploymentOrder, ContainersStayInIdOrderAcrossScaleIn)
+{
+    // Idle replicas leave at once on scale-in, and on an evenly spread
+    // fleet the placement policy evicts the first candidate, so each
+    // removal takes the front of the deployment. The remaining replicas
+    // must still be in container-id order, the order every
+    // order-sensitive reader (minute sums, eviction, crash victims,
+    // round-robin, views) depends on.
+    MicroserviceCatalog catalog;
+    const auto ms = addMs(catalog, "ordered", 5.0, 1);
+    Simulation sim(catalog, SimConfig{});
+    for (const int count : {6, 4, 7, 2, 5, 1, 3}) {
+        sim.setContainerCount(ms, count);
+        const auto views = sim.containerViews(ms);
+        ASSERT_EQ(views.size(), static_cast<std::size_t>(count));
+        for (std::size_t i = 1; i < views.size(); ++i)
+            EXPECT_LT(views[i - 1].id, views[i].id)
+                << "after scaling to " << count;
+    }
 }
 
 TEST(Draining, ScaleInUnderLoadRedispatchesAndEventuallyErases)

@@ -4,18 +4,23 @@
  * gauges, histograms, deterministic snapshot ordering), quantile
  * estimation against exact sorted samples, scraped-view staleness and
  * rate computation, exporter round-trips, deterministic span sampling,
- * and the null-view escape hatch reproducing the oracle controller run
- * exactly with a monitor attached.
+ * the null-view escape hatch reproducing the oracle controller run
+ * exactly with a monitor attached, and the Simulation as the oracle
+ * TelemetryView of the ended minute.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 
 #include "apps/applications.hpp"
 #include "common/stats.hpp"
@@ -794,6 +799,35 @@ TEST(TelemetryView, ContainerGaugeWithAbsenceSentinel)
 // behave exactly like one without.
 // ---------------------------------------------------------------------
 
+/** One spec per graph of the application, at one SLA and rate. */
+std::vector<ServiceSpec>
+specsFor(const Application &app, double sla_ms, double rate)
+{
+    std::vector<ServiceSpec> services;
+    for (const auto &graph : app.graphs) {
+        ServiceSpec spec;
+        spec.id = graph.service();
+        spec.graph = &graph;
+        spec.slaMs = sla_ms;
+        spec.workload = rate;
+        services.push_back(spec);
+    }
+    return services;
+}
+
+void
+addWorkloads(Simulation &sim, const std::vector<ServiceSpec> &services)
+{
+    for (const ServiceSpec &spec : services) {
+        ServiceWorkload svc;
+        svc.id = spec.id;
+        svc.graph = spec.graph;
+        svc.slaMs = spec.slaMs;
+        svc.rate = spec.workload;
+        sim.addService(svc);
+    }
+}
+
 struct DynamicRunResult
 {
     std::uint64_t requestsCompleted = 0;
@@ -813,21 +847,8 @@ runSeededDynamic(const MicroserviceCatalog &catalog, const Application &app,
     telemetry::SimMonitor monitor;
     if (with_monitor)
         sim.setMonitor(&monitor);
-    std::vector<ServiceSpec> services;
-    for (const auto &graph : app.graphs) {
-        ServiceWorkload svc;
-        svc.id = graph.service();
-        svc.graph = &graph;
-        svc.slaMs = 300.0;
-        svc.rate = 8000.0;
-        sim.addService(svc);
-        ServiceSpec spec;
-        spec.id = graph.service();
-        spec.graph = &graph;
-        spec.slaMs = 300.0;
-        spec.workload = 8000.0;
-        services.push_back(spec);
-    }
+    const std::vector<ServiceSpec> services = specsFor(app, 300.0, 8000.0);
+    addWorkloads(sim, services);
     const GlobalPlan initial =
         controller.plan(services, Interference{0.2, 0.2});
     sim.applyPlan(initial);
@@ -865,6 +886,132 @@ TEST(TelemetryOracleMode, EscapeHatchReproducesOracleRunExactly)
         EXPECT_EQ(oracle.requestsCompleted, hatch.requestsCompleted)
             << "seed " << seed;
         EXPECT_EQ(oracle.latencies, hatch.latencies) << "seed " << seed;
+    }
+}
+
+// ---------------------------------------------------------------------
+// The simulation is the oracle view: with no view a controller reads
+// the Simulation through the same TelemetryView interface, answered as
+// of the minute that just ended.
+// ---------------------------------------------------------------------
+
+TEST(OracleView, SimulationAnswersFromTheEndedMinute)
+{
+    MicroserviceCatalog catalog;
+    const Application app = makeMotivationShared(catalog, 0);
+    ErmsController controller(catalog, ErmsConfig{});
+    const std::vector<ServiceSpec> services = specsFor(app, 300.0, 8000.0);
+
+    SimConfig config;
+    config.horizonMinutes = 4;
+    config.warmupMinutes = 1;
+    config.seed = 7;
+    Simulation sim(catalog, config);
+    addWorkloads(sim, services);
+    sim.applyPlan(controller.plan(services, Interference{0.2, 0.2}));
+    const telemetry::TelemetryView &view = sim;
+
+    // No minute has ended yet.
+    for (const ServiceSpec &svc : services)
+        EXPECT_EQ(view.serviceP95Ms(svc.id), 0.0);
+
+    int p95s_seen = 0;
+    int tails_seen = 0;
+    sim.setMinuteCallback([&](Simulation &s, int minute) {
+        const auto m = static_cast<std::uint64_t>(minute);
+        EXPECT_EQ(view.stalenessMs(s.now()), 0.0);
+        for (const ServiceSpec &svc : services) {
+            const auto it = s.metrics().endToEndByMinute.find(svc.id);
+            const double p95 = it == s.metrics().endToEndByMinute.end()
+                                   ? 0.0
+                                   : it->second.window(m).p95();
+            EXPECT_TRUE(sameBits(view.serviceP95Ms(svc.id), p95))
+                << "minute " << minute << " service " << svc.id;
+            p95s_seen += p95 > 0.0;
+        }
+        for (const auto &graph : app.graphs) {
+            for (MicroserviceId id : graph.nodes()) {
+                double tail = 0.0; // no record this minute
+                for (const ProfilingRecord &record : s.metrics().profiling)
+                    if (record.minute == m && record.microservice == id)
+                        tail = record.tailLatencyMs;
+                EXPECT_TRUE(sameBits(view.microserviceTailMs(id), tail))
+                    << "minute " << minute << " microservice " << id;
+                tails_seen += tail > 0.0;
+            }
+        }
+        EXPECT_EQ(view.microserviceTailMs(kInvalidMicroservice), 0.0);
+    });
+    sim.run();
+
+    // Every ended minute had samples: both services, all four nodes.
+    EXPECT_EQ(p95s_seen, 4 * 2);
+    EXPECT_EQ(tails_seen, 4 * 4);
+}
+
+using ControllerFactory = std::function<std::function<void(Simulation &, int)>(
+    std::shared_ptr<const telemetry::TelemetryView>)>;
+
+/** Container timeline of a run from two containers per microservice
+ *  under the controller the factory makes for the given view. */
+std::unordered_map<MicroserviceId,
+                   std::vector<std::pair<std::uint64_t, int>>>
+controlledTimeline(const MicroserviceCatalog &catalog,
+                   const Application &app,
+                   const std::vector<ServiceSpec> &services,
+                   const ControllerFactory &make, bool sim_as_view,
+                   std::uint64_t seed)
+{
+    SimConfig config;
+    config.horizonMinutes = 5;
+    config.warmupMinutes = 1;
+    config.seed = seed;
+    Simulation sim(catalog, config);
+    addWorkloads(sim, services);
+    for (const auto &graph : app.graphs)
+        for (MicroserviceId id : graph.nodes())
+            sim.setContainerCount(id, 2);
+    std::shared_ptr<const telemetry::TelemetryView> view;
+    if (sim_as_view) // non-owning: the simulation owns the callback
+        view = std::shared_ptr<const telemetry::TelemetryView>(
+            std::shared_ptr<void>(), &sim);
+    sim.setMinuteCallback(make(view));
+    sim.run();
+    return sim.metrics().containerTimeline;
+}
+
+TEST(OracleView, ControllersGivenTheSimulationDecideAsWithNoView)
+{
+    MicroserviceCatalog catalog;
+    const Application app = makeMotivationShared(catalog, 0);
+    ErmsController controller(catalog, ErmsConfig{});
+    // An 80 ms SLA is violated from the first minute, so Firm scales.
+    const std::vector<ServiceSpec> services = specsFor(app, 80.0, 20000.0);
+    const std::vector<std::pair<std::string, ControllerFactory>> controllers{
+        {"erms",
+         [&](std::shared_ptr<const telemetry::TelemetryView> view) {
+             return controller.makeAutoscaler(services, std::move(view));
+         }},
+        {"firm",
+         [&](std::shared_ptr<const telemetry::TelemetryView> view) {
+             return makeFirmReactiveController(catalog, services,
+                                               std::move(view));
+         }},
+    };
+
+    for (const auto &[name, make] : controllers) {
+        for (std::uint64_t seed : {3u, 19u}) {
+            const auto alone =
+                controlledTimeline(catalog, app, services, make, false, seed);
+            const auto self =
+                controlledTimeline(catalog, app, services, make, true, seed);
+            EXPECT_EQ(alone, self) << name << " seed " << seed;
+            bool scaled = false;
+            for (const auto &[ms, timeline] : alone)
+                for (const auto &[minute, count] : timeline)
+                    scaled |= count != 2;
+            EXPECT_TRUE(scaled) << name << " seed " << seed;
+        }
     }
 }
 
